@@ -9,14 +9,7 @@ acquisition-comparison protocols on built-in test functions or tabulated
 targets.
 """
 
-from .acquisition import (
-    AcquisitionScore,
-    AcquisitionSpec,
-    parse_acquisition,
-    score_ei,
-    score_glcb,
-    score_lcb,
-)
+from .acquisition import AcquisitionSpec, parse_acquisition
 from .bench import (
     MopMatrix,
     PriorVariant,
@@ -35,8 +28,6 @@ from .engine import (
     RunConfig,
     TargetFunction,
     run,
-    run_bo,
-    run_probo,
     save_trace_csv,
 )
 from .errors import ConditioningError, ConfigError, DimensionMismatchError, ProboError
@@ -49,59 +40,42 @@ from .functions import (
 from .gp import (
     GpModel,
     MeanSpec,
-    Prediction,
     fit_gp,
     fit_hyperparameters,
     log_marginal_likelihood,
-    predict,
     predict_batch,
 )
 from .igp import (
     CASE_EXTREME,
     CASE_NEAR_IGNORANCE,
     ImpreciseGpSpec,
-    MeanBounds,
-    case_condition,
     mean_bounds,
-    mean_width,
     mean_width_batch,
 )
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
     build_base_kernel_matrix,
-    cross_covariance,
-    kernel_eval,
     kernel_matrix,
 )
-from .optimizer import (
-    BoxBounds,
-    FocusSearchConfig,
-    focus_search,
-    grid_search,
-    latin_hypercube,
-    random_search,
-)
+from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcquisitionScore", "AcquisitionSpec", "parse_acquisition",
-    "score_ei", "score_glcb", "score_lcb",
+    "AcquisitionSpec", "parse_acquisition",
     "MopMatrix", "PriorVariant", "SensitivityPlan",
     "accumulated_difference", "default_sensitivity_plans",
     "mean_optimization_path", "relative_ad_summary",
     "run_acquisition_comparison", "run_sensitivity_experiment",
     "BoRunError", "IterationRecord", "OptimizationTrace", "RunConfig",
-    "TargetFunction", "run", "run_bo", "run_probo", "save_trace_csv",
+    "TargetFunction", "run", "save_trace_csv",
     "ConditioningError", "ConfigError", "DimensionMismatchError", "ProboError",
     "TabulatedTarget", "load_tabulated_target", "registry_lookup", "registry_names",
-    "GpModel", "MeanSpec", "Prediction", "fit_gp", "fit_hyperparameters",
-    "log_marginal_likelihood", "predict", "predict_batch",
-    "CASE_EXTREME", "CASE_NEAR_IGNORANCE", "ImpreciseGpSpec", "MeanBounds",
-    "case_condition", "mean_bounds", "mean_width", "mean_width_batch",
-    "BaseKernelMatrix", "KernelSpec", "build_base_kernel_matrix",
-    "cross_covariance", "kernel_eval", "kernel_matrix",
-    "BoxBounds", "FocusSearchConfig", "focus_search", "grid_search",
-    "latin_hypercube", "random_search",
+    "GpModel", "MeanSpec", "fit_gp", "fit_hyperparameters",
+    "log_marginal_likelihood", "predict_batch",
+    "CASE_EXTREME", "CASE_NEAR_IGNORANCE", "ImpreciseGpSpec",
+    "mean_bounds", "mean_width_batch",
+    "BaseKernelMatrix", "KernelSpec", "build_base_kernel_matrix", "kernel_matrix",
+    "BoxBounds", "FocusSearchConfig", "focus_search", "latin_hypercube",
 ]

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError
-from .gp import Prediction
+from .errors import ConfigError, check_keys
 
 KINDS = ("ei", "lcb", "glcb")
 
@@ -80,9 +79,14 @@ class AcquisitionSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AcquisitionSpec":
-        return cls(kind=d["kind"], tau=d.get("tau", 1.0),
-                   rho=d.get("rho", 1.0), c=d.get("c", 1.0))
+    def from_dict(cls, d) -> "AcquisitionSpec":
+        """Build from a mapping, or from a string in a parse_acquisition form."""
+        if isinstance(d, str):
+            return parse_acquisition(d)
+        check_keys(d, ("kind", "tau", "rho", "c"), "acquisition")
+        if "kind" not in d:
+            raise ConfigError("acquisition config needs a kind")
+        return cls(**d)
 
 
 def parse_acquisition(text: str) -> AcquisitionSpec:
@@ -118,14 +122,6 @@ def parse_acquisition(text: str) -> AcquisitionSpec:
     return AcquisitionSpec(kind=kind, **params)
 
 
-@dataclass(frozen=True)
-class AcquisitionScore:
-    """Scalar score; lower is better for every kind."""
-
-    value: float
-    convention: str = "lower-is-better"
-
-
 def lcb_values(mu, var, tau: float) -> np.ndarray:
     return np.asarray(mu) - tau * np.sqrt(np.asarray(var))
 
@@ -149,19 +145,3 @@ def ei_values(mu, var, psi_min: float) -> np.ndarray:
 def glcb_values(mu, var, width, tau: float, rho: float) -> np.ndarray:
     return np.asarray(mu) - tau * np.sqrt(np.asarray(var)) - rho * np.asarray(width)
 
-
-def score_lcb(pred: Prediction, tau: float) -> AcquisitionScore:
-    """mu - tau * sqrt(var)."""
-    return AcquisitionScore(float(lcb_values(pred.mu, pred.var, tau)))
-
-
-def score_ei(pred: Prediction, psi_min: float) -> AcquisitionScore:
-    """Expected improvement below psi_min, negated so lower is better."""
-    return AcquisitionScore(float(ei_values(pred.mu, pred.var, psi_min)))
-
-
-def score_glcb(pred: Prediction, width: float, tau: float, rho: float) -> AcquisitionScore:
-    """mu - tau * sqrt(var) - rho * width, width from the imprecise mean bounds."""
-    if width < 0:
-        raise ValueError(f"width must be nonnegative, got {width}")
-    return AcquisitionScore(float(glcb_values(pred.mu, pred.var, width, tau, rho)))

@@ -280,6 +280,20 @@ def _resolve(functions: Sequence) -> list[TargetFunction]:
             for f in functions]
 
 
+def _mop(traces: Mapping[tuple, OptimizationTrace], cells: Sequence[tuple],
+         labels: Sequence[str], repetitions: int):
+    """Mean optimization path of each cell (a job key without its repetition
+    index) over its repetitions, with each cell's R x T paths; None if any
+    run of the cells failed."""
+    if any(cell + (rep,) not in traces for cell in cells for rep in range(repetitions)):
+        return None
+    paths = [np.array([traces[cell + (rep,)].incumbent_path() for rep in range(repetitions)])
+             for cell in cells]
+    mop = MopMatrix(values=np.column_stack([np.mean(p, axis=0) for p in paths]),
+                    labels=tuple(labels), repetitions=repetitions)
+    return mop, paths
+
+
 # ----------------------------------------------------- sensitivity runner
 
 @dataclass
@@ -336,25 +350,12 @@ def run_sensitivity_experiment(
     mops: dict[tuple[str, str], MopMatrix] = {}
     for plan in plans:
         for fname in plan.functions:
-            columns, labels = [], []
-            failed = False
-            for variant in plan.variants:
-                paths = []
-                for rep in range(plan.repetitions):
-                    trace = traces.get((plan.axis, fname, variant.name, rep))
-                    if trace is None:
-                        failed = True
-                        break
-                    paths.append(trace.incumbent_path())
-                if failed:
-                    break
-                columns.append(mean_optimization_path(paths))
-                labels.append(variant.name)
-            if failed:
+            cells = [(plan.axis, fname, variant.name) for variant in plan.variants]
+            built = _mop(traces, cells, [v.name for v in plan.variants], plan.repetitions)
+            if built is None:
                 warnings.warn(f"runs failed for {fname!r} on axis {plan.axis!r}; skipped")
                 continue
-            mop = MopMatrix(values=np.column_stack(columns), labels=tuple(labels),
-                            repetitions=plan.repetitions)
+            mop, _ = built
             mops[(fname, plan.axis)] = mop
             ads.setdefault(fname, {})[plan.axis] = accumulated_difference(mop)
 
@@ -382,9 +383,7 @@ def run_acquisition_comparison(
     n_init: int = 10,
     master_seed: int = 0,
     jobs: int = 1,
-    kernel_lengthscale: float = 1.0,
-    kernel_signal_variance: float = 1.0,
-    kernel_family: str = "squared-exponential",
+    kernel: Mapping | None = None,
     mean: MeanSpec = MeanSpec(),
     infill: FocusSearchConfig = FocusSearchConfig(),
 ) -> ComparisonResult:
@@ -393,6 +392,8 @@ def run_acquisition_comparison(
     All acquisitions share the derived seed of each repetition index, hence
     its initial design.  Alongside each mean optimization path the pointwise
     0.95 normal-approximation half-width 1.96 * sd / sqrt(R) is reported.
+    kernel is a KernelSpec config mapping, resolved per target dimension
+    (default: squared-exponential, unit lengthscales and signal variance).
     """
     if len(acquisitions) < 2:
         raise ConfigError("need at least two acquisition settings to compare")
@@ -403,11 +404,9 @@ def run_acquisition_comparison(
 
     jobs_list: list[_Job] = []
     for target in targets:
-        kernel = KernelSpec(family=kernel_family,
-                            lengthscales=(kernel_lengthscale,) * target.dimension,
-                            signal_variance=kernel_signal_variance)
+        spec = KernelSpec.from_dict(kernel or {}, target.dimension)
         for acq in acquisitions:
-            config = RunConfig(kernel=kernel, mean=mean, acquisition=acq,
+            config = RunConfig(kernel=spec, mean=mean, acquisition=acq,
                                infill=infill, n_init=n_init, budget=budget, seed=0)
             for rep in range(repetitions):
                 seed = derive_seed(master_seed, target.name, rep)
@@ -420,24 +419,16 @@ def run_acquisition_comparison(
     mops: dict[str, MopMatrix] = {}
     cis: dict[str, np.ndarray] = {}
     for target in targets:
-        if any((target.name, acq.label, rep) not in traces
-               for acq in acquisitions for rep in range(repetitions)):
+        cells = [(target.name, label) for label in labels]
+        built = _mop(traces, cells, labels, repetitions)
+        if built is None:
             warnings.warn(f"runs failed for {target.name!r}; function skipped")
             continue
-        columns, half_widths = [], []
-        for acq in acquisitions:
-            paths = np.array([
-                traces[(target.name, acq.label, rep)].incumbent_path()
-                for rep in range(repetitions)
-            ])
-            columns.append(paths.mean(axis=0))
-            if repetitions > 1:
-                sd = paths.std(axis=0, ddof=1)
-            else:
-                sd = np.zeros(paths.shape[1])
+        mops[target.name], paths = built
+        half_widths = []
+        for p in paths:
+            sd = p.std(axis=0, ddof=1) if repetitions > 1 else np.zeros(p.shape[1])
             half_widths.append(1.96 * sd / np.sqrt(repetitions))
-        mops[target.name] = MopMatrix(values=np.column_stack(columns),
-                                      labels=tuple(labels), repetitions=repetitions)
         cis[target.name] = np.column_stack(half_widths)
     return ComparisonResult(mops=mops, ci_half_widths=cis, repetitions=repetitions,
                             n_init=n_init, traces=traces)

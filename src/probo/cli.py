@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import AcquisitionSpec, parse_acquisition
+from .acquisition import AcquisitionSpec
 from .bench import (
     default_sensitivity_plans,
     run_acquisition_comparison,
@@ -36,10 +36,9 @@ from .bench import (
     write_traces,
 )
 from .engine import RunConfig, TargetFunction, run, save_trace_csv
-from .errors import ConfigError, ProboError
+from .errors import ConfigError, ProboError, check_keys
 from .functions import load_tabulated_target, registry_lookup, registry_names
 from .gp import MeanSpec
-from .kernels import KernelSpec
 from .optimizer import FocusSearchConfig
 
 log = logging.getLogger(__name__)
@@ -63,12 +62,15 @@ class _Parser(argparse.ArgumentParser):
 
 # ------------------------------------------------------------- config I/O
 
-_RUN_KEYS = {"target", "kernel", "mean", "acquisition", "infill", "n_init",
-             "budget", "seed", "hyperparameter_fit", "hyperparameter_budget"}
-_COMPARE_KEYS = {"functions", "acquisitions", "reps", "budget", "n_init", "seed",
-                 "kernel", "mean", "infill"}
-_SENSITIVITY_KEYS = {"functions", "reps", "iterations", "n_init", "seed",
-                     "acquisition", "infill"}
+_COMPARE_KEYS = ("functions", "acquisitions", "reps", "budget", "n_init", "seed",
+                 "kernel", "mean", "infill")
+_SENSITIVITY_KEYS = ("functions", "reps", "iterations", "n_init", "seed",
+                     "acquisition", "infill")
+#: protocol settings whose runner argument has another name, or that parse
+#: into a spec object
+_RENAME = {"reps": "repetitions"}
+_PARSE = {"acquisition": AcquisitionSpec.from_dict, "mean": MeanSpec.from_dict,
+          "infill": FocusSearchConfig.from_dict}
 
 
 def _load_config(path: str | None) -> dict:
@@ -105,15 +107,6 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
-def _check_keys(config: dict, allowed: set[str], where: str) -> None:
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(
-            f"unknown {where} config keys: {', '.join(sorted(unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
-
-
 def _target_from_config(spec) -> TargetFunction:
     if isinstance(spec, str):
         return registry_lookup(spec)
@@ -128,43 +121,11 @@ def _target_from_config(spec) -> TargetFunction:
     )
 
 
-def _acquisition_from_config(spec) -> AcquisitionSpec:
-    if isinstance(spec, str):
-        return parse_acquisition(spec)
-    if isinstance(spec, dict):
-        return AcquisitionSpec.from_dict(spec)
-    raise ConfigError("acquisition must be a string form or an object")
-
-
-def _kernel_from_config(spec: dict, dim: int) -> KernelSpec:
-    spec = dict(spec or {})
-    family = spec.pop("family", "squared-exponential")
-    ls = spec.pop("lengthscales", spec.pop("lengthscale", 1.0))
-    ls = np.atleast_1d(np.asarray(ls, dtype=float))
-    if ls.size == 1:
-        ls = np.full(dim, ls[0])
-    sv = spec.pop("signal_variance", 1.0)
-    power = spec.pop("power", None)
-    if spec:
-        raise ConfigError(f"unknown kernel config keys: {', '.join(sorted(spec))}")
-    return KernelSpec(family=family, lengthscales=tuple(ls),
-                      signal_variance=sv, power=power)
-
-
-def _run_config_from(config: dict, target: TargetFunction, seed_flag) -> RunConfig:
-    _check_keys(config, _RUN_KEYS, "run")
-    kernel = _kernel_from_config(config.get("kernel", {}), target.dimension)
-    mean = MeanSpec.from_dict(config.get("mean", {}))
-    acquisition = _acquisition_from_config(config.get("acquisition", "lcb:tau=1"))
-    infill = FocusSearchConfig.from_dict(config.get("infill", {}))
-    seed = seed_flag if seed_flag is not None else config.get("seed", 0)
-    return RunConfig(
-        kernel=kernel, mean=mean, acquisition=acquisition, infill=infill,
-        n_init=config.get("n_init", 10), budget=config.get("budget", 90),
-        seed=int(seed),
-        hyperparameter_fit=config.get("hyperparameter_fit", False),
-        hyperparameter_budget=config.get("hyperparameter_budget", 50),
-    )
+def _protocol_args(config: dict, keys) -> dict:
+    """Runner keyword arguments for the settings among keys that config
+    gives; the others keep the runner's defaults."""
+    return {_RENAME.get(k, k): _PARSE[k](config[k]) if k in _PARSE else config[k]
+            for k in keys if k in config}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -176,11 +137,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_run(args) -> int:
     config = _apply_overrides(_load_config(args.config), args.override)
-    _check_keys(config, _RUN_KEYS, "run")
     if "target" not in config:
         raise ConfigError("run needs a target (config key \"target\")")
     target = _target_from_config(config["target"])
-    run_config = _run_config_from(config, target, args.seed)
+    settings = {k: v for k, v in config.items() if k != "target"}
+    if args.seed is not None:
+        settings["seed"] = args.seed
+    run_config = RunConfig.from_dict(settings, target.dimension)
 
     trace = run(run_config, target)
 
@@ -199,30 +162,19 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _apply_overrides(_load_config(args.config), args.override)
-    _check_keys(config, _COMPARE_KEYS, "compare")
-    acq_strings = list(args.acq or []) + list(config.get("acquisitions", []))
-    if len(acq_strings) < 2:
+    check_keys(config, _COMPARE_KEYS, "compare")
+    acquisitions = [AcquisitionSpec.from_dict(a) for a in
+                    list(args.acq or []) + list(config.get("acquisitions", []))]
+    if len(acquisitions) < 2:
         raise ConfigError("compare needs at least two --acq settings")
-    acquisitions = [parse_acquisition(a) for a in acq_strings]
     names = list(args.functions or []) or list(config.get("functions", []))
     if not names:
         raise ConfigError("compare needs at least one --functions name")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    kernel_cfg = config.get("kernel", {})
+    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
 
     result = run_acquisition_comparison(
-        functions=names,
-        acquisitions=acquisitions,
-        repetitions=config.get("reps", 60),
-        budget=config.get("budget", 90),
-        n_init=config.get("n_init", 10),
-        master_seed=int(seed),
-        jobs=args.jobs,
-        kernel_lengthscale=kernel_cfg.get("lengthscale", 1.0),
-        kernel_signal_variance=kernel_cfg.get("signal_variance", 1.0),
-        kernel_family=kernel_cfg.get("family", "squared-exponential"),
-        mean=MeanSpec.from_dict(config.get("mean", {})),
-        infill=FocusSearchConfig.from_dict(config.get("infill", {})),
+        functions=names, acquisitions=acquisitions, master_seed=seed, jobs=args.jobs,
+        **_protocol_args(config, ("reps", "budget", "n_init", "kernel", "mean", "infill")),
     )
 
     out = Path(args.out)
@@ -230,14 +182,17 @@ def cmd_compare(args) -> int:
     for fname, mop in result.mops.items():
         write_mop_csv(mop, out / fname / "mop.csv")
     write_traces(result.traces, out / "traces")
+    ran = {key[0]: trace.config for key, trace in result.traces.items()}
+    first = next(iter(ran.values()))
     snapshot = {
         "functions": names, "acquisitions": [a.to_dict() for a in acquisitions],
-        "reps": result.repetitions, "budget": config.get("budget", 90),
-        "n_init": result.n_init, "seed": int(seed),
+        "reps": result.repetitions, "budget": first.budget, "n_init": result.n_init,
+        "seed": seed, "mean": first.mean.to_dict(), "infill": first.infill.to_dict(),
+        "kernels": {fname: c.kernel.to_dict() for fname, c in ran.items()},
     }
     _write_json(out / "config.json", snapshot)
     for fname, mop in result.mops.items():
-        finals = ", ".join(f"{lab}={val!r}" for lab, val in
+        finals = ", ".join(f"{lab}={float(val)!r}" for lab, val in
                            zip(mop.labels, mop.values[-1]))
         print(f"{fname}: final MOP {finals}")
     print(f"wrote {out / 'comparison.csv'}")
@@ -246,18 +201,14 @@ def cmd_compare(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     config = _apply_overrides(_load_config(args.config), args.override)
-    _check_keys(config, _SENSITIVITY_KEYS, "sensitivity")
+    check_keys(config, _SENSITIVITY_KEYS, "sensitivity")
     names = list(args.functions or []) or list(config.get("functions", []))
     if not names:
         raise ConfigError("sensitivity needs at least one --functions name")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
     plans = default_sensitivity_plans(
         functions=names,
-        repetitions=config.get("reps", 40),
-        iterations=config.get("iterations", 20),
-        n_init=config.get("n_init", 10),
-        acquisition=_acquisition_from_config(config.get("acquisition", "ei")),
-        infill=FocusSearchConfig.from_dict(config.get("infill", {})),
+        **_protocol_args(config, ("reps", "iterations", "n_init", "acquisition", "infill")),
     )
 
     result = run_sensitivity_experiment(plans, master_seed=int(seed), jobs=args.jobs)
@@ -268,11 +219,11 @@ def cmd_sensitivity(args) -> int:
     for (fname, axis), mop in result.mops.items():
         write_mop_csv(mop, out / fname / axis / "mop.csv")
     write_traces(result.traces, out / "traces")
+    plan = plans[0]
     snapshot = {
-        "functions": names, "reps": config.get("reps", 40),
-        "iterations": config.get("iterations", 20),
-        "n_init": config.get("n_init", 10), "seed": int(seed),
-        "acquisition": _acquisition_from_config(config.get("acquisition", "ei")).to_dict(),
+        "functions": list(plan.functions), "reps": plan.repetitions,
+        "iterations": plan.iterations, "n_init": plan.n_init, "seed": seed,
+        "acquisition": plan.acquisition.to_dict(),
     }
     _write_json(out / "config.json", snapshot)
 

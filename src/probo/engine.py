@@ -1,11 +1,10 @@
-"""Sequential optimization loops: classic BO and the prior-mean-robust variant.
+"""The sequential optimization loop, for classic BO and its prior-mean-robust variant.
 
-Both loops share the same skeleton: evaluate a Latin hypercube design, then
-repeatedly fit the GP surrogate, minimize an acquisition surface with focus
-search, evaluate the target at the proposal, and append it to the data until
-the evaluation budget is spent.  run_bo drives EI or LCB; run_probo drives
-GLCB, which additionally needs the near-ignorance mean-bound width from the
-imprecise model.
+run evaluates a Latin hypercube design, then repeatedly fits the GP
+surrogate, minimizes an acquisition surface with focus search, evaluates the
+target at the proposal, and appends it to the data until the evaluation
+budget is spent.  EI and LCB score the precise prediction; GLCB additionally
+needs the near-ignorance mean-bound width from the imprecise model.
 
 Everything is minimization; maximization targets are negated at ingestion.
 One master seed derives independent named substreams (design, per-iteration
@@ -19,23 +18,21 @@ import csv
 import json
 import logging
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
-from .errors import ConfigError, ProboError
-from .gp import GpModel, MeanSpec, fit_gp, fit_hyperparameters, predict_batch
-from .igp import ImpreciseGpSpec, mean_width_batch
-from .kernels import KernelSpec
+from .errors import ConfigError, ProboError, check_keys
+from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
+from .igp import CASE_NEAR_IGNORANCE, ImpreciseGpSpec, mean_width_batch
+from .kernels import DUPLICATE_TOL, KernelSpec
 from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
 log = logging.getLogger(__name__)
 
-#: Proposals closer than this to an existing design point are nudged.
-DUPLICATE_EPS = 1e-10
 NUDGE_RADIUS = 1e-6
 
 _SEED_MASK = (1 << 63) - 1
@@ -105,18 +102,15 @@ class RunConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(
-            kernel=KernelSpec.from_dict(d["kernel"]),
-            mean=MeanSpec.from_dict(d.get("mean", {})),
-            acquisition=AcquisitionSpec.from_dict(d.get("acquisition", {"kind": "lcb"})),
-            infill=FocusSearchConfig.from_dict(d.get("infill", {})),
-            n_init=d.get("n_init", 10),
-            budget=d.get("budget", 90),
-            seed=d.get("seed", 0),
-            hyperparameter_fit=d.get("hyperparameter_fit", False),
-            hyperparameter_budget=d.get("hyperparameter_budget", 50),
-        )
+    def from_dict(cls, d: dict, dim: int | None = None) -> "RunConfig":
+        """Build from a config mapping; omitted keys take the field defaults.
+        dim, the target's dimension, broadcasts a single kernel lengthscale."""
+        check_keys(d, [f.name for f in fields(cls)], "run")
+        kw = dict(d, kernel=KernelSpec.from_dict(d.get("kernel", {}), dim))
+        parsers = {"mean": MeanSpec.from_dict, "acquisition": AcquisitionSpec.from_dict,
+                   "infill": FocusSearchConfig.from_dict}
+        kw.update({k: parse(d[k]) for k, parse in parsers.items() if k in d})
+        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ class OptimizationTrace:
         return np.array([r.incumbent for r in self.records[start:]])
 
     def best_value(self) -> float:
-        return self.records[-1].incumbent
+        return float(self.records[-1].incumbent)
 
     def best_point(self) -> np.ndarray:
         best = min(self.records, key=lambda r: r.psi)
@@ -174,9 +168,9 @@ def _nudge_duplicate(point: np.ndarray, X: np.ndarray, bounds: BoxBounds,
     well conditioned; uniform within a NUDGE_RADIUS box, clipped to bounds."""
     for _ in range(100):
         dists = np.sqrt(np.sum((X - point) ** 2, axis=1))
-        if dists.min() >= DUPLICATE_EPS:
+        if dists.min() >= DUPLICATE_TOL:
             return point
-        log.debug("proposal within %.0e of an existing point; nudging", DUPLICATE_EPS)
+        log.debug("proposal within %.0e of an existing point; nudging", DUPLICATE_TOL)
         point = bounds.clip(point + rng.uniform(-NUDGE_RADIUS, NUDGE_RADIUS,
                                                 size=point.shape))
     raise ProboError("could not nudge a duplicate proposal away from the design")
@@ -190,7 +184,10 @@ def _check_target(config: RunConfig, target: TargetFunction) -> None:
         )
 
 
-def _run_loop(config: RunConfig, target: TargetFunction, robust: bool) -> OptimizationTrace:
+def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
+    """Minimize the target with the configured acquisition.  GLCB proposals
+    also carry the imprecision bonus from the near-ignorance mean-bound width
+    of the fitted model."""
     _check_target(config, target)
     acq = config.acquisition
     bounds = target.bounds
@@ -224,9 +221,20 @@ def _run_loop(config: RunConfig, target: TargetFunction, robust: bool) -> Optimi
             raise BoRunError(f"surrogate fit failed at iteration {t}: {exc}",
                              partial_trace=trace) from exc
 
-        igp = ImpreciseGpSpec(c=acq.c, model=model) if robust else None
-        objective = _acquisition_objective(acq, model, igp, incumbent)
-        clamps_before = igp.diagnostics.events if igp else 0
+        igp = ImpreciseGpSpec(c=acq.c, model=model) if acq.kind == "glcb" else None
+        clamped = 0
+
+        def objective(P: np.ndarray) -> np.ndarray:
+            nonlocal clamped
+            mu, var = predict_batch(model, P)
+            if acq.kind == "ei":
+                return ei_values(mu, var, incumbent)
+            if acq.kind == "lcb":
+                return lcb_values(mu, var, acq.tau)
+            width, n_clamped = mean_width_batch(igp, P)
+            clamped += n_clamped
+            return glcb_values(mu, var, width, acq.tau, acq.rho)
+
         point, score = focus_search(objective, bounds, config.infill,
                                     _stream(config.seed, "infill", t))
         point = _nudge_duplicate(point, X, bounds, _stream(config.seed, "dedup", t))
@@ -238,46 +246,10 @@ def _run_loop(config: RunConfig, target: TargetFunction, robust: bool) -> Optimi
         records.append(IterationRecord(
             index=len(records) + 1, point=point.copy(), psi=psi,
             incumbent=incumbent, acq_value=score,
-            igp_case=(1 if igp.case.endswith("case-1") else 2) if igp else 0,
-            clamped=(igp.diagnostics.events - clamps_before) if igp else 0,
+            igp_case=(1 if igp.case == CASE_NEAR_IGNORANCE else 2) if igp else 0,
+            clamped=clamped,
         ))
     return trace
-
-
-def _acquisition_objective(acq: AcquisitionSpec, model: GpModel,
-                           igp: Optional[ImpreciseGpSpec], incumbent: float):
-    def objective(P: np.ndarray) -> np.ndarray:
-        mu, var = predict_batch(model, P)
-        if acq.kind == "ei":
-            return ei_values(mu, var, incumbent)
-        if acq.kind == "lcb":
-            return lcb_values(mu, var, acq.tau)
-        width = mean_width_batch(igp, P)
-        return glcb_values(mu, var, width, acq.tau, acq.rho)
-
-    return objective
-
-
-def run_bo(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
-    """Classic BO with EI or LCB."""
-    if config.acquisition.kind not in ("ei", "lcb"):
-        raise ConfigError("run_bo drives ei or lcb; use run_probo for glcb")
-    return _run_loop(config, target, robust=False)
-
-
-def run_probo(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
-    """Prior-mean-robust BO: proposals minimize GLCB, whose imprecision bonus
-    comes from the near-ignorance mean-bound width of the fitted model."""
-    if config.acquisition.kind != "glcb":
-        raise ConfigError("run_probo drives glcb; use run_bo for ei or lcb")
-    return _run_loop(config, target, robust=True)
-
-
-def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
-    """Dispatch on the acquisition kind."""
-    if config.acquisition.kind == "glcb":
-        return run_probo(config, target)
-    return run_bo(config, target)
 
 
 def trace_rows(trace: OptimizationTrace) -> list[dict]:

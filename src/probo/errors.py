@@ -24,3 +24,15 @@ class ConditioningError(ProboError):
 
 class ConfigError(ProboError):
     """A run or experiment configuration is invalid."""
+
+
+def check_keys(d, allowed, where: str) -> None:
+    """Reject a config object that is not a mapping or has keys outside allowed."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} config must be an object, got {d!r}")
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} config keys: {', '.join(sorted(unknown))}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import DimensionMismatchError
+from .errors import check_keys
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
@@ -92,16 +92,8 @@ class MeanSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeanSpec":
-        return cls(form=d.get("form", "constant-estimated"),
-                   coefficients=tuple(d.get("coefficients", ())))
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Posterior mean and (nonnegative) variance at a single point."""
-
-    mu: float
-    var: float
+        check_keys(d, ("form", "coefficients"), "mean")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -179,15 +171,6 @@ def predict_batch(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
     if model.mean.form == "constant-estimated":
         var = var + (1.0 - Kx.T @ model.s_k) ** 2 / model.S_k
     return mu, np.maximum(var, 0.0)
-
-
-def predict(model: GpModel, x) -> Prediction:
-    """Posterior mean/variance at a single point."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != model.dimension:
-        raise DimensionMismatchError(model.dimension, x.shape[0])
-    mu, var = predict_batch(model, x[None, :])
-    return Prediction(mu=float(mu[0]), var=float(var[0]))
 
 
 def log_marginal_likelihood(model: GpModel) -> float:

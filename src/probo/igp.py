@@ -21,8 +21,8 @@ applies does not depend on x:
 As c -> 0 both bounds collapse to the precise estimated-constant prediction.
 In case (2) the printed formulas can produce upper < lower when
 1 - k_x' s_k < 0 or the targets' GLS mean is strongly negative; widths are
-clamped at zero and every clamp is counted on the spec's diagnostics rather
-than raised.
+clamped at zero and the number of clamped points is returned with them
+rather than raised.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import DimensionMismatchError
 from .gp import GpModel
 from .kernels import kernel_matrix, _as_points
 
@@ -41,27 +40,16 @@ CASE_NEAR_IGNORANCE = "near-ignorance-case-1"
 CASE_EXTREME = "extreme-case-2"
 
 
-@dataclass
-class ClampDiagnostics:
-    """Counts how often a negative case-2 width was clamped to zero."""
-
-    events: int = 0
-
-    def bump(self, n: int = 1) -> None:
-        self.events += n
-
-
 @dataclass(frozen=True)
 class ImpreciseGpSpec:
     """Degree of imprecision c attached to a fitted GP.
 
     The case split is x-independent, so it is evaluated once here and
-    cached.  diagnostics is shared mutable state counting clamp events.
+    cached.
     """
 
     c: float
     model: GpModel
-    diagnostics: ClampDiagnostics = field(default_factory=ClampDiagnostics)
     case: str = field(init=False)
 
     def __post_init__(self):
@@ -77,77 +65,43 @@ class ImpreciseGpSpec:
             object.__setattr__(self, "case", CASE_EXTREME)
 
 
-@dataclass(frozen=True)
-class MeanBounds:
-    lower: float
-    upper: float
-    width: float
-    case: str
-
-
-def case_condition(spec: ImpreciseGpSpec) -> str:
-    """Which bound pair applies (cached; the condition does not involve x)."""
-    return spec.case
-
-
-def _terms(spec: ImpreciseGpSpec, X: np.ndarray):
-    """Shared per-point quantities: k_x' K^-1 y and k_x' s_k for each row."""
+def _one_minus(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, np.ndarray]:
+    """k_x for each row of X, shape (n, q), and 1 - k_x' s_k per row."""
     m = spec.model
-    Kx = kernel_matrix(m.kernel, m.X, X)  # (n, q)
-    ky = cho_solve((m.K.cholesky, True), m.y) @ Kx  # k_x' K^-1 y
-    ksk = m.s_k @ Kx
-    return ky, ksk
+    Kx = kernel_matrix(m.kernel, m.X, _as_points(X, m.dimension, "evaluation points"))
+    return Kx, 1.0 - m.s_k @ Kx
 
 
-def mean_width_batch(spec: ImpreciseGpSpec, X) -> np.ndarray:
-    """Upper minus lower posterior mean at each row of X, clamped at zero."""
+def mean_width_batch(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, int]:
+    """Upper minus lower posterior mean at each row of X, clamped at zero,
+    and the number of rows whose width was clamped."""
     m = spec.model
-    X = _as_points(X, m.dimension, "evaluation points")
-    _, ksk = _terms(spec, X)
-    one_minus = 1.0 - ksk
+    _, one_minus = _one_minus(spec, X)
     if spec.case == CASE_NEAR_IGNORANCE:
-        return 2.0 * spec.c * np.abs(one_minus) / m.S_k
+        return 2.0 * spec.c * np.abs(one_minus) / m.S_k, 0
     sy = float(m.s_k @ m.y)
     factor = sy / m.S_k + spec.c / m.S_k - sy / (spec.c + m.S_k)
     width = one_minus * factor
     negative = width < 0.0
-    if np.any(negative):
-        spec.diagnostics.bump(int(np.count_nonzero(negative)))
-        width = np.where(negative, 0.0, width)
-    return width
+    return np.where(negative, 0.0, width), int(np.count_nonzero(negative))
 
 
-def mean_width(spec: ImpreciseGpSpec, x) -> float:
-    """Width of the posterior mean bounds at a single point."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != spec.model.dimension:
-        raise DimensionMismatchError(spec.model.dimension, x.shape[0])
-    return float(mean_width_batch(spec, x[None, :])[0])
+def mean_bounds(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper posterior mean at each row of X.
 
-
-def mean_bounds(spec: ImpreciseGpSpec, x) -> MeanBounds:
-    """Lower/upper posterior mean at a single point.
-
-    If the case-2 formulas cross (upper < lower), both bounds collapse to
-    their midpoint and the event is counted, keeping width consistent with
-    :func:`mean_width`.
+    Where the case-2 formulas cross (upper < lower), both bounds collapse to
+    their midpoint, so upper - lower is the width mean_width_batch reports.
     """
     m = spec.model
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != m.dimension:
-        raise DimensionMismatchError(m.dimension, x.shape[0])
-    ky, ksk = _terms(spec, x[None, :])
-    ky, ksk = float(ky[0]), float(ksk[0])
-    one_minus = 1.0 - ksk
+    Kx, one_minus = _one_minus(spec, X)
+    ky = cho_solve((m.K.cholesky, True), m.y) @ Kx  # k_x' K^-1 y
     sy = float(m.s_k @ m.y)
     if spec.case == CASE_NEAR_IGNORANCE:
         central = ky + one_minus * sy / m.S_k
-        half = spec.c * abs(one_minus) / m.S_k
-        lower, upper = central - half, central + half
-    else:
-        upper = ky + one_minus * sy / m.S_k + spec.c * one_minus / m.S_k
-        lower = ky + one_minus * sy / (spec.c + m.S_k)
-        if upper < lower:
-            spec.diagnostics.bump()
-            lower = upper = 0.5 * (lower + upper)
-    return MeanBounds(lower=lower, upper=upper, width=upper - lower, case=spec.case)
+        half = spec.c * np.abs(one_minus) / m.S_k
+        return central - half, central + half
+    upper = ky + one_minus * sy / m.S_k + spec.c * one_minus / m.S_k
+    lower = ky + one_minus * sy / (spec.c + m.S_k)
+    crossed = upper < lower
+    mid = 0.5 * (lower + upper)
+    return np.where(crossed, mid, lower), np.where(crossed, mid, upper)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cholesky as _cholesky
 from scipy.linalg import LinAlgError
 
-from .errors import ConditioningError, DimensionMismatchError
+from .errors import ConditioningError, ConfigError, DimensionMismatchError, check_keys
 
 FAMILIES = (
     "squared-exponential",
@@ -39,7 +39,8 @@ FAMILIES = (
 JITTER_INITIAL = 1e-10
 JITTER_MAX = 1e-6
 
-#: Training inputs closer than this (Euclidean) are rejected as duplicates.
+#: Training inputs closer than this (Euclidean) are rejected as duplicates;
+#: the optimization loop nudges proposals that come this close to the design.
 DUPLICATE_TOL = 1e-10
 
 
@@ -97,13 +98,20 @@ class KernelSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(
-            family=d["family"],
-            lengthscales=tuple(np.atleast_1d(d.get("lengthscales", 1.0))),
-            signal_variance=d.get("signal_variance", 1.0),
-            power=d.get("power"),
-        )
+    def from_dict(cls, d: dict, dim: int | None = None) -> "KernelSpec":
+        """Build from a config mapping.  family defaults to squared-exponential
+        and the lengthscales to 1; "lengthscale" is an alias of
+        "lengthscales", and a single value is repeated dim times."""
+        check_keys(d, ("family", "lengthscales", "lengthscale", "signal_variance",
+                       "power"), "kernel")
+        if "lengthscale" in d and "lengthscales" in d:
+            raise ConfigError("give kernel lengthscale or lengthscales, not both")
+        ls = np.atleast_1d(np.asarray(d.get("lengthscales", d.get("lengthscale", 1.0)),
+                                      dtype=float))
+        if dim is not None and ls.size == 1:
+            ls = np.full(dim, ls[0])
+        return cls(family=d.get("family", "squared-exponential"), lengthscales=tuple(ls),
+                   signal_variance=d.get("signal_variance", 1.0), power=d.get("power"))
 
 
 @dataclass(frozen=True)
@@ -160,26 +168,6 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     # matern-5/2
     a = math.sqrt(5.0) * d
     return sv * (1.0 + a + a * a / 3.0) * np.exp(-a)
-
-
-def kernel_eval(spec: KernelSpec, x, xp) -> float:
-    """Covariance between two single points; symmetric, k(x, x) = signal variance."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    xp = np.asarray(xp, dtype=float).reshape(-1)
-    if x.shape[0] != spec.dimension:
-        raise DimensionMismatchError(spec.dimension, x.shape[0], "first point")
-    if xp.shape[0] != spec.dimension:
-        raise DimensionMismatchError(spec.dimension, xp.shape[0], "second point")
-    return float(kernel_matrix(spec, x[None, :], xp[None, :])[0, 0])
-
-
-def cross_covariance(spec: KernelSpec, X, x) -> np.ndarray:
-    """Vector of covariances between a test point x and each training point."""
-    X = _as_points(X, spec.dimension, "training points")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != spec.dimension:
-        raise DimensionMismatchError(spec.dimension, x.shape[0], "test point")
-    return kernel_matrix(spec, X, x[None, :])[:, 0]
 
 
 def _check_duplicates(X: np.ndarray) -> None:

@@ -1,22 +1,19 @@
-"""Infill optimizers over cheap scoring surfaces, plus Latin hypercube designs.
+"""Focus search over cheap scoring surfaces, plus Latin hypercube designs.
 
 Objectives are batch callables: given an (m, d) array of points they return
-an (m,) array of scores, lower is better.  All optimizers are deterministic
-for a fixed seed and break ties by first encounter under a fixed iteration
+an (m,) array of scores, lower is better.  The search is deterministic for a
+fixed seed and breaks ties by first encounter under a fixed iteration
 order.  Non-finite scores are ignored unless every evaluated point is
 non-finite, which is an error.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProboError
-
-GRID_CAP = 10_000_000
+from .errors import ProboError, check_keys
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,8 @@ class FocusSearchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FocusSearchConfig":
-        return cls(**{k: d[k] for k in
-                      ("evals_per_round", "rounds", "restarts", "shrink_factor")
-                      if k in d})
+        check_keys(d, ("evals_per_round", "rounds", "restarts", "shrink_factor"), "infill")
+        return cls(**d)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -114,19 +110,6 @@ def _best_of(scores: np.ndarray):
     return int(np.argmin(masked))
 
 
-def random_search(objective, bounds: BoxBounds, n_evals: int, seed=0):
-    """Best of n_evals uniform samples. Returns (point, score)."""
-    if n_evals < 1:
-        raise ValueError("need at least one evaluation")
-    rng = _rng(seed)
-    pts = rng.uniform(bounds.lower, bounds.upper, size=(n_evals, bounds.dimension))
-    scores = np.asarray(objective(pts), dtype=float)
-    idx = _best_of(scores)
-    if idx is None:
-        raise ProboError("objective returned non-finite scores at every point")
-    return pts[idx].copy(), float(scores[idx])
-
-
 def focus_search(objective, bounds: BoxBounds, config: FocusSearchConfig, seed=0):
     """Iteratively shrink the sampling box around the incumbent.
 
@@ -155,23 +138,3 @@ def focus_search(objective, bounds: BoxBounds, config: FocusSearchConfig, seed=0
         raise ProboError("objective returned non-finite scores at every point")
     return best_point, best_score
 
-
-def grid_search(objective, bounds: BoxBounds, points_per_dim: int):
-    """Full Cartesian grid including the endpoints; ties go to the
-    lexicographically smallest point."""
-    if points_per_dim < 2:
-        raise ValueError("need at least two points per dimension")
-    d = bounds.dimension
-    total = points_per_dim**d
-    if total > GRID_CAP:
-        raise ProboError(
-            f"grid of {points_per_dim}^{d} = {total} points exceeds the cap of {GRID_CAP}"
-        )
-    axes = [np.linspace(bounds.lower[j], bounds.upper[j], points_per_dim)
-            for j in range(d)]
-    pts = np.array(list(itertools.product(*axes)))  # lexicographic order
-    scores = np.asarray(objective(pts), dtype=float)
-    idx = _best_of(scores)
-    if idx is None:
-        raise ProboError("objective returned non-finite scores at every point")
-    return pts[idx].copy(), float(scores[idx])

@@ -9,42 +9,37 @@ from probo.acquisition import (
     glcb_values,
     lcb_values,
     parse_acquisition,
-    score_ei,
-    score_glcb,
-    score_lcb,
 )
 from probo.errors import ConfigError
-from probo.gp import Prediction
 
 
 # --------------------------------------------------------------------- lcb
 
 def test_lcb_zero_variance_is_the_mean():
-    assert score_lcb(Prediction(mu=2.0, var=0.0), tau=5.0).value == 2.0
+    assert lcb_values(2.0, 0.0, tau=5.0) == 2.0
 
 
 def test_lcb_arithmetic():
-    assert score_lcb(Prediction(mu=2.0, var=4.0), tau=1.0).value == 0.0
+    assert lcb_values(2.0, 4.0, tau=1.0) == 0.0
 
 
 def test_lcb_tau_zero_ignores_variance():
-    for var in (0.0, 1.0, 100.0):
-        assert score_lcb(Prediction(mu=2.0, var=var), tau=0.0).value == 2.0
+    assert np.array_equal(lcb_values([2.0] * 3, [0.0, 1.0, 100.0], tau=0.0), [2.0] * 3)
 
 
 # ---------------------------------------------------------------------- ei
 
 def test_ei_degenerate_variance():
-    assert score_ei(Prediction(mu=1.0, var=0.0), psi_min=1.0).value == 0.0
+    assert ei_values(1.0, 0.0, psi_min=1.0) == 0.0
     # a deterministic one-unit improvement scores -1 (lower is better)
-    assert score_ei(Prediction(mu=0.0, var=0.0), psi_min=1.0).value == -1.0
+    assert ei_values(0.0, 0.0, psi_min=1.0) == -1.0
     # no improvement possible
-    assert score_ei(Prediction(mu=2.0, var=0.0), psi_min=1.0).value == 0.0
+    assert ei_values(2.0, 0.0, psi_min=1.0) == 0.0
 
 
 def test_ei_standard_normal_value():
     # E max(-Z, 0) = 1 / sqrt(2 pi) for Z standard normal
-    got = -score_ei(Prediction(mu=0.0, var=1.0), psi_min=0.0).value
+    got = -ei_values(0.0, 1.0, psi_min=0.0)
     assert got == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-12)
 
 
@@ -59,7 +54,7 @@ def test_ei_matches_monte_carlo():
         samples = np.maximum(psi_min - draws, 0.0)
         mc = samples.mean()
         se = samples.std(ddof=1) / math.sqrt(n)
-        closed = -score_ei(Prediction(mu=mu, var=var), psi_min=psi_min).value
+        closed = -ei_values(mu, var, psi_min=psi_min)
         assert abs(closed - mc) <= 3 * se
 
 
@@ -69,7 +64,7 @@ def test_ei_nonnegative_and_monotone_in_mean():
         var = rng.uniform(0, 2)
         psi_min = rng.uniform(-1, 1)
         mus = np.sort(rng.uniform(-3, 3, size=4))
-        eis = [-score_ei(Prediction(mu=m, var=var), psi_min=psi_min).value for m in mus]
+        eis = -ei_values(mus, np.full(4, var), psi_min=psi_min)
         assert all(e >= 0 for e in eis)
         assert all(a >= b - 1e-12 for a, b in zip(eis, eis[1:]))
 
@@ -78,33 +73,25 @@ def test_ei_nonnegative_and_monotone_in_mean():
 
 def test_glcb_zero_rho_is_lcb():
     rng = np.random.default_rng(32)
-    for _ in range(50):
-        pred = Prediction(mu=rng.normal(), var=rng.uniform(0, 3))
-        width = rng.uniform(0, 5)
-        tau = rng.uniform(0, 3)
-        assert score_glcb(pred, width, tau=tau, rho=0.0).value == pytest.approx(
-            score_lcb(pred, tau).value, abs=1e-12)
+    mu, var = rng.normal(size=50), rng.uniform(0, 3, size=50)
+    width = rng.uniform(0, 5, size=50)
+    for tau in rng.uniform(0, 3, size=5):
+        assert np.allclose(glcb_values(mu, var, width, tau=tau, rho=0.0),
+                           lcb_values(mu, var, tau), rtol=0.0, atol=1e-12)
 
 
 def test_glcb_zero_width_is_lcb():
-    pred = Prediction(mu=0.7, var=2.0)
-    assert score_glcb(pred, 0.0, tau=1.3, rho=4.0).value == score_lcb(pred, 1.3).value
+    assert glcb_values(0.7, 2.0, 0.0, tau=1.3, rho=4.0) == lcb_values(0.7, 2.0, 1.3)
 
 
 def test_glcb_arithmetic():
-    assert score_glcb(Prediction(mu=1.0, var=1.0), width=2.0, tau=1.0, rho=0.5).value == -1.0
+    assert glcb_values(1.0, 1.0, width=2.0, tau=1.0, rho=0.5) == -1.0
 
 
 def test_glcb_rewards_imprecision():
-    pred = Prediction(mu=0.0, var=1.0)
-    widths = [0.0, 0.5, 1.0, 2.0]
-    scores = [score_glcb(pred, w, tau=1.0, rho=0.7).value for w in widths]
+    widths = np.array([0.0, 0.5, 1.0, 2.0])
+    scores = glcb_values(np.zeros(4), np.ones(4), widths, tau=1.0, rho=0.7)
     assert all(a > b for a, b in zip(scores, scores[1:]))
-
-
-def test_glcb_rejects_negative_width():
-    with pytest.raises(ValueError):
-        score_glcb(Prediction(mu=0.0, var=1.0), width=-0.1, tau=1.0, rho=1.0)
 
 
 def test_constant_mean_shift_preserves_the_argmin():
@@ -163,3 +150,6 @@ def test_spec_validation_and_labels():
 def test_spec_dict_round_trip():
     spec = AcquisitionSpec(kind="glcb", tau=0.5, rho=2.0, c=10.0)
     assert AcquisitionSpec.from_dict(spec.to_dict()) == spec
+    assert AcquisitionSpec.from_dict("glcb:tau=0.5,rho=2,c=10") == spec
+    with pytest.raises(ConfigError, match="beta"):
+        AcquisitionSpec.from_dict({"kind": "glcb", "beta": 1.0})

@@ -241,11 +241,11 @@ def test_ci_half_width_shrinks_with_more_repetitions():
     acqs = [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")]
     small = run_acquisition_comparison(["gramacy-lee"], acqs, repetitions=10,
                                        budget=8, n_init=5, master_seed=2,
-                                       kernel_lengthscale=0.2, infill=FAST_INFILL)
+                                       kernel={"lengthscale": 0.2}, infill=FAST_INFILL)
     # seeds are derived per repetition index, so the first 10 runs coincide
     big = run_acquisition_comparison(["gramacy-lee"], acqs, repetitions=40,
                                      budget=8, n_init=5, master_seed=2,
-                                     kernel_lengthscale=0.2, infill=FAST_INFILL)
+                                     kernel={"lengthscale": 0.2}, infill=FAST_INFILL)
     assert big.ci_half_widths["gramacy-lee"].mean() < small.ci_half_widths["gramacy-lee"].mean()
 
 

@@ -67,6 +67,39 @@ def test_run_config_file_with_overrides(tmp_path):
     assert snapshot["config"]["seed"] == 3
 
 
+def test_run_prints_best_value_as_a_plain_float(tmp_path, capsys):
+    # budget == n_init: the incumbent comes from the initial design
+    assert main(["run", "--override", "target=sphere-1d", "--override", "budget=10",
+                 "--out", str(tmp_path / "v")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    value = next(line for line in lines if line.startswith("value:"))
+    assert float(value.split(":", 1)[1]) >= 0.0
+
+
+QUICK = {
+    "run": ["run", "--override", "target=sphere-1d", "--override", "budget=6",
+            "--override", "n_init=5", *FAST],
+    "compare": ["compare", "--functions", "sphere-1d", "--acq", "ei", "--acq", "lcb:tau=1",
+                "--override", "reps=1", "--override", "budget=6", "--override", "n_init=5",
+                *FAST, "--jobs", "1"],
+    "sensitivity": ["sensitivity", "--functions", "sphere-1d", "--override", "reps=1",
+                    "--override", "iterations=1", "--override", "n_init=4", *FAST,
+                    "--jobs", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUICK))
+@pytest.mark.parametrize("key", ["kernel.bogus", "mean.bogus", "infill.bogus"])
+def test_unknown_nested_key_rejected(tmp_path, capsys, command, key):
+    out = tmp_path / "x"
+    assert main(QUICK[command] + ["--override", f"{key}=1", "--out", str(out)]) == 1
+    section = key.split(".")[0]
+    # sensitivity takes no kernel or mean settings, so the section is the unknown key
+    named = section if command == "sensitivity" and section != "infill" else "bogus"
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_override_key_rejected(tmp_path):
     code = main(["run", "--override", "target=sphere-1d",
                  "--override", "wat=1", "--out", str(tmp_path / "x")])
@@ -115,6 +148,22 @@ def test_compare_accepts_paper_shorthand(tmp_path):
     assert code == 0
     snapshot = json.loads((out / "config.json").read_text())
     assert {"kind": "glcb", "tau": 1.0, "rho": 1.0, "c": 100.0} in snapshot["acquisitions"]
+
+
+def test_compare_honours_kernel_lengthscales(tmp_path):
+    base = ["compare", "--functions", "gramacy-lee", "--acq", "lcb:tau=1", "--acq", "ei",
+            "--override", "reps=2", "--override", "budget=8", "--override", "n_init=5",
+            *FAST, "--seed", "3", "--jobs", "1"]
+    outputs = {}
+    for name, extra in (("default", []),
+                        ("alias", ["--override", "kernel.lengthscale=0.1"]),
+                        ("plural", ["--override", "kernel.lengthscales=0.1"])):
+        assert main(base + extra + ["--out", str(tmp_path / name)]) == 0
+        outputs[name] = (tmp_path / name / "comparison.csv").read_bytes()
+    assert outputs["plural"] == outputs["alias"]
+    assert outputs["plural"] != outputs["default"]
+    snapshot = json.loads((tmp_path / "plural" / "config.json").read_text())
+    assert snapshot["kernels"]["gramacy-lee"]["lengthscales"] == [0.1]
 
 
 def test_compare_needs_two_acquisitions(tmp_path):

@@ -12,14 +12,13 @@ from probo.engine import (
     RunConfig,
     TargetFunction,
     _nudge_duplicate,
-    run_bo,
-    run_probo,
+    run,
     save_trace_csv,
 )
 from probo.errors import ConfigError
 from probo.functions import registry_lookup
 from probo.gp import MeanSpec
-from probo.kernels import KernelSpec
+from probo.kernels import DUPLICATE_TOL, KernelSpec
 from probo.optimizer import BoxBounds, FocusSearchConfig
 
 FAST_INFILL = FocusSearchConfig(evals_per_round=200, rounds=3, restarts=2)
@@ -49,23 +48,17 @@ def test_budget_must_cover_initial_design():
         lcb_config(n_init=10, budget=9)
 
 
-def test_run_dispatch_guards():
-    tf = registry_lookup("sphere-1d")
-    with pytest.raises(ConfigError):
-        run_bo(lcb_config(acquisition=AcquisitionSpec(kind="glcb")), tf)
-    with pytest.raises(ConfigError):
-        run_probo(lcb_config(), tf)
-
-
 def test_kernel_dimension_must_match_target():
     tf = registry_lookup("sphere-2d")
     with pytest.raises(ConfigError, match="dimension"):
-        run_bo(lcb_config(), tf)
+        run(lcb_config(), tf)
 
 
 def test_config_dict_round_trip():
     cfg = lcb_config(acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=2.0, c=10.0))
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(ConfigError, match="wat"):
+        RunConfig.from_dict(dict(cfg.to_dict(), wat=1))
 
 
 # ----------------------------------------------------------------- the loop
@@ -73,7 +66,7 @@ def test_config_dict_round_trip():
 def test_degenerate_budget_is_initial_design_only():
     tf = registry_lookup("sphere-1d")
     cfg = lcb_config(n_init=8, budget=8, seed=3)
-    trace = run_bo(cfg, tf)
+    trace = run(cfg, tf)
     assert trace.budget == 8
     assert all(math.isnan(r.acq_value) for r in trace.records)
     assert trace.best_value() == min(r.psi for r in trace.records)
@@ -81,10 +74,10 @@ def test_degenerate_budget_is_initial_design_only():
 
 def test_identical_seeds_give_identical_traces():
     tf = registry_lookup("sphere-1d")
-    a = run_bo(lcb_config(seed=11), tf)
-    b = run_bo(lcb_config(seed=11), tf)
+    a = run(lcb_config(seed=11), tf)
+    b = run(lcb_config(seed=11), tf)
     assert traces_equal(a, b)
-    c = run_bo(lcb_config(seed=12), tf)
+    c = run(lcb_config(seed=12), tf)
     assert not traces_equal(a, c)
 
 
@@ -98,7 +91,7 @@ def test_budget_accounting_and_containment():
 
     tf = TargetFunction(name="counted", evaluate=counting, bounds=base.bounds,
                         dimension=1)
-    trace = run_bo(lcb_config(budget=14, seed=2), tf)
+    trace = run(lcb_config(budget=14, seed=2), tf)
     assert len(calls) == 14
     assert trace.budget == 14
     for r in trace.records:
@@ -107,12 +100,12 @@ def test_budget_accounting_and_containment():
     pts = np.array([r.point for r in trace.records])
     gaps = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1)
     iu = np.triu_indices(len(pts), k=1)
-    assert gaps[iu].min() > engine.DUPLICATE_EPS
+    assert gaps[iu].min() > DUPLICATE_TOL
 
 
 def test_incumbent_is_monotone():
     tf = registry_lookup("gramacy-lee")
-    trace = run_bo(lcb_config(kernel=kernel_1d(0.2), seed=5, budget=20), tf)
+    trace = run(lcb_config(kernel=kernel_1d(0.2), seed=5, budget=20), tf)
     path = [r.incumbent for r in trace.records]
     assert all(a >= b for a, b in zip(path, path[1:]))
     assert np.array_equal(trace.incumbent_path(include_init=True), path)
@@ -124,7 +117,7 @@ def test_sphere_converges_near_optimum():
     tf = registry_lookup("sphere-1d")
     cfg = RunConfig(kernel=kernel_1d(), acquisition=AcquisitionSpec(kind="lcb", tau=1.0),
                     n_init=10, budget=30, seed=0)
-    trace = run_bo(cfg, tf)
+    trace = run(cfg, tf)
     assert trace.best_value() <= 1e-2
 
 
@@ -132,8 +125,8 @@ def test_sphere_converges_near_optimum():
 
 def test_probo_zero_rho_reproduces_lcb_exactly():
     tf = registry_lookup("sphere-1d")
-    lcb = run_bo(lcb_config(seed=9), tf)
-    glcb = run_probo(lcb_config(
+    lcb = run(lcb_config(seed=9), tf)
+    glcb = run(lcb_config(
         acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=0.0, c=100.0), seed=9), tf)
     assert traces_equal(lcb, glcb)
     assert all(ra.acq_value == rb.acq_value or (math.isnan(ra.acq_value)
@@ -143,24 +136,35 @@ def test_probo_zero_rho_reproduces_lcb_exactly():
 
 def test_probo_vanishing_imprecision_matches_lcb_proposals():
     tf = registry_lookup("sphere-1d")
-    lcb = run_bo(lcb_config(seed=4, budget=20), tf)
-    tiny = run_probo(lcb_config(
+    lcb = run(lcb_config(seed=4, budget=20), tf)
+    tiny = run(lcb_config(
         acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=1e-12),
         seed=4, budget=20), tf)
     for ra, rb in zip(lcb.records, tiny.records):
         assert np.max(np.abs(ra.point - rb.point)) <= 1e-6
 
 
-def test_probo_records_case_and_clamps():
+def test_probo_records_case_and_clamps(monkeypatch):
+    counted = []
+    width_batch = engine.mean_width_batch
+
+    def counting(igp, P):
+        width, clamped = width_batch(igp, P)
+        counted.append(clamped)
+        return width, clamped
+
+    monkeypatch.setattr(engine, "mean_width_batch", counting)
     tf = registry_lookup("gramacy-lee")
     cfg = lcb_config(kernel=kernel_1d(0.2),
                      acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=100.0),
                      seed=1)
-    trace = run_probo(cfg, tf)
+    trace = run(cfg, tf)
     bo_records = trace.records[cfg.n_init:]
     assert all(r.igp_case in (1, 2) for r in bo_records)
     assert all(r.clamped >= 0 for r in bo_records)
     assert all(r.igp_case == 0 for r in trace.records[:cfg.n_init])
+    # each record carries the clamps of its own iteration's scoring batches
+    assert sum(r.clamped for r in bo_records) == sum(counted)
 
 
 def test_glcb_beats_lcb_on_wiggly_target():
@@ -171,12 +175,12 @@ def test_glcb_beats_lcb_on_wiggly_target():
     infill = FocusSearchConfig(evals_per_round=300, rounds=4, restarts=3)
     finals = {"lcb": [], "glcb": []}
     for seed in range(20):
-        lcb = run_bo(RunConfig(kernel=kernel, acquisition=AcquisitionSpec(kind="lcb", tau=1.0),
-                               infill=infill, n_init=10, budget=40, seed=seed), tf)
-        glcb = run_probo(RunConfig(kernel=kernel,
-                                   acquisition=AcquisitionSpec(kind="glcb", tau=1.0,
-                                                               rho=1.0, c=100.0),
-                                   infill=infill, n_init=10, budget=40, seed=seed), tf)
+        lcb = run(RunConfig(kernel=kernel, acquisition=AcquisitionSpec(kind="lcb", tau=1.0),
+                            infill=infill, n_init=10, budget=40, seed=seed), tf)
+        glcb = run(RunConfig(kernel=kernel,
+                             acquisition=AcquisitionSpec(kind="glcb", tau=1.0,
+                                                         rho=1.0, c=100.0),
+                             infill=infill, n_init=10, budget=40, seed=seed), tf)
         finals["lcb"].append(lcb.best_value())
         finals["glcb"].append(glcb.best_value())
     assert np.mean(finals["glcb"]) <= np.mean(finals["lcb"])
@@ -192,7 +196,7 @@ def test_fit_failure_carries_partial_trace(monkeypatch):
 
     monkeypatch.setattr(engine, "fit_gp", explode)
     with pytest.raises(BoRunError) as err:
-        run_bo(lcb_config(n_init=5, budget=9, seed=0), tf)
+        run(lcb_config(n_init=5, budget=9, seed=0), tf)
     partial = err.value.partial_trace
     assert partial.budget == 5  # the initial design survived
     assert all(math.isnan(r.acq_value) for r in partial.records)
@@ -203,7 +207,7 @@ def test_nudge_moves_duplicates_inside_bounds():
     X = np.array([[0.5], [0.9]])
     rng = np.random.default_rng(0)
     moved = _nudge_duplicate(np.array([0.5]), X, bounds, rng)
-    assert np.abs(moved - X).min() > engine.DUPLICATE_EPS
+    assert np.abs(moved - X).min() > DUPLICATE_TOL
     assert bounds.contains(moved)
     assert abs(moved[0] - 0.5) <= engine.NUDGE_RADIUS
     untouched = _nudge_duplicate(np.array([0.2]), X, bounds, rng)
@@ -217,7 +221,7 @@ def test_trace_csv_and_snapshot(tmp_path):
     cfg = RunConfig(kernel=KernelSpec(family="matern-3/2", lengthscales=(1.0, 1.0)),
                     acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=10.0),
                     infill=FAST_INFILL, n_init=5, budget=9, seed=6)
-    trace = run_probo(cfg, tf)
+    trace = run(cfg, tf)
     save_trace_csv(trace, tmp_path / "trace.csv", tmp_path / "config.json")
 
     with open(tmp_path / "trace.csv") as fh:

@@ -9,10 +9,9 @@ from probo.gp import (
     fit_gp,
     fit_hyperparameters,
     log_marginal_likelihood,
-    predict,
     predict_batch,
 )
-from probo.kernels import FAMILIES, KernelSpec, kernel_eval
+from probo.kernels import FAMILIES, KernelSpec, kernel_matrix
 
 
 def spec_for(family, lengthscales=(1.0,), sv=1.0):
@@ -38,26 +37,28 @@ def random_instance(rng, family, dim, n):
 
 
 def oracle_predict(spec, mean, X, y, x):
-    """Dense-inverse Gaussian conditioning, built from scalar kernel calls.
+    """Dense-inverse Gaussian conditioning at one point x.
 
     Estimated-constant trend uses the GLS constant; its variance carries the
-    trend-estimation correction.  Kept free of the package's solve paths.
+    trend-estimation correction.  Only the kernel entries come from the
+    package; the solve paths of predict_batch are not used.
     """
     n = len(X)
-    K = np.array([[kernel_eval(spec, X[i], X[j]) for j in range(n)] for i in range(n)])
-    kx = np.array([kernel_eval(spec, x, X[i]) for i in range(n)])
+    x = np.asarray(x, dtype=float)
+    K = kernel_matrix(spec, X, X)
+    kx = kernel_matrix(spec, X, x[None, :])[:, 0]
+    kxx = kernel_matrix(spec, x[None, :], x[None, :])[0, 0]
     Kinv = np.linalg.inv(K)
     ones = np.ones(n)
     if mean.form == "constant-estimated":
         S = ones @ Kinv @ ones
         beta = (ones @ Kinv @ y) / S
         mu = beta + kx @ Kinv @ (y - beta * ones)
-        var = (kernel_eval(spec, x, x) - kx @ Kinv @ kx
-               + (1 - kx @ Kinv @ ones) ** 2 / S)
+        var = kxx - kx @ Kinv @ kx + (1 - kx @ Kinv @ ones) ** 2 / S
     else:
         mX = mean.values(np.asarray(X, dtype=float))
         mu = mean.values(np.asarray(x, dtype=float)[None, :])[0] + kx @ Kinv @ (y - mX)
-        var = kernel_eval(spec, x, x) - kx @ Kinv @ kx
+        var = kxx - kx @ Kinv @ kx
     return float(mu), float(max(var, 0.0))
 
 
@@ -114,17 +115,16 @@ def test_interpolates_training_data_all_kernels():
             n = int(rng.integers(2, 21))
             spec, X, y = random_instance(rng, family, 2, n)
             model = fit_gp(spec, MeanSpec(), X, y)
-            for i in range(n):
-                p = predict(model, X[i])
-                assert abs(p.mu - y[i]) <= 1e-8
-                assert 0.0 <= p.var <= 1e-8
+            mu, var = predict_batch(model, X)
+            assert np.all(np.abs(mu - y) <= 1e-8)
+            assert np.all((0.0 <= var) & (var <= 1e-8))
 
 
 def test_single_training_point_predicts_constant():
     # with one point the GLS constant equals y1, so mu is y1 everywhere
     model = fit_gp(spec_for("squared-exponential"), MeanSpec(), [[0.0]], [2.2])
-    for x in (-3.0, 0.0, 0.7, 10.0):
-        assert predict(model, [x]).mu == pytest.approx(2.2, abs=1e-10)
+    mu, _ = predict_batch(model, [[-3.0], [0.0], [0.7], [10.0]])
+    assert np.allclose(mu, 2.2, rtol=0.0, atol=1e-10)
 
 
 def test_matches_dense_conditioning_oracle():
@@ -135,12 +135,12 @@ def test_matches_dense_conditioning_oracle():
             n = int(rng.integers(1, 6))
             spec, X, y = random_instance(rng, family, dim, n)
             model = fit_gp(spec, MeanSpec(), X, y)
-            for _ in range(3):
-                x = rng.uniform(-3, 3, size=dim)
+            P = rng.uniform(-3, 3, size=(3, dim))
+            mu, var = predict_batch(model, P)
+            for i, x in enumerate(P):
                 mu_o, var_o = oracle_predict(spec, MeanSpec(), X, y, x)
-                p = predict(model, x)
-                assert p.mu == pytest.approx(mu_o, abs=1e-8)
-                assert p.var == pytest.approx(var_o, abs=1e-8)
+                assert mu[i] == pytest.approx(mu_o, abs=1e-8)
+                assert var[i] == pytest.approx(var_o, abs=1e-8)
 
 
 def test_fixed_mean_matches_oracle():
@@ -148,12 +148,12 @@ def test_fixed_mean_matches_oracle():
     mean = MeanSpec(form="linear-fixed", coefficients=(0.5, -1.0, 2.0))
     spec, X, y = random_instance(rng, "matern-5/2", 2, 5)
     model = fit_gp(spec, mean, X, y)
-    for _ in range(4):
-        x = rng.uniform(-3, 3, size=2)
+    P = rng.uniform(-3, 3, size=(4, 2))
+    mu, var = predict_batch(model, P)
+    for i, x in enumerate(P):
         mu_o, var_o = oracle_predict(spec, mean, X, y, x)
-        p = predict(model, x)
-        assert p.mu == pytest.approx(mu_o, abs=1e-8)
-        assert p.var == pytest.approx(var_o, abs=1e-8)
+        assert mu[i] == pytest.approx(mu_o, abs=1e-8)
+        assert var[i] == pytest.approx(var_o, abs=1e-8)
 
 
 def test_quadratic_mean_values():
@@ -167,7 +167,7 @@ def test_far_field_reverts_to_estimated_constant():
     rng = np.random.default_rng(9)
     spec, X, y = random_instance(rng, "squared-exponential", 1, 6)
     model = fit_gp(spec, MeanSpec(), X, y)
-    assert predict(model, [1e3]).mu == pytest.approx(model.beta_hat, abs=1e-6)
+    assert predict_batch(model, [[1e3]])[0][0] == pytest.approx(model.beta_hat, abs=1e-6)
 
 
 def test_estimated_constant_variance_dominates_plain_conditional():
@@ -175,9 +175,8 @@ def test_estimated_constant_variance_dominates_plain_conditional():
     spec, X, y = random_instance(rng, "matern-3/2", 2, 6)
     est = fit_gp(spec, MeanSpec(), X, y)
     fixed = fit_gp(spec, MeanSpec(form="constant-fixed", coefficients=(0.0,)), X, y)
-    for _ in range(10):
-        x = rng.uniform(-4, 4, size=2)
-        assert predict(est, x).var >= predict(fixed, x).var - 1e-12
+    P = rng.uniform(-4, 4, size=(10, 2))
+    assert np.all(predict_batch(est, P)[1] >= predict_batch(fixed, P)[1] - 1e-12)
 
 
 def test_predict_batch_agrees_with_scalar_path():
@@ -187,9 +186,9 @@ def test_predict_batch_agrees_with_scalar_path():
     P = rng.uniform(-3, 3, size=(9, 2))
     mu, var = predict_batch(model, P)
     for i in range(9):
-        p = predict(model, P[i])
-        assert mu[i] == pytest.approx(p.mu, abs=1e-12)
-        assert var[i] == pytest.approx(p.var, abs=1e-12)
+        mu_i, var_i = predict_batch(model, P[i])
+        assert mu[i] == pytest.approx(mu_i[0], abs=1e-12)
+        assert var[i] == pytest.approx(var_i[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------- evidence
@@ -260,7 +259,7 @@ def test_recovers_known_lengthscale():
     rng = np.random.default_rng(16)
     X = np.sort(rng.uniform(-5, 5, size=30))[:, None]
     true = KernelSpec(family="squared-exponential", lengthscales=(1.0,))
-    K = np.array([[kernel_eval(true, a, b) for b in X] for a in X])
+    K = kernel_matrix(true, X, X)
     y = np.linalg.cholesky(K + 1e-10 * np.eye(30)) @ rng.normal(size=30)
     spec = fit_hyperparameters("squared-exponential", MeanSpec(), X, y,
                                budget=150, seed=5)

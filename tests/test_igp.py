@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from probo.gp import MeanSpec, fit_gp, predict
+from probo.gp import MeanSpec, fit_gp, predict_batch
 from probo.igp import (
     CASE_EXTREME,
     CASE_NEAR_IGNORANCE,
     ImpreciseGpSpec,
-    case_condition,
     mean_bounds,
-    mean_width,
     mean_width_batch,
 )
 from probo.kernels import FAMILIES, KernelSpec
@@ -39,11 +37,15 @@ def random_model(rng, family="squared-exponential", dim=1, n=5, y_scale=1.0):
     return fitted(X, y, family=family, dim=dim), X, y
 
 
+def width(igp, X):
+    return mean_width_batch(igp, X)[0]
+
+
 # -------------------------------------------------------------- case split
 
 def test_zero_targets_are_near_ignorance():
     model = fitted([[0.0], [1.0]], [0.0, 0.0])
-    assert case_condition(ImpreciseGpSpec(c=0.5, model=model)) == CASE_NEAR_IGNORANCE
+    assert ImpreciseGpSpec(c=0.5, model=model).case == CASE_NEAR_IGNORANCE
 
 
 def test_large_offset_targets_hit_the_extreme_case():
@@ -53,7 +55,7 @@ def test_large_offset_targets_hit_the_extreme_case():
     b = math.exp(-0.5)
     assert model.S_k == pytest.approx(2 / (1 + b), abs=1e-6)
     igp = ImpreciseGpSpec(c=1.0, model=model)
-    assert case_condition(igp) == CASE_EXTREME
+    assert igp.case == CASE_EXTREME
     assert abs(model.s_k @ model.y) / model.S_k > 1 + igp.c / model.S_k
 
 
@@ -74,21 +76,20 @@ def test_imprecision_degree_must_be_positive():
 def test_bounds_collapse_to_observation_at_training_points():
     model = fitted([[0.0], [1.5]], [0.3, -0.8])
     igp = ImpreciseGpSpec(c=1.0, model=model)
-    for i, yi in enumerate([0.3, -0.8]):
-        b = mean_bounds(igp, model.X[i])
-        assert b.lower == pytest.approx(yi, abs=1e-8)
-        assert b.upper == pytest.approx(yi, abs=1e-8)
+    lower, upper = mean_bounds(igp, model.X)
+    assert np.allclose(lower, [0.3, -0.8], rtol=0.0, atol=1e-8)
+    assert np.allclose(upper, [0.3, -0.8], rtol=0.0, atol=1e-8)
 
 
 def test_tiny_imprecision_recovers_the_precise_mean():
     rng = np.random.default_rng(20)
     model, _, _ = random_model(rng, n=6)
     igp = ImpreciseGpSpec(c=1e-12, model=model)
-    for x in np.linspace(-4, 4, 15):
-        b = mean_bounds(igp, [x])
-        mu = predict(model, [x]).mu
-        assert abs(b.upper - mu) <= 1e-8
-        assert abs(b.lower - mu) <= 1e-8
+    P = np.linspace(-4, 4, 15)[:, None]
+    lower, upper = mean_bounds(igp, P)
+    mu, _ = predict_batch(model, P)
+    assert np.all(np.abs(upper - mu) <= 1e-8)
+    assert np.all(np.abs(lower - mu) <= 1e-8)
 
 
 def test_single_point_bounds_closed_form():
@@ -96,11 +97,11 @@ def test_single_point_bounds_closed_form():
     model = fitted([[0.0]], [0.0])
     igp = ImpreciseGpSpec(c=2.0, model=model)
     assert igp.case == CASE_NEAR_IGNORANCE
-    for x in (0.5, 1.0, 3.0):
-        k = float(np.exp(-0.5 * x * x))
-        b = mean_bounds(igp, [x])
-        assert b.upper == pytest.approx(2.0 * (1 - k), abs=1e-8)
-        assert b.lower == pytest.approx(-2.0 * (1 - k), abs=1e-8)
+    x = np.array([0.5, 1.0, 3.0])
+    k = np.exp(-0.5 * x * x)
+    lower, upper = mean_bounds(igp, x[:, None])
+    assert np.allclose(upper, 2.0 * (1 - k), rtol=0.0, atol=1e-8)
+    assert np.allclose(lower, -2.0 * (1 - k), rtol=0.0, atol=1e-8)
 
 
 def test_bounds_ordered_and_width_consistent_everywhere():
@@ -109,12 +110,10 @@ def test_bounds_ordered_and_width_consistent_everywhere():
         for y_scale in (1.0, 50.0):
             model, _, _ = random_model(rng, family=family, n=5, y_scale=y_scale)
             igp = ImpreciseGpSpec(c=rng.uniform(0.1, 2.0), model=model)
-            for _ in range(10):
-                x = rng.uniform(-4, 4, size=1)
-                b = mean_bounds(igp, x)
-                assert b.lower <= b.upper
-                assert b.width == pytest.approx(b.upper - b.lower, abs=1e-12)
-                assert mean_width(igp, x) == pytest.approx(b.width, abs=1e-10)
+            P = rng.uniform(-4, 4, size=(10, 1))
+            lower, upper = mean_bounds(igp, P)
+            assert np.all(lower <= upper)
+            assert np.allclose(width(igp, P), upper - lower, rtol=0.0, atol=1e-10)
 
 
 # ------------------------------------------------------------------- width
@@ -125,8 +124,7 @@ def test_width_vanishes_at_training_points_both_cases():
     for model, case in ((near, CASE_NEAR_IGNORANCE), (extreme, CASE_EXTREME)):
         igp = ImpreciseGpSpec(c=0.5, model=model)
         assert igp.case == case
-        for x in model.X:
-            assert mean_width(igp, x) <= 1e-9
+        assert np.all(width(igp, model.X) <= 1e-9)
 
 
 def test_width_linear_in_imprecision_degree_in_case_one():
@@ -135,9 +133,8 @@ def test_width_linear_in_imprecision_degree_in_case_one():
     igp1 = ImpreciseGpSpec(c=0.3, model=model)
     igp2 = ImpreciseGpSpec(c=0.6, model=model)
     assert igp1.case == igp2.case == CASE_NEAR_IGNORANCE
-    for _ in range(20):
-        x = rng.uniform(-4, 4, size=1)
-        assert mean_width(igp2, x) == pytest.approx(2 * mean_width(igp1, x), abs=1e-10)
+    P = rng.uniform(-4, 4, size=(20, 1))
+    assert np.allclose(width(igp2, P), 2 * width(igp1, P), rtol=0.0, atol=1e-10)
 
 
 def test_width_monotone_in_imprecision_degree():
@@ -151,8 +148,9 @@ def test_width_monotone_in_imprecision_degree():
         igp1 = ImpreciseGpSpec(c=c1, model=model)
         igp2 = ImpreciseGpSpec(c=c2, model=model)
         x = rng.uniform(-4, 4, size=1)
-        w1, w2 = mean_width(igp1, x), mean_width(igp2, x)
-        clamped += igp1.diagnostics.events + igp2.diagnostics.events
+        (w1,), n1 = mean_width_batch(igp1, x)
+        (w2,), n2 = mean_width_batch(igp2, x)
+        clamped += n1 + n2
         assert w1 <= w2 + 1e-12
     logging.getLogger(__name__).info("monotonicity sweep clamped %d widths", clamped)
 
@@ -163,10 +161,9 @@ def test_width_agrees_with_bounds_on_random_instances():
         n = int(rng.integers(1, 6))
         model, _, _ = random_model(rng, n=n, y_scale=rng.choice([1.0, 40.0]))
         igp = ImpreciseGpSpec(c=rng.uniform(0.1, 2.0), model=model)
-        for _ in range(5):
-            x = rng.uniform(-4, 4, size=1)
-            b = mean_bounds(igp, x)
-            assert mean_width(igp, x) == pytest.approx(b.upper - b.lower, abs=1e-10)
+        P = rng.uniform(-4, 4, size=(5, 1))
+        lower, upper = mean_bounds(igp, P)
+        assert np.allclose(width(igp, P), upper - lower, rtol=0.0, atol=1e-10)
 
 
 def test_batch_width_matches_scalar_path():
@@ -174,9 +171,9 @@ def test_batch_width_matches_scalar_path():
     model, _, _ = random_model(rng, n=6)
     igp = ImpreciseGpSpec(c=0.7, model=model)
     P = rng.uniform(-4, 4, size=(12, 1))
-    widths = mean_width_batch(igp, P)
+    widths = width(igp, P)
     for i in range(12):
-        assert widths[i] == pytest.approx(mean_width(igp, P[i]), abs=1e-12)
+        assert widths[i] == pytest.approx(width(igp, P[i])[0], abs=1e-12)
 
 
 # -------------------------------------------------------------- clamp path
@@ -187,12 +184,11 @@ def test_negative_extreme_widths_clamp_and_count():
     model = fitted([[0.0], [1.0]], [-100.0, -101.0])
     igp = ImpreciseGpSpec(c=1.0, model=model)
     assert igp.case == CASE_EXTREME
-    w = mean_width(igp, [5.0])
-    assert w == 0.0
-    assert igp.diagnostics.events == 1
-    b = mean_bounds(igp, [5.0])
-    assert b.lower == b.upper
-    assert igp.diagnostics.events == 2
+    w, clamped = mean_width_batch(igp, [[5.0], [6.0]])
+    assert np.array_equal(w, [0.0, 0.0])
+    assert clamped == 2
+    lower, upper = mean_bounds(igp, [[5.0]])
+    assert lower[0] == upper[0]
 
 
 def test_extrapolation_weight_above_one_clamps_between_points():
@@ -200,8 +196,9 @@ def test_extrapolation_weight_above_one_clamps_between_points():
     model = fitted([[0.0], [1.0]], [10.0, 10.0])
     igp = ImpreciseGpSpec(c=1.0, model=model)
     assert igp.case == CASE_EXTREME
-    assert mean_width(igp, [0.5]) == 0.0
-    assert igp.diagnostics.events == 1
+    w, clamped = mean_width_batch(igp, [0.5])
+    assert w[0] == 0.0
+    assert clamped == 1
 
 
 def test_case_boundary_continuity_probe():
@@ -216,7 +213,7 @@ def test_case_boundary_continuity_probe():
     assert lo.case == CASE_EXTREME
     assert hi.case == CASE_NEAR_IGNORANCE
     for x, continuous in (([3.0], True), ([0.5], False)):
-        w_lo, w_hi = mean_width(lo, x), mean_width(hi, x)
+        w_lo, w_hi = width(lo, x)[0], width(hi, x)[0]
         if continuous:
             assert w_lo == pytest.approx(w_hi, rel=1e-6)
         elif abs(w_lo - w_hi) > 1e-9:

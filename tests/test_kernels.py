@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from probo.errors import ConditioningError, DimensionMismatchError
+from probo.errors import ConditioningError, ConfigError, DimensionMismatchError
 from probo.kernels import (
     FAMILIES,
     JITTER_INITIAL,
     JITTER_MAX,
     KernelSpec,
     build_base_kernel_matrix,
-    cross_covariance,
-    kernel_eval,
+    kernel_matrix,
 )
 
 
@@ -27,7 +26,12 @@ def random_spec(rng, family, dim):
                     sv=rng.uniform(0.5, 4.0))
 
 
-# ------------------------------------------------------------ kernel_eval
+def kernel_eval(spec, x, xp):
+    """Covariance between two single points, as a 1 x 1 kernel matrix."""
+    return float(kernel_matrix(spec, [x], [xp])[0, 0])
+
+
+# ------------------------------------------------------- single entries
 
 def test_zero_distance_gives_signal_variance():
     spec = spec_for("squared-exponential", (1.0, 2.0), sv=1.0)
@@ -73,9 +77,9 @@ def test_kernel_eval_symmetric_exactly():
 def test_dimension_mismatch_rejected():
     spec = spec_for("squared-exponential", (1.0, 1.0))
     with pytest.raises(DimensionMismatchError):
-        kernel_eval(spec, [0.0], [0.0, 1.0])
+        kernel_matrix(spec, [[0.0]], [[0.0, 1.0]])
     with pytest.raises(DimensionMismatchError):
-        cross_covariance(spec, np.zeros((3, 2)), [0.0])
+        kernel_matrix(spec, np.zeros((3, 2)), [[0.0]])
 
 
 # ------------------------------------------------------------- spec rules
@@ -99,6 +103,18 @@ def test_spec_dict_round_trip():
     spec = KernelSpec(family="power-exponential", lengthscales=(0.5, 2.0),
                       signal_variance=1.5, power=1.2)
     assert KernelSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_spec_from_config_mapping():
+    # a single lengthscale, under either key, is repeated per dimension
+    want = KernelSpec(family="squared-exponential", lengthscales=(0.5, 0.5, 0.5))
+    assert KernelSpec.from_dict({"lengthscale": 0.5}, 3) == want
+    assert KernelSpec.from_dict({"lengthscales": [0.5]}, 3) == want
+    assert KernelSpec.from_dict({}, 2).lengthscales == (1.0, 1.0)
+    with pytest.raises(ConfigError, match="bogus"):
+        KernelSpec.from_dict({"bogus": 1}, 1)
+    with pytest.raises(ConfigError):
+        KernelSpec.from_dict({"lengthscale": 1.0, "lengthscales": [2.0]}, 1)
 
 
 # ------------------------------------------------------------ base matrix
@@ -162,7 +178,7 @@ def test_cross_covariance_matches_elementwise_eval():
     spec = random_spec(rng, "matern-5/2", 2)
     X = rng.uniform(-2, 2, size=(5, 2))
     x = rng.uniform(-2, 2, size=2)
-    kx = cross_covariance(spec, X, x)
+    kx = kernel_matrix(spec, X, x[None, :])[:, 0]
     assert kx.shape == (5,)
     for i in range(5):
         assert kx[i] == pytest.approx(kernel_eval(spec, x, X[i]), abs=1e-15)
@@ -171,9 +187,9 @@ def test_cross_covariance_matches_elementwise_eval():
 def test_cross_covariance_at_training_point_is_signal_variance():
     spec = spec_for("matern-3/2", (1.0,), sv=1.7)
     X = np.array([[0.0], [2.0]])
-    kx = cross_covariance(spec, X, [2.0])
-    assert kx[1] == pytest.approx(1.7, abs=1e-14)
-    assert cross_covariance(spec, [[0.3]], [0.9]).shape == (1,)
+    kx = kernel_matrix(spec, X, [[2.0]])
+    assert kx.shape == (2, 1)
+    assert kx[1, 0] == pytest.approx(1.7, abs=1e-14)
 
 
 # ---------------------------------------------------------- jitter policy

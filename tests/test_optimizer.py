@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from probo.errors import ProboError
-from probo.optimizer import (
-    BoxBounds,
-    FocusSearchConfig,
-    focus_search,
-    grid_search,
-    latin_hypercube,
-    random_search,
-)
+from probo.optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
 UNIT = BoxBounds(lower=[0.0], upper=[1.0])
 UNIT2 = BoxBounds(lower=[0.0, 0.0], upper=[1.0, 1.0])
@@ -22,6 +15,21 @@ def sq_dist_to(target):
         return np.sum((P - target) ** 2, axis=1)
 
     return objective
+
+
+def one_round(objective, bounds, n_evals, seed):
+    """Focus search with one round and one restart: a plain random search."""
+    return focus_search(objective, bounds,
+                        FocusSearchConfig(evals_per_round=n_evals, rounds=1, restarts=1), seed)
+
+
+def random_search(objective, bounds, n_evals, seed):
+    """Reference random search: best of n_evals uniform draws."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(bounds.lower, bounds.upper, size=(n_evals, bounds.dimension))
+    scores = objective(pts)
+    i = int(np.argmin(scores))
+    return pts[i], float(scores[i])
 
 
 # ------------------------------------------------------------------ bounds
@@ -74,10 +82,10 @@ def test_lhs_deterministic_under_seed():
     assert not np.array_equal(a, c)
 
 
-# ------------------------------------------------------------ random search
+# ------------------------------------------------- one-round focus search
 
 def test_random_search_single_eval_returns_that_point():
-    point, score = random_search(sq_dist_to([0.5]), UNIT, n_evals=1, seed=2)
+    point, score = one_round(sq_dist_to([0.5]), UNIT, n_evals=1, seed=2)
     rng = np.random.default_rng(2)
     expected = rng.uniform(UNIT.lower, UNIT.upper, size=(1, 1))[0]
     assert np.array_equal(point, expected)
@@ -86,20 +94,20 @@ def test_random_search_single_eval_returns_that_point():
 
 def test_random_search_improves_with_budget():
     # same seed draws the same prefix, so more evaluations cannot hurt
-    scores = [random_search(sq_dist_to([0.3]), UNIT, n, seed=3)[1]
+    scores = [one_round(sq_dist_to([0.3]), UNIT, n, seed=3)[1]
               for n in (1, 10, 100, 1000)]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
 def test_random_search_constant_objective():
-    point, score = random_search(lambda P: np.full(len(P), 4.2), UNIT2, 25, seed=4)
+    point, score = one_round(lambda P: np.full(len(P), 4.2), UNIT2, 25, seed=4)
     assert score == 4.2
     assert UNIT2.contains(point)
 
 
 def test_random_search_all_nonfinite_errors():
     with pytest.raises(ProboError):
-        random_search(lambda P: np.full(len(P), np.nan), UNIT, 10, seed=5)
+        one_round(lambda P: np.full(len(P), np.nan), UNIT, 10, seed=5)
 
 
 def test_random_search_ignores_partial_nonfinite():
@@ -107,7 +115,7 @@ def test_random_search_ignores_partial_nonfinite():
         s = np.sum(P**2, axis=1)
         return np.where(P[:, 0] > 0.5, np.nan, s)
 
-    point, score = random_search(holey, UNIT, 200, seed=6)
+    point, score = one_round(holey, UNIT, 200, seed=6)
     assert point[0] <= 0.5
     assert np.isfinite(score)
 
@@ -168,38 +176,12 @@ def test_focus_search_deterministic():
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
-# -------------------------------------------------------------- grid search
-
-def test_grid_search_linear_objective():
-    point, score = grid_search(lambda P: P[:, 0], UNIT, points_per_dim=11)
-    assert point[0] == 0.0
-    assert score == 0.0
-
-
-def test_grid_search_tie_breaks_lexicographically():
-    # symmetric objective with equal minima at 0.25 and 0.75
-    def two_wells(P):
-        return (P[:, 0] - 0.25) ** 2 * (P[:, 0] - 0.75) ** 2
-
-    point, score = grid_search(two_wells, UNIT, points_per_dim=5)
-    assert point[0] == 0.25
-    assert score == 0.0
-
-
-def test_grid_search_cap():
-    b = BoxBounds(lower=[0.0] * 4, upper=[1.0] * 4)
-    with pytest.raises(ProboError, match="cap"):
-        grid_search(lambda P: P[:, 0], b, points_per_dim=100)
-
+# ------------------------------------------------------- grid reference
 
 def test_grid_agrees_with_random_search_on_convex_objective():
     obj = sq_dist_to([0.4])
-    gp_, gs = grid_search(obj, UNIT, points_per_dim=101)
-    rp, rs = random_search(obj, UNIT, 500, seed=12)
-    assert abs(gp_[0] - rp[0]) < 0.05  # same basin at grid resolution
-    assert gs <= 1e-4
-
-
-def test_grid_needs_two_points_per_dim():
-    with pytest.raises(ValueError):
-        grid_search(lambda P: P[:, 0], UNIT, points_per_dim=1)
+    grid = np.linspace(0.0, 1.0, 101)[:, None]
+    grid_point = grid[np.argmin(obj(grid))]
+    rp, _ = one_round(obj, UNIT, 500, seed=12)
+    assert abs(grid_point[0] - rp[0]) < 0.05  # same basin at grid resolution
+    assert obj(grid_point[None, :])[0] <= 1e-4
