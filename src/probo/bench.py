@@ -52,18 +52,11 @@ AXES = (
 
 # ---------------------------------------------------------------- metrics
 
-def _as_path(trace) -> np.ndarray:
-    if isinstance(trace, OptimizationTrace):
-        return trace.incumbent_path()
-    return np.asarray(trace, dtype=float)
-
-
-def mean_optimization_path(traces: Sequence) -> np.ndarray:
+def mean_optimization_path(paths) -> np.ndarray:
     """Elementwise mean of R incumbent paths of equal length T."""
-    paths = [_as_path(t) for t in traces]
-    if not paths:
+    lengths = {len(p) for p in paths}
+    if not lengths:
         raise ValueError("need at least one path")
-    lengths = {p.shape[0] for p in paths}
     if len(lengths) != 1:
         raise ValueError(f"paths differ in length: {sorted(lengths)}")
     return np.mean(paths, axis=0)
@@ -75,7 +68,6 @@ class MopMatrix:
 
     values: np.ndarray
     labels: tuple[str, ...]
-    repetitions: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -157,21 +149,6 @@ class PriorVariant:
                       + (self.mean_quad,) * dim)
         return MeanSpec(form=self.mean_form, coefficients=coeffs)
 
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "family": self.family,
-             "lengthscale": self.lengthscale,
-             "signal_variance": self.signal_variance,
-             "mean_form": self.mean_form,
-             "mean_intercept": self.mean_intercept,
-             "mean_slope": self.mean_slope, "mean_quad": self.mean_quad}
-        if self.power is not None:
-            d["power"] = self.power
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PriorVariant":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SensitivityPlan:
@@ -191,21 +168,18 @@ class SensitivityPlan:
             raise ConfigError(f"unknown sensitivity axis {self.axis!r}; choose from {AXES}")
         if len(self.variants) < 2:
             raise ConfigError("a sensitivity plan needs at least two variants")
+        names = [v.name for v in self.variants]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"variant names must be distinct, got {names}")
         if not self.functions:
             raise ConfigError("a sensitivity plan needs at least one function")
         if self.repetitions < 1 or self.iterations < 1:
             raise ConfigError("repetitions and iterations must be positive")
 
 
-def default_sensitivity_plans(
-    functions: Sequence[str],
-    repetitions: int = 40,
-    iterations: int = 20,
-    n_init: int = 10,
-    acquisition: AcquisitionSpec = AcquisitionSpec(kind="ei"),
-    infill: FocusSearchConfig = FocusSearchConfig(),
-) -> list[SensitivityPlan]:
-    """The default four-axis plan set.
+def default_sensitivity_plans(functions: Sequence[str], **settings) -> list[SensitivityPlan]:
+    """The default four-axis plan set; settings (repetitions, iterations,
+    n_init, acquisition, infill) override the SensitivityPlan defaults.
 
     Baseline prior: squared-exponential kernel, unit lengthscale and signal
     variance, estimated constant mean.  One component varies per plan; the
@@ -232,66 +206,61 @@ def default_sensitivity_plans(
         PriorVariant(name=f"lengthscale-{s:g}", lengthscale=s)
         for s in (0.5, 0.75, 1.0, 1.25, 1.5)
     )
-    shared = dict(functions=tuple(functions), repetitions=repetitions,
-                  iterations=iterations, n_init=n_init,
-                  acquisition=acquisition, infill=infill)
     return [
-        SensitivityPlan(axis="mean-functional-form", variants=mean_forms, **shared),
-        SensitivityPlan(axis="mean-parameters", variants=mean_params, **shared),
-        SensitivityPlan(axis="kernel-functional-form", variants=kernel_forms, **shared),
-        SensitivityPlan(axis="kernel-parameters", variants=kernel_params, **shared),
+        SensitivityPlan(axis=axis, variants=variants, functions=tuple(functions), **settings)
+        for axis, variants in zip(AXES, (mean_forms, mean_params, kernel_forms, kernel_params))
     ]
 
 
-# ------------------------------------------------------------ job running
+# ------------------------------------------------------------ paired grid
 
-@dataclass(frozen=True)
-class _Job:
-    key: tuple
-    config: RunConfig
-    target: TargetFunction
-
-
-def _run_job(job: _Job) -> tuple[tuple, OptimizationTrace | None]:
+def _run_cell(cell: tuple) -> tuple[tuple, OptimizationTrace | None]:
+    key, config, target = cell
     try:
-        return job.key, run(job.config, job.target)
+        return key, run(config, target)
     except ProboError as exc:
-        log.warning("run %s failed: %s", job.key, exc)
-        return job.key, None
+        log.warning("run %s failed: %s", key, exc)
+        return key, None
 
 
-def _execute(jobs: list[_Job], n_workers: int) -> dict[tuple, OptimizationTrace]:
-    """Run jobs, possibly in a process pool; results keyed, not ordered.
-    Failed runs are dropped (the aggregation voids anything incomplete)."""
-    results: dict[tuple, OptimizationTrace] = {}
-    if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            pairs = pool.map(_run_job, jobs, chunksize=4)
+def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
+    """Run R paired repetitions of every labelled setting of each group.
+
+    groups maps a key to (target, {label: RunConfig}, R).  Repetition r of
+    every setting in a group runs on derive_seed(master_seed, target name, r),
+    so compared settings face identical initial designs.  Runs go through a
+    process pool when jobs > 1; results are keyed, so they do not depend on
+    the pool.  Returns the traces keyed group + (label, r), and per group the
+    MopMatrix with each setting's R x T paths, or None (with a warning) if
+    any of the group's runs failed.
+    """
+    cells = [(group + (label, rep),
+              replace(config, seed=derive_seed(master_seed, target.name, rep)), target)
+             for group, (target, configs, reps) in groups.items()
+             for label, config in configs.items() for rep in range(reps)]
+    if jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_run_cell, cells, chunksize=4))
     else:
-        pairs = map(_run_job, jobs)
-    for key, trace in pairs:
-        if trace is not None:
-            results[key] = trace
-    return results
+        done = map(_run_cell, cells)
+    traces = {key: trace for key, trace in done if trace is not None}
+
+    built: dict[tuple, tuple[MopMatrix, list[np.ndarray]] | None] = {}
+    for group, (_, configs, reps) in groups.items():
+        keys = [[group + (label, rep) for rep in range(reps)] for label in configs]
+        if not all(key in traces for row in keys for key in row):
+            warnings.warn(f"runs failed for {'/'.join(group)}; skipped")
+            built[group] = None
+            continue
+        paths = [np.array([traces[key].incumbent_path() for key in row]) for row in keys]
+        mop = np.column_stack([mean_optimization_path(p) for p in paths])
+        built[group] = MopMatrix(values=mop, labels=tuple(configs)), paths
+    return traces, built
 
 
 def _resolve(functions: Sequence) -> list[TargetFunction]:
     return [f if isinstance(f, TargetFunction) else registry_lookup(f)
             for f in functions]
-
-
-def _mop(traces: Mapping[tuple, OptimizationTrace], cells: Sequence[tuple],
-         labels: Sequence[str], repetitions: int):
-    """Mean optimization path of each cell (a job key without its repetition
-    index) over its repetitions, with each cell's R x T paths; None if any
-    run of the cells failed."""
-    if any(cell + (rep,) not in traces for cell in cells for rep in range(repetitions)):
-        return None
-    paths = [np.array([traces[cell + (rep,)].incumbent_path() for rep in range(repetitions)])
-             for cell in cells]
-    mop = MopMatrix(values=np.column_stack([np.mean(p, axis=0) for p in paths]),
-                    labels=tuple(labels), repetitions=repetitions)
-    return mop, paths
 
 
 # ----------------------------------------------------- sensitivity runner
@@ -322,42 +291,24 @@ def run_sensitivity_experiment(
     if not plans:
         raise ConfigError("need at least one sensitivity plan")
 
-    jobs_list: list[_Job] = []
+    groups = {}
     for plan in plans:
         for target in _resolve(plan.functions):
-            budget = plan.n_init + plan.iterations
-            for variant in plan.variants:
-                config = RunConfig(
-                    kernel=variant.kernel_for(target.dimension),
-                    mean=variant.mean_for(target.dimension),
-                    acquisition=plan.acquisition,
-                    infill=plan.infill,
-                    n_init=plan.n_init,
-                    budget=budget,
-                    seed=0,
-                )
-                for rep in range(plan.repetitions):
-                    seed = derive_seed(master_seed, target.name, rep)
-                    jobs_list.append(_Job(
-                        key=(plan.axis, target.name, variant.name, rep),
-                        config=replace(config, seed=seed),
-                        target=target,
-                    ))
-
-    traces = _execute(jobs_list, jobs)
+            dim = target.dimension
+            configs = {v.name: RunConfig(kernel=v.kernel_for(dim), mean=v.mean_for(dim),
+                                         acquisition=plan.acquisition, infill=plan.infill,
+                                         n_init=plan.n_init,
+                                         budget=plan.n_init + plan.iterations)
+                       for v in plan.variants}
+            groups[(plan.axis, target.name)] = (target, configs, plan.repetitions)
+    traces, built = _run_grid(groups, master_seed, jobs)
 
     ads: dict[str, dict[str, float]] = {}
     mops: dict[tuple[str, str], MopMatrix] = {}
-    for plan in plans:
-        for fname in plan.functions:
-            cells = [(plan.axis, fname, variant.name) for variant in plan.variants]
-            built = _mop(traces, cells, [v.name for v in plan.variants], plan.repetitions)
-            if built is None:
-                warnings.warn(f"runs failed for {fname!r} on axis {plan.axis!r}; skipped")
-                continue
-            mop, _ = built
-            mops[(fname, plan.axis)] = mop
-            ads.setdefault(fname, {})[plan.axis] = accumulated_difference(mop)
+    for (axis, fname), cell in built.items():
+        if cell is not None:
+            mops[(fname, axis)] = cell[0]
+            ads.setdefault(fname, {})[axis] = accumulated_difference(cell[0])
 
     relative, axis_sums, excluded = relative_ad_summary(ads) if ads else ({}, {}, [])
     return SensitivityResult(ads=ads, relative=relative, axis_sums=axis_sums,
@@ -402,34 +353,24 @@ def run_acquisition_comparison(
     if len(set(labels)) != len(labels):
         raise ConfigError(f"acquisition settings must be distinct, got {labels}")
 
-    jobs_list: list[_Job] = []
+    groups = {}
     for target in targets:
         spec = KernelSpec.from_dict(kernel or {}, target.dimension)
-        for acq in acquisitions:
-            config = RunConfig(kernel=spec, mean=mean, acquisition=acq,
-                               infill=infill, n_init=n_init, budget=budget, seed=0)
-            for rep in range(repetitions):
-                seed = derive_seed(master_seed, target.name, rep)
-                jobs_list.append(_Job(key=(target.name, acq.label, rep),
-                                      config=replace(config, seed=seed),
-                                      target=target))
-
-    traces = _execute(jobs_list, jobs)
+        configs = {acq.label: RunConfig(kernel=spec, mean=mean, acquisition=acq,
+                                        infill=infill, n_init=n_init, budget=budget)
+                   for acq in acquisitions}
+        groups[(target.name,)] = (target, configs, repetitions)
+    traces, built = _run_grid(groups, master_seed, jobs)
 
     mops: dict[str, MopMatrix] = {}
     cis: dict[str, np.ndarray] = {}
-    for target in targets:
-        cells = [(target.name, label) for label in labels]
-        built = _mop(traces, cells, labels, repetitions)
-        if built is None:
-            warnings.warn(f"runs failed for {target.name!r}; function skipped")
+    for (fname,), cell in built.items():
+        if cell is None:
             continue
-        mops[target.name], paths = built
-        half_widths = []
-        for p in paths:
-            sd = p.std(axis=0, ddof=1) if repetitions > 1 else np.zeros(p.shape[1])
-            half_widths.append(1.96 * sd / np.sqrt(repetitions))
-        cis[target.name] = np.column_stack(half_widths)
+        mops[fname], paths = cell
+        sds = [p.std(axis=0, ddof=1) if repetitions > 1 else np.zeros(p.shape[1])
+               for p in paths]
+        cis[fname] = np.column_stack([1.96 * sd / np.sqrt(repetitions) for sd in sds])
     return ComparisonResult(mops=mops, ci_half_widths=cis, repetitions=repetitions,
                             n_init=n_init, traces=traces)
 

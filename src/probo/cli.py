@@ -110,11 +110,12 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
 def _target_from_config(spec) -> TargetFunction:
     if isinstance(spec, str):
         return registry_lookup(spec)
-    if isinstance(spec, dict):
-        if "function" in spec:
-            return registry_lookup(spec["function"])
-        if "csv" in spec:
-            return load_tabulated_target(spec["csv"], negate=spec.get("negate", False))
+    if isinstance(spec, dict) and "function" in spec:
+        check_keys(spec, ("function",), "target")
+        return registry_lookup(spec["function"])
+    if isinstance(spec, dict) and "csv" in spec:
+        check_keys(spec, ("csv", "negate"), "target")
+        return load_tabulated_target(spec["csv"], negate=spec.get("negate", False))
     raise ConfigError(
         "target must be a registry name, {\"function\": name}, or "
         "{\"csv\": path, \"negate\": bool}"
@@ -223,7 +224,7 @@ def cmd_sensitivity(args) -> int:
     snapshot = {
         "functions": list(plan.functions), "reps": plan.repetitions,
         "iterations": plan.iterations, "n_init": plan.n_init, "seed": seed,
-        "acquisition": plan.acquisition.to_dict(),
+        "acquisition": plan.acquisition.to_dict(), "infill": plan.infill.to_dict(),
     }
     _write_json(out / "config.json", snapshot)
 

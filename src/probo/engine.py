@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -58,8 +59,11 @@ class TargetFunction:
     name: str
     evaluate: Callable[[np.ndarray], float]
     bounds: BoxBounds
-    dimension: int
     known_optimum: Optional[float] = None
+
+    @property
+    def dimension(self) -> int:
+        return self.bounds.dimension
 
     def __call__(self, x) -> float:
         return float(self.evaluate(np.asarray(x, dtype=float).reshape(-1)))
@@ -80,6 +84,10 @@ class RunConfig:
     hyperparameter_budget: int = 50
 
     def __post_init__(self):
+        for name in ("n_init", "budget", "seed", "hyperparameter_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_init < 1:
             raise ConfigError("n_init must be positive")
         # budget == n_init is the degenerate run: initial design only

@@ -57,7 +57,7 @@ def _box(lo: float, hi: float, d: int) -> BoxBounds:
 
 def _entry(name, fn, lo, hi, d, optimum):
     return TargetFunction(name=name, evaluate=fn, bounds=_box(lo, hi, d),
-                          dimension=d, known_optimum=optimum)
+                          known_optimum=optimum)
 
 
 _REGISTRY = {
@@ -158,6 +158,5 @@ def load_tabulated_target(csv_path, negate: bool = False,
         name=name or csv_path.stem,
         evaluate=interp,
         bounds=BoxBounds(lower=np.array([xs[0]]), upper=np.array([xs[-1]])),
-        dimension=1,
         known_optimum=None,
     )

@@ -116,23 +116,21 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class BaseKernelMatrix:
-    """Gram matrix of the training inputs with its Cholesky factor.
+    """Cholesky factor of the jittered Gram matrix of the training inputs.
 
     jitter is the value actually added to the diagonal before the stored
-    factorization succeeded; matrix holds the jittered Gram matrix.
+    factorization succeeded: cholesky factors K + jitter * I.
     """
 
-    matrix: np.ndarray
     jitter: float
     cholesky: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.matrix.flags.writeable = False
         self.cholesky.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.cholesky.shape[0]
 
 
 def _as_points(X, dim: int, what: str) -> np.ndarray:
@@ -202,9 +200,7 @@ def build_base_kernel_matrix(spec: KernelSpec, X) -> BaseKernelMatrix:
     while True:
         try:
             L = _cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
-            return BaseKernelMatrix(
-                matrix=K + jitter * np.eye(K.shape[0]), jitter=jitter, cholesky=L
-            )
+            return BaseKernelMatrix(jitter=jitter, cholesky=L)
         except LinAlgError:
             if jitter >= jitter_cap:
                 raise ConditioningError(

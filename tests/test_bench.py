@@ -72,7 +72,7 @@ def test_ad_needs_two_settings():
 
 def test_mop_matrix_validation():
     with pytest.raises(ValueError):
-        MopMatrix(values=np.ones((3, 2)), labels=("only-one",), repetitions=4)
+        MopMatrix(values=np.ones((3, 2)), labels=("only-one",))
 
 
 # ------------------------------------------------------------- relative AD
@@ -127,12 +127,26 @@ def test_default_plans_cover_all_axes():
     assert [p.axis for p in plans] == list(AXES)
     for plan in plans:
         assert len(plan.variants) >= 2
+    # settings left out take the SensitivityPlan defaults
+    plan = default_sensitivity_plans(["sphere-1d"])[0]
+    assert (plan.repetitions, plan.iterations, plan.n_init) == (40, 20, 10)
+    assert plan.acquisition == AcquisitionSpec(kind="ei")
+    assert plan.infill == FocusSearchConfig()
 
 
 def test_plan_requires_two_variants():
     v = PriorVariant(name="only")
     with pytest.raises(ConfigError, match="two variants"):
         SensitivityPlan(axis="mean-parameters", variants=(v,), functions=("sphere-1d",))
+
+
+def test_plan_rejects_duplicate_variant_names():
+    # a second variant of the same name would overwrite the first one's runs
+    a1 = PriorVariant(name="a", lengthscale=1.0)
+    a2 = PriorVariant(name="a", lengthscale=2.0)
+    with pytest.raises(ConfigError, match="distinct"):
+        SensitivityPlan(axis="kernel-parameters", variants=(a1, a2),
+                        functions=("sphere-1d",))
 
 
 def test_plan_rejects_unknown_axis():

@@ -100,6 +100,25 @@ def test_unknown_nested_key_rejected(tmp_path, capsys, command, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, named", [
+    ('target={"function": "sphere-1d", "bogus": 1}', "bogus"),
+    ('target={"function": "sphere-1d", "csv": "x.csv"}', "csv"),
+    ('target={"csv": "x.csv", "bogus": 1}', "bogus"),
+    ("n_init=abc", "n_init"),
+    ("n_init=2.5", "n_init"),
+    ("budget=abc", "budget"),
+    ("hyperparameter_budget=1.5", "hyperparameter_budget"),
+])
+def test_bad_run_input_is_a_config_error(tmp_path, capsys, override, named):
+    out = tmp_path / "x"
+    args = QUICK["run"] + ["--override", override, "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("error:") and named in line for line in err.splitlines())
+    assert not out.exists()
+
+
 def test_unknown_override_key_rejected(tmp_path):
     code = main(["run", "--override", "target=sphere-1d",
                  "--override", "wat=1", "--out", str(tmp_path / "x")])
@@ -197,6 +216,39 @@ def test_sensitivity_emits_summary_tables(tmp_path):
     for row in sums:
         assert np.isfinite(float(row["sum_relative_ad"]))
     assert (out / "sphere-1d" / "kernel-parameters" / "mop.csv").is_file()
+
+
+def test_sensitivity_snapshot_records_infill(tmp_path):
+    out = tmp_path / "sens"
+    assert main(QUICK["sensitivity"] + ["--out", str(out)]) == 0
+    snapshot = json.loads((out / "config.json").read_text())
+    assert snapshot["infill"]["rounds"] == 3
+    assert snapshot["infill"]["evals_per_round"] == 150
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_protocol_output_does_not_depend_on_jobs(tmp_path):
+    tiny = ["--override", "infill.evals_per_round=20", "--override", "infill.rounds=2",
+            "--override", "infill.restarts=1", "--seed", "5"]
+    commands = {
+        "sensitivity": ["sensitivity", "--functions", "sphere-2d", "--override", "reps=2",
+                        "--override", "iterations=2", "--override", "n_init=4", *tiny],
+        "compare": ["compare", "--functions", "sphere-2d", "--acq", "ei",
+                    "--acq", "glcb-1-100", "--override", "reps=2", "--override", "budget=6",
+                    "--override", "n_init=4", *tiny],
+    }
+    for name, args in commands.items():
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{name}{jobs}"
+            assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+            trees.append(tree_bytes(out))
+        assert len(trees[0]) > 2
+        assert trees[0] == trees[1]
 
 
 # ------------------------------------------------------- functions/inspect

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ def test_budget_must_cover_initial_design():
         lcb_config(n_init=10, budget=9)
 
 
+@pytest.mark.parametrize("field", ["n_init", "budget", "seed", "hyperparameter_budget"])
+@pytest.mark.parametrize("value", ["abc", 2.5, True])
+def test_integer_fields_reject_other_types(field, value):
+    with pytest.raises(ConfigError, match=field):
+        lcb_config(**{field: value})
+
+
+def test_target_dimension_follows_bounds():
+    base = registry_lookup("sphere-2d")
+    assert base.dimension == 2
+    # replacing the evaluator keeps the bounds, hence the dimension
+    assert replace(base, evaluate=lambda x: 0.0).dimension == 2
+    one_d = TargetFunction(name="line", evaluate=base.evaluate,
+                           bounds=BoxBounds(lower=[0.0], upper=[1.0]))
+    assert one_d.dimension == 1
+
+
 def test_kernel_dimension_must_match_target():
     tf = registry_lookup("sphere-2d")
     with pytest.raises(ConfigError, match="dimension"):
@@ -89,8 +107,7 @@ def test_budget_accounting_and_containment():
         calls.append(float(x[0]))
         return base.evaluate(x)
 
-    tf = TargetFunction(name="counted", evaluate=counting, bounds=base.bounds,
-                        dimension=1)
+    tf = TargetFunction(name="counted", evaluate=counting, bounds=base.bounds)
     trace = run(lcb_config(budget=14, seed=2), tf)
     assert len(calls) == 14
     assert trace.budget == 14

@@ -122,21 +122,24 @@ def test_spec_from_config_mapping():
 def test_single_point_matrix_is_variance_plus_jitter():
     spec = spec_for("squared-exponential", sv=2.0)
     K = build_base_kernel_matrix(spec, [[0.5]])
-    assert K.matrix.shape == (1, 1)
-    assert K.matrix[0, 0] == pytest.approx(2.0 + K.jitter, abs=1e-15)
+    jittered = kernel_matrix(spec, [[0.5]], [[0.5]]) + K.jitter * np.eye(K.n)
+    assert jittered.shape == (1, 1)
+    assert jittered[0, 0] == pytest.approx(2.0 + K.jitter, abs=1e-15)
     assert K.jitter == pytest.approx(JITTER_INITIAL * 2.0)
 
 
 def test_two_point_matrix_hand_computed():
     spec = spec_for("squared-exponential")
-    K = build_base_kernel_matrix(spec, [[0.0], [1.0]])
+    X = [[0.0], [1.0]]
+    K = build_base_kernel_matrix(spec, X)
+    jittered = kernel_matrix(spec, X, X) + K.jitter * np.eye(K.n)
     b = math.exp(-0.5)
-    assert K.matrix[0, 1] == pytest.approx(b, abs=1e-15)
-    assert K.matrix[1, 0] == pytest.approx(b, abs=1e-15)
+    assert jittered[0, 1] == pytest.approx(b, abs=1e-15)
+    assert jittered[1, 0] == pytest.approx(b, abs=1e-15)
     # diagonal carries the jitter
-    assert K.matrix[0, 0] == pytest.approx(1.0 + K.jitter, abs=1e-15)
+    assert jittered[0, 0] == pytest.approx(1.0 + K.jitter, abs=1e-15)
     # Cholesky factor reproduces the matrix
-    assert np.allclose(K.cholesky @ K.cholesky.T, K.matrix, atol=1e-14)
+    assert np.allclose(K.cholesky @ K.cholesky.T, jittered, atol=1e-14)
 
 
 def test_duplicate_points_rejected():
@@ -152,9 +155,10 @@ def test_gram_symmetric_and_psd_all_families():
             spec = random_spec(rng, family, dim)
             X = rng.uniform(-3, 3, size=(rng.integers(2, 21), dim))
             K = build_base_kernel_matrix(spec, X)
-            raw = K.matrix - K.jitter * np.eye(K.n)
+            raw = kernel_matrix(spec, X, X)
             assert np.array_equal(raw, raw.T)
             assert np.linalg.eigvalsh(raw).min() >= -1e-10
+            assert np.allclose(K.cholesky @ K.cholesky.T, raw + K.jitter * np.eye(K.n))
 
 
 def test_short_lengthscales_decorrelate():
@@ -165,8 +169,8 @@ def test_short_lengthscales_decorrelate():
         previous = None
         for scale in (2.0, 1.0, 0.5, 0.25, 0.1):
             spec = spec_for(family, (scale, scale))
-            K = build_base_kernel_matrix(spec, X)
-            off = K.matrix[np.triu_indices(6, k=1)]
+            build_base_kernel_matrix(spec, X)  # factorizes at every scale
+            off = kernel_matrix(spec, X, X)[np.triu_indices(6, k=1)]
             if previous is not None:
                 assert np.all(off <= previous + 1e-15)
             previous = off
