@@ -234,6 +234,8 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
     MopMatrix with each setting's R x T paths, or None (with a warning) if
     any of the group's runs failed.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     cells = [(group + (label, rep),
               replace(config, seed=derive_seed(master_seed, target.name, rep)), target)
              for group, (target, configs, reps) in groups.items()
@@ -348,6 +350,8 @@ def run_acquisition_comparison(
     """
     if len(acquisitions) < 2:
         raise ConfigError("need at least two acquisition settings to compare")
+    if repetitions < 1:
+        raise ConfigError("repetitions must be positive")
     targets = _resolve(functions)
     labels = [a.label for a in acquisitions]
     if len(set(labels)) != len(labels):

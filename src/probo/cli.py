@@ -36,7 +36,7 @@ from .bench import (
     write_traces,
 )
 from .engine import RunConfig, TargetFunction, run, save_trace_csv
-from .errors import ConfigError, ProboError, check_keys
+from .errors import ConfigError, ProboError, check_integer, check_keys
 from .functions import load_tabulated_target, registry_lookup, registry_names
 from .gp import MeanSpec
 from .optimizer import FocusSearchConfig
@@ -66,6 +66,8 @@ _COMPARE_KEYS = ("functions", "acquisitions", "reps", "budget", "n_init", "seed"
                  "kernel", "mean", "infill")
 _SENSITIVITY_KEYS = ("functions", "reps", "iterations", "n_init", "seed",
                      "acquisition", "infill")
+#: protocol settings that must be integers
+_INTEGERS = ("reps", "iterations", "n_init", "budget", "seed")
 #: protocol settings whose runner argument has another name, or that parse
 #: into a spec object
 _RENAME = {"reps": "repetitions"}
@@ -125,8 +127,17 @@ def _target_from_config(spec) -> TargetFunction:
 def _protocol_args(config: dict, keys) -> dict:
     """Runner keyword arguments for the settings among keys that config
     gives; the others keep the runner's defaults."""
+    for k in keys:
+        if k in _INTEGERS and k in config:
+            check_integer(k, config[k])
     return {_RENAME.get(k, k): _PARSE[k](config[k]) if k in _PARSE else config[k]
             for k in keys if k in config}
+
+
+def _master_seed(args, config: dict) -> int:
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    check_integer("seed", seed)
+    return seed
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -171,7 +182,7 @@ def cmd_compare(args) -> int:
     names = list(args.functions or []) or list(config.get("functions", []))
     if not names:
         raise ConfigError("compare needs at least one --functions name")
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    seed = _master_seed(args, config)
 
     result = run_acquisition_comparison(
         functions=names, acquisitions=acquisitions, master_seed=seed, jobs=args.jobs,
@@ -206,13 +217,13 @@ def cmd_sensitivity(args) -> int:
     names = list(args.functions or []) or list(config.get("functions", []))
     if not names:
         raise ConfigError("sensitivity needs at least one --functions name")
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    seed = _master_seed(args, config)
     plans = default_sensitivity_plans(
         functions=names,
         **_protocol_args(config, ("reps", "iterations", "n_init", "acquisition", "infill")),
     )
 
-    result = run_sensitivity_experiment(plans, master_seed=int(seed), jobs=args.jobs)
+    result = run_sensitivity_experiment(plans, master_seed=seed, jobs=args.jobs)
 
     out = Path(args.out)
     write_ad_summary_csv(result, out / "ad_summary.csv")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import numbers
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -26,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
-from .errors import ConfigError, ProboError, check_keys
+from .errors import ConfigError, ProboError, check_integer, check_keys
 from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
 from .igp import CASE_NEAR_IGNORANCE, ImpreciseGpSpec, mean_width_batch
 from .kernels import DUPLICATE_TOL, KernelSpec
@@ -85,9 +84,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("n_init", "budget", "seed", "hyperparameter_budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.n_init < 1:
             raise ConfigError("n_init must be positive")
         # budget == n_init is the degenerate run: initial design only

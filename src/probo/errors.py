@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config checks that raise them."""
+
+import numbers
 
 
 class ProboError(Exception):
@@ -36,3 +38,9 @@ def check_keys(d, allowed, where: str) -> None:
             f"unknown {where} config keys: {', '.join(sorted(unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a config value that is not an integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")

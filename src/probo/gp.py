@@ -17,15 +17,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import check_keys
+from .errors import ConditioningError, check_keys
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
     build_base_kernel_matrix,
     kernel_matrix,
     _as_points,
+    _check_training_points,
+    _factorize,
 )
 
 MEAN_FORMS = (
@@ -128,17 +130,22 @@ class GpModel:
         return self.X.shape[1]
 
 
-def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
-    """Fit the GP: factorize the Gram matrix and cache the prediction terms."""
-    X = _as_points(X, kernel.dimension, "training points")
+def _training_data(dim: int, mean: MeanSpec, X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Training points and targets as float arrays, checked against each
+    other and against the mean form."""
+    X = _as_points(X, dim, "training points")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"got {X.shape[0]} points but {y.shape[0]} targets")
-    mean.validate_for_dimension(kernel.dimension)
+    mean.validate_for_dimension(dim)
+    return X, y
 
-    K = build_base_kernel_matrix(kernel, X)
+
+def _solve_terms(L: np.ndarray, mean: MeanSpec, X: np.ndarray, y: np.ndarray):
+    """s_k, S_k, beta_hat, the residual y - trend and alpha = K^-1 residual,
+    from the Cholesky factor L of K."""
     ones = np.ones(X.shape[0])
-    s_k = cho_solve((K.cholesky, True), ones)
+    s_k = cho_solve((L, True), ones)
     S_k = float(ones @ s_k)
     if mean.form == "constant-estimated":
         beta_hat = float(s_k @ y) / S_k
@@ -146,7 +153,14 @@ def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
     else:
         beta_hat = 0.0
         residual = y - mean.values(X)
-    alpha = cho_solve((K.cholesky, True), residual)
+    return s_k, S_k, beta_hat, residual, cho_solve((L, True), residual)
+
+
+def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
+    """Fit the GP: factorize the Gram matrix and cache the prediction terms."""
+    X, y = _training_data(kernel.dimension, mean, X, y)
+    K = build_base_kernel_matrix(kernel, X)
+    s_k, S_k, beta_hat, _, alpha = _solve_terms(K.cholesky, mean, X, y)
     return GpModel(kernel=kernel, mean=mean, X=X.copy(), y=y.copy(), K=K,
                    alpha=alpha, s_k=s_k, S_k=S_k, beta_hat=beta_hat)
 
@@ -166,19 +180,25 @@ def predict_batch(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
     X = _as_points(X, model.dimension, "prediction points")
     Kx = kernel_matrix(model.kernel, model.X, X)  # (n, m)
     mu = _trend(model, X) + Kx.T @ model.alpha
-    v = cho_solve((model.K.cholesky, True), Kx)
-    var = model.kernel.signal_variance - np.einsum("ij,ij->j", Kx, v)
+    v = solve_triangular(model.K.cholesky, Kx, lower=True)  # L^-1 Kx
+    var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
     if model.mean.form == "constant-estimated":
         var = var + (1.0 - Kx.T @ model.s_k) ** 2 / model.S_k
     return mu, np.maximum(var, 0.0)
 
 
+def _evidence(L: np.ndarray, residual: np.ndarray, alpha: np.ndarray) -> float:
+    """Log marginal likelihood from the Cholesky factor L of K, the residual
+    and alpha = K^-1 residual."""
+    quad = float(residual @ alpha)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    return -0.5 * quad - 0.5 * logdet - 0.5 * L.shape[0] * math.log(2.0 * math.pi)
+
+
 def log_marginal_likelihood(model: GpModel) -> float:
     """Gaussian log marginal likelihood of the targets under the (jittered) prior."""
     residual = model.y - _trend(model, model.X)
-    quad = float(residual @ cho_solve((model.K.cholesky, True), residual))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(model.K.cholesky))))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * model.n * math.log(2.0 * math.pi)
+    return _evidence(model.K.cholesky, residual, model.alpha)
 
 
 def fit_hyperparameters(
@@ -195,7 +215,11 @@ def fit_hyperparameters(
     """Pick kernel hyperparameters by log-uniform random search on the marginal
     likelihood.  Returns the best of `budget` sampled candidates; deterministic
     for a fixed seed.  Candidates that fail to factorize are skipped; if all
-    fail, the last factorization error propagates.
+    fail, the last ConditioningError propagates.
+
+    The data are checked once; each candidate then costs one Gram matrix, its
+    jittered Cholesky factor and the solves of fit_gp, scored with the
+    arithmetic of log_marginal_likelihood(fit_gp(candidate, mean, X, y)).
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
@@ -203,6 +227,8 @@ def fit_hyperparameters(
     if X.ndim == 1:
         X = X[:, None]
     dim = X.shape[1]
+    X, y = _training_data(dim, mean, X, y)
+    _check_training_points(X)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     best_spec, best_lml, last_error = None, -np.inf, None
@@ -214,10 +240,12 @@ def fit_hyperparameters(
         spec = KernelSpec(family=family, lengthscales=ls, signal_variance=sv,
                           power=power if family == "power-exponential" else None)
         try:
-            lml = log_marginal_likelihood(fit_gp(spec, mean, X, y))
-        except Exception as exc:  # conditioning failure for this candidate
+            L = _factorize(spec, kernel_matrix(spec, X, X)).cholesky
+        except ConditioningError as exc:
             last_error = exc
             continue
+        _, _, _, residual, alpha = _solve_terms(L, mean, X, y)
+        lml = _evidence(L, residual, alpha)
         if lml > best_lml:
             best_spec, best_lml = spec, lml
     if best_spec is None:

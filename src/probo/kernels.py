@@ -143,9 +143,22 @@ def _as_points(X, dim: int, what: str) -> np.ndarray:
 
 
 def _scaled_sqdist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared scaled distances between the rows of A and B, shape (n, m).
+
+    Summed one input dimension at a time, so only (n, m) temporaries are
+    built.  (a - b)^2 == (b - a)^2 exactly and the sum runs in the same
+    order either way, so swapping A and B transposes the result exactly and
+    every self-distance is exactly 0.
+    """
     ls = np.asarray(spec.lengthscales)
-    diff = A[:, None, :] / ls - B[None, :, :] / ls
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    A, B = np.ascontiguousarray((A / ls).T), np.ascontiguousarray((B / ls).T)
+    diff = np.subtract.outer(A[0], B[0])
+    d2 = diff * diff
+    for a, b in zip(A[1:], B[1:]):
+        np.subtract.outer(a, b, out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
@@ -168,7 +181,10 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     return sv * (1.0 + a + a * a / 3.0) * np.exp(-a)
 
 
-def _check_duplicates(X: np.ndarray) -> None:
+def _check_training_points(X: np.ndarray) -> None:
+    """At least one row, and no two rows closer than DUPLICATE_TOL."""
+    if X.shape[0] < 1:
+        raise ValueError("at least one training point is required")
     if X.shape[0] < 2:
         return
     diff = X[:, None, :] - X[None, :, :]
@@ -182,17 +198,9 @@ def _check_duplicates(X: np.ndarray) -> None:
         )
 
 
-def build_base_kernel_matrix(spec: KernelSpec, X) -> BaseKernelMatrix:
-    """Gram matrix over the training inputs, jittered until it factorizes.
-
-    Jitter escalates tenfold from 1e-10 * sv to 1e-6 * sv; if the Cholesky
-    factorization still fails the conditioning problem is reported.
-    """
-    X = _as_points(X, spec.dimension, "training points")
-    if X.shape[0] < 1:
-        raise ValueError("at least one training point is required")
-    _check_duplicates(X)
-    K = kernel_matrix(spec, X, X)
+def _factorize(spec: KernelSpec, K: np.ndarray) -> BaseKernelMatrix:
+    """Factor the Gram matrix K with the jitter policy of
+    build_base_kernel_matrix."""
     # construction is exactly symmetric; guard against regressions anyway
     assert np.max(np.abs(K - K.T)) <= 1e-12
     jitter = JITTER_INITIAL * spec.signal_variance
@@ -210,3 +218,14 @@ def build_base_kernel_matrix(spec: KernelSpec, X) -> BaseKernelMatrix:
                     jitter=jitter,
                 ) from None
             jitter *= 10.0
+
+
+def build_base_kernel_matrix(spec: KernelSpec, X) -> BaseKernelMatrix:
+    """Gram matrix over the training inputs, jittered until it factorizes.
+
+    Jitter escalates tenfold from 1e-10 * sv to 1e-6 * sv; if the Cholesky
+    factorization still fails the conditioning problem is reported.
+    """
+    X = _as_points(X, spec.dimension, "training points")
+    _check_training_points(X)
+    return _factorize(spec, kernel_matrix(spec, X, X))

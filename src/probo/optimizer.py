@@ -43,10 +43,6 @@ class BoxBounds:
     def span(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
     def clip(self, X: np.ndarray) -> np.ndarray:
         return np.clip(X, self.lower, self.upper)
 

@@ -119,6 +119,27 @@ def test_bad_run_input_is_a_config_error(tmp_path, capsys, override, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args, named", [
+    ("sensitivity", ["--override", "reps=1.5"], "reps"),
+    ("compare", ["--override", "reps=1.5"], "reps"),
+    ("compare", ["--override", "reps=0"], "repetitions"),
+    ("sensitivity", ["--override", "iterations=2.5"], "iterations"),
+    ("sensitivity", ["--override", "n_init=abc"], "n_init"),
+    ("compare", ["--override", "budget=true"], "budget"),
+    ("compare", ["--override", "seed=2.7"], "seed"),
+    ("sensitivity", ["--override", "seed=2.7"], "seed"),
+    ("compare", ["--jobs", "0"], "jobs"),
+    ("sensitivity", ["--jobs", "-2"], "jobs"),
+])
+def test_bad_protocol_input_is_a_config_error(tmp_path, capsys, command, args, named):
+    out = tmp_path / "x"
+    assert main(QUICK[command] + args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("error:") and named in line for line in err.splitlines())
+    assert not out.exists()
+
+
 def test_unknown_override_key_rejected(tmp_path):
     code = main(["run", "--override", "target=sphere-1d",
                  "--override", "wat=1", "--out", str(tmp_path / "x")])

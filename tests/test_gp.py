@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_solve
 
+from probo.errors import ConditioningError
 from probo.gp import (
     GpModel,
     MeanSpec,
@@ -192,6 +194,24 @@ def test_predict_batch_agrees_with_scalar_path():
         assert var[i] == pytest.approx(var_i[0], abs=1e-12)
 
 
+def test_variance_matches_two_sided_solve():
+    # predict_batch takes v = L^-1 Kx; the reference solves K^-1 Kx in full
+    rng = np.random.default_rng(17)
+    for mean in (MeanSpec(), MeanSpec(form="constant-fixed", coefficients=(0.3,))):
+        for family in FAMILIES:
+            spec, X, y = random_instance(rng, family, 3, 12)
+            model = fit_gp(spec, mean, X, y)
+            P = rng.uniform(-3, 3, size=(40, 3))
+            Kx = kernel_matrix(spec, X, P)
+            var = spec.signal_variance - np.einsum(
+                "ij,ij->j", Kx, cho_solve((model.K.cholesky, True), Kx))
+            if mean.form == "constant-estimated":
+                var = var + (1.0 - Kx.T @ model.s_k) ** 2 / model.S_k
+            mu, got = predict_batch(model, P)
+            assert np.array_equal(mu, model.beta_hat + mean.values(P) + Kx.T @ model.alpha)
+            assert np.abs(got - np.maximum(var, 0.0)).max() <= 1e-12
+
+
 # ---------------------------------------------------------------- evidence
 
 def test_log_marginal_likelihood_single_zero_observation():
@@ -265,3 +285,69 @@ def test_recovers_known_lengthscale():
     spec = fit_hyperparameters("squared-exponential", MeanSpec(), X, y,
                                budget=150, seed=5)
     assert 0.5 <= spec.lengthscales[0] <= 2.0
+
+
+def brute_force_search(family, mean, X, y, budget, seed, skip=0):
+    """Argmax of log_marginal_likelihood(fit_gp(...)) over the search's draws,
+    leaving out the first `skip` candidates."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.log(1e-2), np.log(1e2)
+    best, best_lml = None, -np.inf
+    for i in range(budget):
+        ls = tuple(np.exp(rng.uniform(lo, hi, size=X.shape[1])))
+        sv = float(np.exp(rng.uniform(lo, hi)))
+        spec = KernelSpec(family=family, lengthscales=ls, signal_variance=sv)
+        if i < skip:
+            continue
+        try:
+            lml = log_marginal_likelihood(fit_gp(spec, mean, X, y))
+        except ConditioningError:
+            continue
+        if lml > best_lml:
+            best, best_lml = spec, lml
+    return best
+
+
+@pytest.mark.parametrize("mean", [
+    MeanSpec(), MeanSpec(form="linear-fixed", coefficients=(0.5, -1.0, 2.0))])
+def test_search_picks_the_brute_force_argmax(mean):
+    rng = np.random.default_rng(18)
+    X = rng.uniform(-2, 2, size=(15, 2))
+    y = np.sin(X[:, 0]) + X[:, 1] ** 2
+    for family in ("squared-exponential", "matern-5/2"):
+        got = fit_hyperparameters(family, mean, X, y, budget=30, seed=6)
+        assert got == brute_force_search(family, mean, X, y, budget=30, seed=6)
+
+
+def test_search_skips_a_candidate_that_fails_to_factorize(monkeypatch):
+    rng = np.random.default_rng(19)
+    X = rng.uniform(-2, 2, size=(8, 1))
+    y = np.cos(X[:, 0])
+    real = __import__("scipy.linalg", fromlist=["cholesky"]).cholesky
+    calls = {"n": 0}
+
+    def fail_first_candidate(K, lower):
+        calls["n"] += 1
+        if calls["n"] <= 5:  # every jitter level of the first candidate
+            raise LinAlgError("forced")
+        return real(K, lower=lower)
+
+    monkeypatch.setattr("probo.kernels._cholesky", fail_first_candidate)
+    got = fit_hyperparameters("squared-exponential", MeanSpec(), X, y, budget=10, seed=7)
+    monkeypatch.undo()
+    assert got == brute_force_search("squared-exponential", MeanSpec(), X, y,
+                                     budget=10, seed=7, skip=1)
+
+
+def test_search_propagates_errors_other_than_conditioning(monkeypatch):
+    calls = {"n": 0}
+
+    def broken(K, lower):
+        calls["n"] += 1
+        raise RuntimeError("not a conditioning failure")
+
+    monkeypatch.setattr("probo.kernels._cholesky", broken)
+    with pytest.raises(RuntimeError):
+        fit_hyperparameters("squared-exponential", MeanSpec(), [[0.0], [1.0]],
+                            [0.0, 1.0], budget=10)
+    assert calls["n"] == 1

@@ -12,6 +12,7 @@ from probo.kernels import (
     KernelSpec,
     build_base_kernel_matrix,
     kernel_matrix,
+    _scaled_sqdist,
 )
 
 
@@ -186,6 +187,39 @@ def test_cross_covariance_matches_elementwise_eval():
     assert kx.shape == (5,)
     for i in range(5):
         assert kx[i] == pytest.approx(kernel_eval(spec, x, X[i]), abs=1e-15)
+
+
+def reference_sqdist(spec, A, B):
+    """Scaled squared distances through the (n, m, d) difference tensor."""
+    ls = np.asarray(spec.lengthscales)
+    diff = A[:, None, :] / ls - B[None, :, :] / ls
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_swapping_point_sets_transposes_exactly(dim):
+    rng = np.random.default_rng(20 + dim)
+    for family in FAMILIES:
+        spec = random_spec(rng, family, dim)
+        A = rng.uniform(-3, 3, size=(7, dim))
+        B = rng.uniform(-3, 3, size=(11, dim))
+        assert np.array_equal(kernel_matrix(spec, A, B), kernel_matrix(spec, B, A).T)
+        gram = kernel_matrix(spec, A, A)
+        assert np.all(np.diag(gram) == spec.signal_variance)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_distances_match_difference_tensor(dim):
+    rng = np.random.default_rng(30 + dim)
+    spec = random_spec(rng, "squared-exponential", dim)
+    A = rng.uniform(-3, 3, size=(9, dim))
+    B = rng.uniform(-3, 3, size=(13, dim))
+    got, want = _scaled_sqdist(spec, A, B), reference_sqdist(spec, A, B)
+    if dim == 1:
+        assert np.array_equal(got, want)
+    else:
+        # the per-dimension sum may round differently from the tensor reduction
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_cross_covariance_at_training_point_is_signal_variance():

@@ -8,6 +8,12 @@ UNIT = BoxBounds(lower=[0.0], upper=[1.0])
 UNIT2 = BoxBounds(lower=[0.0, 0.0], upper=[1.0, 1.0])
 
 
+def inside(bounds, x):
+    """Whether point x lies in the closed box."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return bool(np.all(x >= bounds.lower) and np.all(x <= bounds.upper))
+
+
 def sq_dist_to(target):
     target = np.asarray(target)
 
@@ -41,8 +47,8 @@ def test_bounds_validation():
         BoxBounds(lower=[0.0, 1.0], upper=[1.0])
     b = BoxBounds(lower=[-1.0, 0.0], upper=[1.0, 2.0])
     assert b.dimension == 2
-    assert b.contains([0.0, 1.0])
-    assert not b.contains([0.0, 3.0])
+    assert inside(b, [0.0, 1.0])
+    assert not inside(b, [0.0, 3.0])
 
 
 def test_focus_config_validation():
@@ -61,7 +67,7 @@ def test_lhs_single_point_inside_bounds():
     b = BoxBounds(lower=[-2.0, 3.0], upper=[-1.0, 5.0])
     pts = latin_hypercube(1, b, seed=0)
     assert pts.shape == (1, 2)
-    assert b.contains(pts[0])
+    assert inside(b, pts[0])
 
 
 @pytest.mark.parametrize("n", [5, 10, 50])
@@ -102,7 +108,7 @@ def test_random_search_improves_with_budget():
 def test_random_search_constant_objective():
     point, score = one_round(lambda P: np.full(len(P), 4.2), UNIT2, 25, seed=4)
     assert score == 4.2
-    assert UNIT2.contains(point)
+    assert inside(UNIT2, point)
 
 
 def test_random_search_all_nonfinite_errors():
@@ -166,7 +172,7 @@ def test_focus_search_stays_inside_bounds():
     b = BoxBounds(lower=[-3.0, 2.0], upper=[-1.0, 4.0])
     cfg = FocusSearchConfig(evals_per_round=30, rounds=3, restarts=2)
     point, _ = focus_search(sq_dist_to([-3.0, 2.0]), b, cfg, seed=10)  # corner pull
-    assert b.contains(point)
+    assert inside(b, point)
 
 
 def test_focus_search_deterministic():
