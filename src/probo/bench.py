@@ -34,7 +34,7 @@ from .engine import (
     run,
     save_trace_csv,
 )
-from .errors import ConfigError, ProboError
+from .errors import ConfigError, ProboError, check_integer
 from .functions import registry_lookup
 from .gp import MeanSpec
 from .kernels import KernelSpec
@@ -173,6 +173,8 @@ class SensitivityPlan:
             raise ConfigError(f"variant names must be distinct, got {names}")
         if not self.functions:
             raise ConfigError("a sensitivity plan needs at least one function")
+        for name in ("repetitions", "iterations", "n_init"):
+            check_integer(name, getattr(self, name))
         if self.repetitions < 1 or self.iterations < 1:
             raise ConfigError("repetitions and iterations must be positive")
 
@@ -350,6 +352,7 @@ def run_acquisition_comparison(
     """
     if len(acquisitions) < 2:
         raise ConfigError("need at least two acquisition settings to compare")
+    check_integer("repetitions", repetitions)
     if repetitions < 1:
         raise ConfigError("repetitions must be positive")
     targets = _resolve(functions)

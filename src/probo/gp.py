@@ -17,7 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 from .errors import ConditioningError, check_keys
 from .kernels import (
@@ -104,7 +106,9 @@ class GpModel:
 
     alpha solves K alpha = y - m(X); s_k = K^-1 1 and S_k = 1' K^-1 1 are the
     ordinary-kriging terms reused by the imprecise bounds; beta_hat is the GLS
-    constant (0 unless the mean form is constant-estimated).
+    constant (0 unless the mean form is constant-estimated).  L_inv is the
+    inverse of the Cholesky factor L of K, so predict_batch forms L^-1 k_x
+    with one matrix product per batch.
     """
 
     kernel: KernelSpec
@@ -114,11 +118,12 @@ class GpModel:
     K: BaseKernelMatrix = field(repr=False)
     alpha: np.ndarray = field(repr=False)
     s_k: np.ndarray = field(repr=False)
+    L_inv: np.ndarray = field(repr=False)
     S_k: float = 0.0
     beta_hat: float = 0.0
 
     def __post_init__(self):
-        for arr in (self.X, self.y, self.alpha, self.s_k):
+        for arr in (self.X, self.y, self.alpha, self.s_k, self.L_inv):
             arr.flags.writeable = False
 
     @property
@@ -161,8 +166,12 @@ def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
     X, y = _training_data(kernel.dimension, mean, X, y)
     K = build_base_kernel_matrix(kernel, X)
     s_k, S_k, beta_hat, _, alpha = _solve_terms(K.cholesky, mean, X, y)
+    # LAPACK's inversion leaves a small left residual L^-1 L - I, which is
+    # what bounds the error in L^-1 k_x
+    L_inv, info = dtrtri(K.cholesky, lower=1)
+    assert info == 0  # a successful Cholesky factor has a positive diagonal
     return GpModel(kernel=kernel, mean=mean, X=X.copy(), y=y.copy(), K=K,
-                   alpha=alpha, s_k=s_k, S_k=S_k, beta_hat=beta_hat)
+                   alpha=alpha, s_k=s_k, L_inv=L_inv, S_k=S_k, beta_hat=beta_hat)
 
 
 def _trend(model: GpModel, X: np.ndarray) -> np.ndarray:
@@ -180,10 +189,13 @@ def predict_batch(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
     X = _as_points(X, model.dimension, "prediction points")
     Kx = kernel_matrix(model.kernel, model.X, X)  # (n, m)
     mu = _trend(model, X) + Kx.T @ model.alpha
-    v = solve_triangular(model.K.cholesky, Kx, lower=True)  # L^-1 Kx
-    var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
+    kriging = 0.0
     if model.mean.form == "constant-estimated":
-        var = var + (1.0 - Kx.T @ model.s_k) ** 2 / model.S_k
+        kriging = (1.0 - Kx.T @ model.s_k) ** 2 / model.S_k
+    # v' = Kx' L^-T, the product with the cached inverse written over Kx, so
+    # that no second (n, m) array is allocated
+    v = dtrmm(1.0, model.L_inv, Kx.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+    var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v) + kriging
     return mu, np.maximum(var, 0.0)
 
 

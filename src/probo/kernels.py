@@ -139,46 +139,67 @@ def _as_points(X, dim: int, what: str) -> np.ndarray:
         X = X.reshape(-1, dim) if dim == 1 else X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != dim:
         raise DimensionMismatchError(dim, X.shape[-1], what)
+    if not np.isfinite(X).all():
+        raise ValueError(f"{what} must be finite")
     return X
 
 
 def _scaled_sqdist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared scaled distances between the rows of A and B, shape (n, m).
 
-    Summed one input dimension at a time, so only (n, m) temporaries are
-    built.  (a - b)^2 == (b - a)^2 exactly and the sum runs in the same
-    order either way, so swapping A and B transposes the result exactly and
-    every self-distance is exactly 0.
+    Summed one input dimension at a time into the first dimension's squared
+    difference, so at most two (n, m) arrays are built.  (a - b)^2 ==
+    (b - a)^2 exactly and the sum runs in the same order either way, so
+    swapping A and B transposes the result exactly and every self-distance
+    is exactly 0.
     """
     ls = np.asarray(spec.lengthscales)
     A, B = np.ascontiguousarray((A / ls).T), np.ascontiguousarray((B / ls).T)
-    diff = np.subtract.outer(A[0], B[0])
-    d2 = diff * diff
-    for a, b in zip(A[1:], B[1:]):
-        np.subtract.outer(a, b, out=diff)
-        diff *= diff
-        d2 += diff
+    d2 = np.subtract.outer(A[0], B[0])
+    d2 *= d2
+    if len(A) > 1:
+        diff = np.empty_like(d2)
+        for a, b in zip(A[1:], B[1:]):
+            np.subtract.outer(a, b, out=diff)
+            diff *= diff
+            d2 += diff
     return d2
 
 
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
-    """Covariance matrix k(a_i, b_j) for two point sets, shape (len(A), len(B))."""
+    """Covariance matrix k(a_i, b_j) for two point sets, shape (len(A), len(B)).
+
+    Every family is evaluated in place on the distance buffer, with the
+    operations of the formulas in the module docstring in their order, so
+    the result matches those formulas bit for bit.
+    """
     A = _as_points(A, spec.dimension, "first point set")
     B = _as_points(B, spec.dimension, "second point set")
-    d2 = _scaled_sqdist(spec, A, B)
+    K = _scaled_sqdist(spec, A, B)
     sv = spec.signal_variance
-    if spec.family == "squared-exponential":
-        return sv * np.exp(-0.5 * d2)
-    if spec.family == "power-exponential":
-        d = np.sqrt(d2)
-        return sv * np.exp(-0.5 * d**spec.power)
-    d = np.sqrt(d2)
+    if spec.family in ("squared-exponential", "power-exponential"):
+        if spec.family == "power-exponential":
+            np.sqrt(K, out=K)
+            K **= spec.power
+        K *= -0.5
+        np.exp(K, out=K)
+        K *= sv
+        return K
+    # Matern-nu: a = sqrt(2 nu) d
+    np.sqrt(K, out=K)
+    K *= math.sqrt(3.0) if spec.family == "matern-3/2" else math.sqrt(5.0)
+    decay = np.negative(K)
+    np.exp(decay, out=decay)
     if spec.family == "matern-3/2":
-        a = math.sqrt(3.0) * d
-        return sv * (1.0 + a) * np.exp(-a)
-    # matern-5/2
-    a = math.sqrt(5.0) * d
-    return sv * (1.0 + a + a * a / 3.0) * np.exp(-a)
+        K += 1.0
+    else:
+        quad = K * K
+        quad /= 3.0
+        K += 1.0
+        K += quad
+    K *= sv
+    K *= decay
+    return K
 
 
 def _check_training_points(X: np.ndarray) -> None:

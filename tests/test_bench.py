@@ -156,6 +156,18 @@ def test_plan_rejects_unknown_axis():
         SensitivityPlan(axis="noise", variants=(v, w), functions=("sphere-1d",))
 
 
+@pytest.mark.parametrize("field", ["repetitions", "iterations", "n_init"])
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
+def test_plan_counts_must_be_integers(field, value):
+    v = PriorVariant(name="a")
+    w = PriorVariant(name="b", lengthscale=2.0)
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        SensitivityPlan(axis="kernel-parameters", variants=(v, w),
+                        functions=("sphere-1d",), **{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        default_sensitivity_plans(["sphere-1d"], **{field: value})
+
+
 def test_variant_broadcasts_to_dimension():
     v = PriorVariant(name="v", lengthscale=0.5, mean_form="quadratic-fixed",
                      mean_intercept=1.0, mean_slope=0.2, mean_quad=0.05)
@@ -267,6 +279,14 @@ def test_comparison_requires_two_settings():
     with pytest.raises(ConfigError):
         run_acquisition_comparison(["sphere-1d"], [AcquisitionSpec(kind="ei")],
                                    repetitions=2, budget=6, n_init=4)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
+def test_comparison_repetitions_must_be_an_integer(value):
+    with pytest.raises(ConfigError, match="repetitions must be an integer"):
+        run_acquisition_comparison(
+            ["sphere-1d"], [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")],
+            repetitions=value, budget=6, n_init=4)
 
 
 def test_comparison_rejects_duplicate_labels():

@@ -212,6 +212,65 @@ def test_variance_matches_two_sided_solve():
             assert np.abs(got - np.maximum(var, 0.0)).max() <= 1e-12
 
 
+def long_double_forward_substitution(L, B):
+    """L^-1 B by row-wise forward substitution in extended precision."""
+    L, B = L.astype(np.longdouble), B.astype(np.longdouble)
+    V = np.zeros_like(B)
+    for i in range(L.shape[0]):
+        V[i] = (B[i] - L[i, :i] @ V[:i]) / L[i, i]
+    return V
+
+
+def gramacy_lee_model(lengthscale):
+    rng = np.random.default_rng(19)
+    X = rng.uniform(0.5, 2.5, size=(60, 1))
+    y = np.sin(10 * np.pi * X[:, 0]) / (2 * X[:, 0]) + (X[:, 0] - 1) ** 4
+    return fit_gp(spec_for("squared-exponential", (lengthscale,)), MeanSpec(), X, y)
+
+
+@pytest.mark.parametrize("lengthscale", [0.1, 1.0])
+def test_variance_matches_extended_precision_substitution(lengthscale):
+    model = gramacy_lee_model(lengthscale)
+    P = np.linspace(0.5, 2.5, 301)[:, None]
+    Kx = kernel_matrix(model.kernel, model.X, P)
+    v = long_double_forward_substitution(model.K.cholesky, Kx)
+    var = model.kernel.signal_variance - (v * v).sum(axis=0).astype(float)
+    var = var + (1.0 - Kx.T @ model.s_k) ** 2 / model.S_k
+    _, got = predict_batch(model, P)
+    assert np.abs(got - np.maximum(var, 0.0)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("lengthscale", [0.1, 1.0])
+def test_cached_inverse_factor(lengthscale):
+    model = gramacy_lee_model(lengthscale)
+    with pytest.raises(ValueError):
+        model.L_inv[0, 0] = 1.0
+    assert np.all(np.triu(model.L_inv, 1) == 0.0)
+    # left residual, which bounds the error in L^-1 k_x, within the
+    # componentwise bound n eps |L^-1| |L| of a stable triangular inversion
+    L, L_inv = model.K.cholesky, model.L_inv
+    residual = L_inv.astype(np.longdouble) @ L.astype(np.longdouble) - np.eye(model.n)
+    bound = model.n * np.finfo(float).eps * (np.abs(L_inv) @ np.abs(L))
+    assert np.all(np.abs(residual) <= bound)
+    assert np.abs(residual).max() <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    rng = np.random.default_rng(23)
+    spec, X, y = random_instance(rng, "matern-5/2", 2, 6)
+    model = fit_gp(spec, MeanSpec(), X, y)
+    P = rng.uniform(-3, 3, size=(4, 2))
+    P[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        predict_batch(model, P)
+    with pytest.raises(ValueError, match="finite"):
+        predict_batch(model, P[2])
+    X[3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_gp(spec, MeanSpec(), X, y)
+
+
 # ---------------------------------------------------------------- evidence
 
 def test_log_marginal_likelihood_single_zero_observation():

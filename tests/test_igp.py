@@ -219,3 +219,14 @@ def test_case_boundary_continuity_probe():
         elif abs(w_lo - w_hi) > 1e-9:
             logging.getLogger(__name__).warning(
                 "case-boundary width jump %.3g at x=%s", abs(w_lo - w_hi), x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    model, _, _ = random_model(np.random.default_rng(31), n=4)
+    for c in (0.01, 100.0):
+        igp = ImpreciseGpSpec(c=c, model=model)
+        with pytest.raises(ValueError, match="finite"):
+            mean_width_batch(igp, [[0.0], [bad]])
+        with pytest.raises(ValueError, match="finite"):
+            mean_width_batch(igp, [bad])

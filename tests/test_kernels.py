@@ -222,6 +222,56 @@ def test_distances_match_difference_tensor(dim):
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+def out_of_place_kernel(spec, A, B):
+    """kernel_matrix written as plain expressions, one new array per step."""
+    ls = np.asarray(spec.lengthscales)
+    A, B = (A / ls).T, (B / ls).T
+    diff = np.subtract.outer(A[0], B[0])
+    d2 = diff * diff
+    for a, b in zip(A[1:], B[1:]):
+        diff = np.subtract.outer(a, b)
+        d2 = d2 + diff * diff
+    sv = spec.signal_variance
+    if spec.family == "squared-exponential":
+        return sv * np.exp(-0.5 * d2)
+    d = np.sqrt(d2)
+    if spec.family == "power-exponential":
+        return sv * np.exp(-0.5 * d**spec.power)
+    if spec.family == "matern-3/2":
+        a = math.sqrt(3.0) * d
+        return sv * (1.0 + a) * np.exp(-a)
+    a = math.sqrt(5.0) * d
+    return sv * (1.0 + a + a * a / 3.0) * np.exp(-a)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_in_place_kernels_match_out_of_place_formulas(dim):
+    rng = np.random.default_rng(40 + dim)
+    specs = [KernelSpec(family=f, lengthscales=tuple(rng.uniform(0.3, 3.0, dim)),
+                        signal_variance=2.7)
+             for f in ("squared-exponential", "matern-3/2", "matern-5/2")]
+    specs += [KernelSpec(family="power-exponential", lengthscales=(1.3,) * dim,
+                         signal_variance=0.4, power=p) for p in (0.5, 1.5, 2.0)]
+    A = rng.uniform(-3, 3, size=(17, dim))
+    B = rng.uniform(-3, 3, size=(23, dim))
+    for spec in specs:
+        for P, Q in ((A, B), (A, A)):
+            assert np.array_equal(kernel_matrix(spec, P, Q), out_of_place_kernel(spec, P, Q))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    spec = spec_for("squared-exponential", (1.0, 1.0))
+    P = np.zeros((3, 2))
+    P[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kernel_matrix(spec, P, [[0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        kernel_matrix(spec, [[0.0, 1.0]], P)
+    with pytest.raises(ValueError, match="finite"):
+        build_base_kernel_matrix(spec, P + np.arange(3)[:, None])
+
+
 def test_cross_covariance_at_training_point_is_signal_variance():
     spec = spec_for("matern-3/2", (1.0,), sv=1.7)
     X = np.array([[0.0], [2.0]])
