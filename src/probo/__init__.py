@@ -9,7 +9,7 @@ acquisition-comparison protocols on built-in test functions or tabulated
 targets.
 """
 
-from .acquisition import AcquisitionSpec, parse_acquisition
+from .acquisition import AcquisitionSpec
 from .bench import (
     MopMatrix,
     PriorVariant,
@@ -31,12 +31,7 @@ from .engine import (
     save_trace_csv,
 )
 from .errors import ConditioningError, ConfigError, DimensionMismatchError, ProboError
-from .functions import (
-    TabulatedTarget,
-    load_tabulated_target,
-    registry_lookup,
-    registry_names,
-)
+from .functions import load_tabulated_target, registry_lookup, registry_names
 from .gp import (
     GpModel,
     MeanSpec,
@@ -45,25 +40,14 @@ from .gp import (
     log_marginal_likelihood,
     predict_batch,
 )
-from .igp import (
-    CASE_EXTREME,
-    CASE_NEAR_IGNORANCE,
-    ImpreciseGpSpec,
-    mean_bounds,
-    mean_width_batch,
-)
-from .kernels import (
-    BaseKernelMatrix,
-    KernelSpec,
-    build_base_kernel_matrix,
-    kernel_matrix,
-)
+from .igp import ImpreciseGpSpec, mean_bounds, mean_width_batch
+from .kernels import KernelSpec, build_base_kernel_matrix, kernel_matrix
 from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcquisitionSpec", "parse_acquisition",
+    "AcquisitionSpec",
     "MopMatrix", "PriorVariant", "SensitivityPlan",
     "accumulated_difference", "default_sensitivity_plans",
     "mean_optimization_path", "relative_ad_summary",
@@ -71,11 +55,10 @@ __all__ = [
     "BoRunError", "IterationRecord", "OptimizationTrace", "RunConfig",
     "TargetFunction", "run", "save_trace_csv",
     "ConditioningError", "ConfigError", "DimensionMismatchError", "ProboError",
-    "TabulatedTarget", "load_tabulated_target", "registry_lookup", "registry_names",
+    "load_tabulated_target", "registry_lookup", "registry_names",
     "GpModel", "MeanSpec", "fit_gp", "fit_hyperparameters",
     "log_marginal_likelihood", "predict_batch",
-    "CASE_EXTREME", "CASE_NEAR_IGNORANCE", "ImpreciseGpSpec",
-    "mean_bounds", "mean_width_batch",
-    "BaseKernelMatrix", "KernelSpec", "build_base_kernel_matrix", "kernel_matrix",
+    "ImpreciseGpSpec", "mean_bounds", "mean_width_batch",
+    "KernelSpec", "build_base_kernel_matrix", "kernel_matrix",
     "BoxBounds", "FocusSearchConfig", "focus_search", "latin_hypercube",
 ]

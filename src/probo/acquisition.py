@@ -22,6 +22,8 @@ from scipy.special import erf
 from .errors import ConfigError, check_keys
 
 KINDS = ("ei", "lcb", "glcb")
+#: the parameters each kind takes
+PARAMETERS = {"ei": (), "lcb": ("tau",), "glcb": ("tau", "rho", "c")}
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -80,46 +82,44 @@ class AcquisitionSpec:
 
     @classmethod
     def from_dict(cls, d) -> "AcquisitionSpec":
-        """Build from a mapping, or from a string in a parse_acquisition form."""
+        """Build from a mapping {"kind": ..., parameters} or from a string:
+        "ei", "lcb:tau=1", "glcb:tau=1,rho=1,c=100", or the shorthand
+        "glcb-RHO-C" (tau 1).  Each kind takes only its own parameters:
+        none for ei, tau for lcb, and tau, rho and c for glcb."""
         if isinstance(d, str):
-            return parse_acquisition(d)
-        check_keys(d, ("kind", "tau", "rho", "c"), "acquisition")
+            d = _parse(d)
+        check_keys(d, ("kind",) + PARAMETERS["glcb"], "acquisition")
         if "kind" not in d:
             raise ConfigError("acquisition config needs a kind")
+        if d["kind"] in KINDS:  # the constructor names an unknown kind
+            check_keys(d, ("kind",) + PARAMETERS[d["kind"]], f"{d['kind']} acquisition")
         return cls(**d)
 
 
-def parse_acquisition(text: str) -> AcquisitionSpec:
-    """Parse CLI forms: "ei", "lcb:tau=1", "glcb:tau=1,rho=1,c=100".
-
-    The shorthand "glcb-RHO-C" (tau defaulting to 1) is accepted as well.
-    """
+def _parse(text: str) -> dict:
+    """The mapping of an acquisition string, parameters as floats."""
     text = text.strip().lower()
-    m = text.split(":", 1)
-    kind = m[0]
+    kind, _, params = text.partition(":")
     if kind not in KINDS:
         # shorthand glcb-1-100 means rho=1, c=100
         parts = text.split("-")
         if parts[0] == "glcb" and len(parts) == 3:
             try:
-                return AcquisitionSpec(kind="glcb", tau=1.0,
-                                       rho=float(parts[1]), c=float(parts[2]))
+                return {"kind": "glcb", "tau": 1.0, "rho": float(parts[1]),
+                        "c": float(parts[2])}
             except ValueError:
                 pass
         raise ConfigError(f"cannot parse acquisition {text!r}")
-    params = {}
-    if len(m) == 2 and m[1]:
-        for item in m[1].split(","):
-            if "=" not in item:
-                raise ConfigError(f"malformed acquisition parameter {item!r} in {text!r}")
-            key, value = item.split("=", 1)
-            if key not in ("tau", "rho", "c"):
-                raise ConfigError(f"unknown acquisition parameter {key!r} in {text!r}")
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"non-numeric value for {key!r} in {text!r}") from None
-    return AcquisitionSpec(kind=kind, **params)
+    d = {"kind": kind}
+    for item in params.split(",") if params else ():
+        if "=" not in item:
+            raise ConfigError(f"malformed acquisition parameter {item!r} in {text!r}")
+        key, value = item.split("=", 1)
+        try:
+            d[key] = float(value)
+        except ValueError:
+            raise ConfigError(f"non-numeric value for {key!r} in {text!r}") from None
+    return d
 
 
 def lcb_values(mu, var, tau: float) -> np.ndarray:

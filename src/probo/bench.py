@@ -33,6 +33,7 @@ from .engine import (
     derive_seed,
     run,
     save_trace_csv,
+    _check_target,
 )
 from .errors import ConfigError, ProboError, check_integer
 from .functions import registry_lookup
@@ -78,9 +79,10 @@ class MopMatrix:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-def accumulated_difference(mop) -> float:
-    """Sum over iterations of the spread across settings; zero iff columns agree."""
-    values = mop.values if isinstance(mop, MopMatrix) else np.asarray(mop, dtype=float)
+def accumulated_difference(values) -> float:
+    """Sum over iterations of the spread across the settings (the columns of a
+    T x S array); zero iff the columns agree."""
+    values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] < 2:
         raise ValueError("need a T x S matrix with at least two settings")
     return float(np.sum(values.max(axis=1) - values.min(axis=1)))
@@ -232,12 +234,16 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
     every setting in a group runs on derive_seed(master_seed, target name, r),
     so compared settings face identical initial designs.  Runs go through a
     process pool when jobs > 1; results are keyed, so they do not depend on
-    the pool.  Returns the traces keyed group + (label, r), and per group the
+    the pool.  Every setting is checked against its target before the first
+    run.  Returns the traces keyed group + (label, r), and per group the
     MopMatrix with each setting's R x T paths, or None (with a warning) if
     any of the group's runs failed.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    for target, configs, _ in groups.values():
+        for config in configs.values():
+            _check_target(config, target)
     cells = [(group + (label, rep),
               replace(config, seed=derive_seed(master_seed, target.name, rep)), target)
              for group, (target, configs, reps) in groups.items()
@@ -280,7 +286,7 @@ class SensitivityResult:
 
 
 def run_sensitivity_experiment(
-    plans: Sequence[SensitivityPlan] | SensitivityPlan,
+    plans: Sequence[SensitivityPlan],
     master_seed: int = 0,
     jobs: int = 1,
 ) -> SensitivityResult:
@@ -290,8 +296,6 @@ def run_sensitivity_experiment(
     one derived seed, so compared settings face identical initial designs.
     A failed run voids its function for the affected axis with a warning.
     """
-    if isinstance(plans, SensitivityPlan):
-        plans = [plans]
     if not plans:
         raise ConfigError("need at least one sensitivity plan")
 
@@ -312,7 +316,7 @@ def run_sensitivity_experiment(
     for (axis, fname), cell in built.items():
         if cell is not None:
             mops[(fname, axis)] = cell[0]
-            ads.setdefault(fname, {})[axis] = accumulated_difference(cell[0])
+            ads.setdefault(fname, {})[axis] = accumulated_difference(cell[0].values)
 
     relative, axis_sums, excluded = relative_ad_summary(ads) if ads else ({}, {}, [])
     return SensitivityResult(ads=ads, relative=relative, axis_sums=axis_sums,

@@ -27,7 +27,7 @@ import numpy as np
 from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
 from .errors import ConfigError, ProboError, check_integer, check_keys
 from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
-from .igp import CASE_NEAR_IGNORANCE, ImpreciseGpSpec, mean_width_batch
+from .igp import ImpreciseGpSpec, mean_width_batch
 from .kernels import DUPLICATE_TOL, KernelSpec
 from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
@@ -182,11 +182,16 @@ def _nudge_duplicate(point: np.ndarray, X: np.ndarray, bounds: BoxBounds,
 
 
 def _check_target(config: RunConfig, target: TargetFunction) -> None:
+    """Reject a kernel or mean that does not fit the target's dimension."""
     if target.dimension != config.kernel.dimension:
         raise ConfigError(
             f"target {target.name!r} has dimension {target.dimension} but the "
             f"kernel carries {config.kernel.dimension} lengthscales"
         )
+    try:
+        config.mean.validate_for_dimension(target.dimension)
+    except ValueError as exc:
+        raise ConfigError(f"target {target.name!r}: {exc}") from None
 
 
 def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
@@ -215,12 +220,9 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
         t += 1
         try:
             if config.hyperparameter_fit:
-                kernel = fit_hyperparameters(
-                    config.kernel.family, config.mean, X, y,
-                    budget=config.hyperparameter_budget,
-                    seed=_stream(config.seed, "hyper", t),
-                    power=config.kernel.power,
-                )
+                kernel = fit_hyperparameters(config.kernel, config.mean, X, y,
+                                             config.hyperparameter_budget,
+                                             _stream(config.seed, "hyper", t))
             model = fit_gp(kernel, config.mean, X, y)
         except Exception as exc:
             raise BoRunError(f"surrogate fit failed at iteration {t}: {exc}",
@@ -251,7 +253,7 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
         records.append(IterationRecord(
             index=len(records) + 1, point=point.copy(), psi=psi,
             incumbent=incumbent, acq_value=score,
-            igp_case=(1 if igp.case == CASE_NEAR_IGNORANCE else 2) if igp else 0,
+            igp_case=igp.case if igp else 0,
             clamped=clamped,
         ))
     return trace

@@ -14,7 +14,7 @@ adds the trend-estimation correction (1 - k_x' s_k)^2 / S_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -65,12 +65,9 @@ class MeanSpec:
         if self.form == "constant-estimated" and coeffs:
             raise ValueError("constant-estimated mean carries no coefficients")
 
-    def coefficient_count(self, dim: int) -> int:
-        return {"constant-estimated": 0, "constant-fixed": 1,
-                "linear-fixed": 1 + dim, "quadratic-fixed": 1 + 2 * dim}[self.form]
-
     def validate_for_dimension(self, dim: int) -> None:
-        want = self.coefficient_count(dim)
+        want = {"constant-estimated": 0, "constant-fixed": 1,
+                "linear-fixed": 1 + dim, "quadratic-fixed": 1 + 2 * dim}[self.form]
         if len(self.coefficients) != want:
             raise ValueError(
                 f"{self.form} mean in dimension {dim} needs {want} coefficients, "
@@ -213,21 +210,19 @@ def log_marginal_likelihood(model: GpModel) -> float:
     return _evidence(model.K.cholesky, residual, model.alpha)
 
 
-def fit_hyperparameters(
-    family: str,
-    mean: MeanSpec,
-    X,
-    y,
-    budget: int,
-    seed=0,
-    lengthscale_range: tuple[float, float] = (1e-2, 1e2),
-    variance_range: tuple[float, float] = (1e-2, 1e2),
-    power: float | None = None,
-) -> KernelSpec:
+#: log-uniform range of the hyperparameter search, for every lengthscale and
+#: for the signal variance
+SEARCH_RANGE = (1e-2, 1e2)
+
+
+def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
+                        seed=0) -> KernelSpec:
     """Pick kernel hyperparameters by log-uniform random search on the marginal
-    likelihood.  Returns the best of `budget` sampled candidates; deterministic
-    for a fixed seed.  Candidates that fail to factorize are skipped; if all
-    fail, the last ConditioningError propagates.
+    likelihood.  Each candidate keeps the family, power and dimension of the
+    template kernel and draws its lengthscales, then its signal variance, from
+    SEARCH_RANGE.  Returns the best of `budget` candidates; deterministic for
+    a fixed seed.  Candidates that fail to factorize are skipped; if all fail,
+    the last ConditioningError propagates.
 
     The data are checked once; each candidate then costs one Gram matrix, its
     jittered Cholesky factor and the solves of fit_gp, scored with the
@@ -235,22 +230,16 @@ def fit_hyperparameters(
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    dim = X.shape[1]
-    X, y = _training_data(dim, mean, X, y)
+    X, y = _training_data(kernel.dimension, mean, X, y)
     _check_training_points(X)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     best_spec, best_lml, last_error = None, -np.inf, None
-    lo_l, hi_l = np.log(lengthscale_range[0]), np.log(lengthscale_range[1])
-    lo_v, hi_v = np.log(variance_range[0]), np.log(variance_range[1])
+    lo, hi = np.log(SEARCH_RANGE[0]), np.log(SEARCH_RANGE[1])
     for _ in range(budget):
-        ls = tuple(np.exp(rng.uniform(lo_l, hi_l, size=dim)))
-        sv = float(np.exp(rng.uniform(lo_v, hi_v)))
-        spec = KernelSpec(family=family, lengthscales=ls, signal_variance=sv,
-                          power=power if family == "power-exponential" else None)
+        ls = tuple(np.exp(rng.uniform(lo, hi, size=kernel.dimension)))
+        sv = float(np.exp(rng.uniform(lo, hi)))
+        spec = replace(kernel, lengthscales=ls, signal_variance=sv)
         try:
             L = _factorize(spec, kernel_matrix(spec, X, X)).cholesky
         except ConditioningError as exc:

@@ -36,21 +36,18 @@ from scipy.linalg import cho_solve
 from .gp import GpModel
 from .kernels import kernel_matrix, _as_points
 
-CASE_NEAR_IGNORANCE = "near-ignorance-case-1"
-CASE_EXTREME = "extreme-case-2"
-
 
 @dataclass(frozen=True)
 class ImpreciseGpSpec:
     """Degree of imprecision c attached to a fitted GP.
 
     The case split is x-independent, so it is evaluated once here and
-    cached.
+    cached as case: 1 (near-ignorance) or 2 (extreme).
     """
 
     c: float
     model: GpModel
-    case: str = field(init=False)
+    case: int = field(init=False)
 
     def __post_init__(self):
         c = float(self.c)
@@ -59,10 +56,7 @@ class ImpreciseGpSpec:
         object.__setattr__(self, "c", c)
         m = self.model
         gls_mean = float(m.s_k @ m.y) / m.S_k
-        if abs(gls_mean) <= 1.0 + c / m.S_k:
-            object.__setattr__(self, "case", CASE_NEAR_IGNORANCE)
-        else:
-            object.__setattr__(self, "case", CASE_EXTREME)
+        object.__setattr__(self, "case", 1 if abs(gls_mean) <= 1.0 + c / m.S_k else 2)
 
 
 def _one_minus(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +71,7 @@ def mean_width_batch(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, int]:
     and the number of rows whose width was clamped."""
     m = spec.model
     _, one_minus = _one_minus(spec, X)
-    if spec.case == CASE_NEAR_IGNORANCE:
+    if spec.case == 1:
         return 2.0 * spec.c * np.abs(one_minus) / m.S_k, 0
     sy = float(m.s_k @ m.y)
     factor = sy / m.S_k + spec.c / m.S_k - sy / (spec.c + m.S_k)
@@ -96,7 +90,7 @@ def mean_bounds(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, np.ndarray]:
     Kx, one_minus = _one_minus(spec, X)
     ky = cho_solve((m.K.cholesky, True), m.y) @ Kx  # k_x' K^-1 y
     sy = float(m.s_k @ m.y)
-    if spec.case == CASE_NEAR_IGNORANCE:
+    if spec.case == 1:
         central = ky + one_minus * sy / m.S_k
         half = spec.c * np.abs(one_minus) / m.S_k
         return central - half, central + half

@@ -77,18 +77,12 @@ class FocusSearchConfig:
         return cls(**d)
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def latin_hypercube(n: int, bounds: BoxBounds, seed=0) -> np.ndarray:
     """n stratified points: per dimension, one uniform draw in each of the n
     equal strata, in independently permuted order."""
     if n < 1:
         raise ValueError("need at least one design point")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     d = bounds.dimension
     unit = np.empty((n, d))
     for j in range(d):
@@ -115,7 +109,7 @@ def focus_search(objective, bounds: BoxBounds, config: FocusSearchConfig, seed=0
     all restarts and rounds; total evaluations are
     restarts * rounds * evals_per_round.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     best_point, best_score = None, np.inf
     for _ in range(config.restarts):
         lo, hi = bounds.lower.copy(), bounds.upper.copy()

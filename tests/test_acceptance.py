@@ -26,12 +26,7 @@ from probo.cli import main
 from probo.engine import RunConfig, run
 from probo.functions import registry_lookup
 from probo.gp import MeanSpec, fit_gp, predict_batch
-from probo.igp import (
-    CASE_NEAR_IGNORANCE,
-    ImpreciseGpSpec,
-    mean_bounds,
-    mean_width_batch,
-)
+from probo.igp import ImpreciseGpSpec, mean_bounds, mean_width_batch
 from probo.kernels import FAMILIES, KernelSpec, kernel_matrix
 from probo.optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
@@ -167,14 +162,14 @@ def test_criterion_04_width_linear_and_monotone_in_imprecision():
         x = rng.uniform(-4, 4, size=1)
         (w1,), clamped1 = mean_width_batch(igp1, x)
         (w2,), clamped2 = mean_width_batch(igp2, x)
-        crossing = (igp1.case != CASE_NEAR_IGNORANCE
+        crossing = (igp1.case != 1
                     and float(kernel_matrix(spec, X, x[None, :])[:, 0] @ model.s_k) > 1.0)
         if clamped1 or clamped2 or crossing:
             clamp_governed += 1
         else:
             assert w1 <= w2 + 1e-12  # monotone in c
             monotone_checked += 1
-        if igp1.case == CASE_NEAR_IGNORANCE:
+        if igp1.case == 1:
             doubled = ImpreciseGpSpec(c=2 * c1, model=model)
             assert mean_width_batch(doubled, x)[0][0] == pytest.approx(2 * w1, abs=1e-10)
             linear_checked += 1

@@ -8,7 +8,6 @@ from probo.acquisition import (
     ei_values,
     glcb_values,
     lcb_values,
-    parse_acquisition,
 )
 from probo.errors import ConfigError
 
@@ -118,23 +117,27 @@ def test_constant_mean_shift_preserves_the_argmin():
 
 # ----------------------------------------------------------------- parsing
 
+parse = AcquisitionSpec.from_dict
+
+
 def test_parse_plain_forms():
-    assert parse_acquisition("ei") == AcquisitionSpec(kind="ei")
-    assert parse_acquisition("lcb:tau=2.5") == AcquisitionSpec(kind="lcb", tau=2.5)
-    got = parse_acquisition("glcb:tau=1,rho=1,c=100")
+    assert parse("ei") == AcquisitionSpec(kind="ei")
+    assert parse("lcb:tau=2.5") == AcquisitionSpec(kind="lcb", tau=2.5)
+    got = parse("glcb:tau=1,rho=1,c=100")
     assert got == AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=100.0)
 
 
 def test_parse_shorthand():
-    got = parse_acquisition("glcb-1-100")
+    got = parse("glcb-1-100")
     assert got == AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=100.0)
-    assert parse_acquisition("GLCB-10-50").rho == 10.0
+    assert parse("GLCB-10-50").rho == 10.0
 
 
 def test_parse_rejects_garbage():
-    for bad in ("ucb", "lcb:tau=x", "glcb:beta=1", "glcb-1", "lcb:tau"):
+    for bad in ("ucb", "lcb:tau=x", "glcb:beta=1", "glcb-1", "lcb:tau",
+                "ei:tau=1", "lcb:tau=1,rho=5,c=3", "lcb:c=3"):
         with pytest.raises(ConfigError):
-            parse_acquisition(bad)
+            parse(bad)
 
 
 def test_spec_validation_and_labels():
@@ -153,3 +156,11 @@ def test_spec_dict_round_trip():
     assert AcquisitionSpec.from_dict("glcb:tau=0.5,rho=2,c=10") == spec
     with pytest.raises(ConfigError, match="beta"):
         AcquisitionSpec.from_dict({"kind": "glcb", "beta": 1.0})
+    # each kind takes only its own parameters
+    for bad, named in (({"kind": "ei", "tau": 7}, "tau"),
+                       ({"kind": "lcb", "tau": 1, "rho": 2}, "rho")):
+        with pytest.raises(ConfigError, match=named):
+            AcquisitionSpec.from_dict(bad)
+    for bad in (["ei"], 3, {"tau": 1.0}):
+        with pytest.raises(ConfigError):
+            AcquisitionSpec.from_dict(bad)

@@ -1,9 +1,11 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import probo.cli
 from probo.cli import main
 
 FAST = [
@@ -108,6 +110,8 @@ def test_unknown_nested_key_rejected(tmp_path, capsys, command, key):
     ("n_init=2.5", "n_init"),
     ("budget=abc", "budget"),
     ("hyperparameter_budget=1.5", "hyperparameter_budget"),
+    ("acquisition=lcb:tau=1,rho=5,c=3", "rho"),
+    ('acquisition={"kind": "ei", "tau": 7}', "tau"),
 ])
 def test_bad_run_input_is_a_config_error(tmp_path, capsys, override, named):
     out = tmp_path / "x"
@@ -130,6 +134,8 @@ def test_bad_run_input_is_a_config_error(tmp_path, capsys, override, named):
     ("sensitivity", ["--override", "seed=2.7"], "seed"),
     ("compare", ["--jobs", "0"], "jobs"),
     ("sensitivity", ["--jobs", "-2"], "jobs"),
+    ("compare", ["--acq", "ei:rho=2"], "rho"),
+    ("sensitivity", ["--override", "acquisition=ei:rho=1"], "rho"),
 ])
 def test_bad_protocol_input_is_a_config_error(tmp_path, capsys, command, args, named):
     out = tmp_path / "x"
@@ -137,6 +143,28 @@ def test_bad_protocol_input_is_a_config_error(tmp_path, capsys, command, args, n
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert any(line.startswith("error:") and named in line for line in err.splitlines())
+    assert not out.exists()
+
+
+def test_mean_that_does_not_fit_the_target_fails_before_the_design(
+        tmp_path, capsys, monkeypatch):
+    evaluated = []
+    lookup = probo.cli.registry_lookup
+
+    def counting_lookup(name):
+        target = lookup(name)
+        return replace(target, evaluate=lambda x: evaluated.append(x) or target.evaluate(x))
+
+    monkeypatch.setattr(probo.cli, "registry_lookup", counting_lookup)
+    out = tmp_path / "x"
+    code = main(["run", "--override", "target=sphere-2d",
+                 "--override", 'mean={"form": "linear-fixed", "coefficients": [0, 1]}',
+                 "--out", str(out)])
+    assert code == 1
+    assert evaluated == []
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and "sphere-2d" in line and "coefficients" in line
+               for line in err.splitlines())
     assert not out.exists()
 
 
@@ -204,6 +232,18 @@ def test_compare_honours_kernel_lengthscales(tmp_path):
     assert outputs["plural"] != outputs["default"]
     snapshot = json.loads((tmp_path / "plural" / "config.json").read_text())
     assert snapshot["kernels"]["gramacy-lee"]["lengthscales"] == [0.1]
+
+
+def test_compare_rejects_a_function_the_config_does_not_fit(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["compare", "--functions", "sphere-1d", "--functions", "sphere-2d",
+                 "--acq", "ei", "--acq", "lcb", "--override", "kernel.lengthscales=[0.5,0.5]",
+                 "--override", "reps=1", "--override", "budget=6", "--override", "n_init=5",
+                 *FAST, "--jobs", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and "sphere-1d" in line for line in err.splitlines())
+    assert not out.exists()
 
 
 def test_compare_needs_two_acquisitions(tmp_path):

@@ -78,6 +78,17 @@ def test_kernel_dimension_must_match_target():
         run(lcb_config(), tf)
 
 
+def test_mean_must_fit_target_dimension():
+    evaluated = []
+    base = registry_lookup("sphere-2d")
+    tf = replace(base, evaluate=lambda x: evaluated.append(x) or base.evaluate(x))
+    cfg = lcb_config(kernel=KernelSpec(family="squared-exponential", lengthscales=(1.0, 1.0)),
+                     mean=MeanSpec(form="linear-fixed", coefficients=(0.0, 1.0)))
+    with pytest.raises(ConfigError, match="sphere-2d"):
+        run(cfg, tf)
+    assert evaluated == []
+
+
 def test_config_dict_round_trip():
     cfg = lcb_config(acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=2.0, c=10.0))
     assert RunConfig.from_dict(cfg.to_dict()) == cfg

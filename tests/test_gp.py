@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_solve
 
-from probo.errors import ConditioningError
+from probo.errors import ConditioningError, DimensionMismatchError
 from probo.gp import (
     GpModel,
     MeanSpec,
@@ -310,8 +310,9 @@ def test_budget_one_returns_the_single_candidate_deterministically():
     rng = np.random.default_rng(14)
     X = rng.uniform(-2, 2, size=(6, 1))
     y = rng.normal(size=6)
-    a = fit_hyperparameters("squared-exponential", MeanSpec(), X, y, budget=1, seed=3)
-    b = fit_hyperparameters("squared-exponential", MeanSpec(), X, y, budget=1, seed=3)
+    se = spec_for("squared-exponential")
+    a = fit_hyperparameters(se, MeanSpec(), X, y, budget=1, seed=3)
+    b = fit_hyperparameters(se, MeanSpec(), X, y, budget=1, seed=3)
     assert a == b
 
 
@@ -322,7 +323,7 @@ def test_bigger_budget_never_hurts():
     y = np.sin(X[:, 0])
     scores = []
     for budget in (1, 5, 25):
-        spec = fit_hyperparameters("squared-exponential", MeanSpec(), X, y,
+        spec = fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), X, y,
                                    budget=budget, seed=4)
         scores.append(log_marginal_likelihood(fit_gp(spec, MeanSpec(), X, y)))
     assert scores[0] <= scores[1] <= scores[2]
@@ -330,7 +331,8 @@ def test_bigger_budget_never_hurts():
 
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
-        fit_hyperparameters("squared-exponential", MeanSpec(), [[0.0]], [0.0], budget=0)
+        fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), [[0.0]], [0.0],
+                            budget=0)
 
 
 def test_recovers_known_lengthscale():
@@ -341,12 +343,12 @@ def test_recovers_known_lengthscale():
     true = KernelSpec(family="squared-exponential", lengthscales=(1.0,))
     K = kernel_matrix(true, X, X)
     y = np.linalg.cholesky(K + 1e-10 * np.eye(30)) @ rng.normal(size=30)
-    spec = fit_hyperparameters("squared-exponential", MeanSpec(), X, y,
+    spec = fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), X, y,
                                budget=150, seed=5)
     assert 0.5 <= spec.lengthscales[0] <= 2.0
 
 
-def brute_force_search(family, mean, X, y, budget, seed, skip=0):
+def brute_force_search(family, mean, X, y, budget, seed, skip=0, power=None):
     """Argmax of log_marginal_likelihood(fit_gp(...)) over the search's draws,
     leaving out the first `skip` candidates."""
     rng = np.random.default_rng(seed)
@@ -355,7 +357,7 @@ def brute_force_search(family, mean, X, y, budget, seed, skip=0):
     for i in range(budget):
         ls = tuple(np.exp(rng.uniform(lo, hi, size=X.shape[1])))
         sv = float(np.exp(rng.uniform(lo, hi)))
-        spec = KernelSpec(family=family, lengthscales=ls, signal_variance=sv)
+        spec = KernelSpec(family=family, lengthscales=ls, signal_variance=sv, power=power)
         if i < skip:
             continue
         try:
@@ -374,8 +376,26 @@ def test_search_picks_the_brute_force_argmax(mean):
     X = rng.uniform(-2, 2, size=(15, 2))
     y = np.sin(X[:, 0]) + X[:, 1] ** 2
     for family in ("squared-exponential", "matern-5/2"):
-        got = fit_hyperparameters(family, mean, X, y, budget=30, seed=6)
+        got = fit_hyperparameters(spec_for(family, (1.0, 1.0)), mean, X, y,
+                                  budget=30, seed=6)
         assert got == brute_force_search(family, mean, X, y, budget=30, seed=6)
+
+
+def test_search_keeps_the_template_family_power_and_dimension():
+    rng = np.random.default_rng(18)
+    X = rng.uniform(-2, 2, size=(15, 2))
+    y = np.sin(X[:, 0]) + X[:, 1] ** 2
+    template = spec_for("power-exponential", (0.3, 4.0), sv=2.0)
+    got = fit_hyperparameters(template, MeanSpec(), X, y, budget=30, seed=6)
+    assert (got.family, got.power, got.dimension) == ("power-exponential", 1.5, 2)
+    assert got == brute_force_search("power-exponential", MeanSpec(), X, y,
+                                     budget=30, seed=6, power=1.5)
+    # the template's lengthscales and signal variance do not enter the search
+    seeded = spec_for("power-exponential", got.lengthscales, got.signal_variance)
+    assert fit_hyperparameters(seeded, MeanSpec(), X, y, budget=30, seed=6) == got
+    with pytest.raises(DimensionMismatchError):
+        fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), X, y,
+                            budget=3)
 
 
 def test_search_skips_a_candidate_that_fails_to_factorize(monkeypatch):
@@ -392,7 +412,8 @@ def test_search_skips_a_candidate_that_fails_to_factorize(monkeypatch):
         return real(K, lower=lower)
 
     monkeypatch.setattr("probo.kernels._cholesky", fail_first_candidate)
-    got = fit_hyperparameters("squared-exponential", MeanSpec(), X, y, budget=10, seed=7)
+    got = fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), X, y,
+                              budget=10, seed=7)
     monkeypatch.undo()
     assert got == brute_force_search("squared-exponential", MeanSpec(), X, y,
                                      budget=10, seed=7, skip=1)
@@ -407,6 +428,6 @@ def test_search_propagates_errors_other_than_conditioning(monkeypatch):
 
     monkeypatch.setattr("probo.kernels._cholesky", broken)
     with pytest.raises(RuntimeError):
-        fit_hyperparameters("squared-exponential", MeanSpec(), [[0.0], [1.0]],
+        fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), [[0.0], [1.0]],
                             [0.0, 1.0], budget=10)
     assert calls["n"] == 1

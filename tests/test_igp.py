@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from probo.gp import MeanSpec, fit_gp, predict_batch
-from probo.igp import (
-    CASE_EXTREME,
-    CASE_NEAR_IGNORANCE,
-    ImpreciseGpSpec,
-    mean_bounds,
-    mean_width_batch,
-)
+from probo.igp import ImpreciseGpSpec, mean_bounds, mean_width_batch
 from probo.kernels import FAMILIES, KernelSpec
 
 
@@ -45,7 +39,7 @@ def width(igp, X):
 
 def test_zero_targets_are_near_ignorance():
     model = fitted([[0.0], [1.0]], [0.0, 0.0])
-    assert ImpreciseGpSpec(c=0.5, model=model).case == CASE_NEAR_IGNORANCE
+    assert ImpreciseGpSpec(c=0.5, model=model).case == 1
 
 
 def test_large_offset_targets_hit_the_extreme_case():
@@ -55,13 +49,13 @@ def test_large_offset_targets_hit_the_extreme_case():
     b = math.exp(-0.5)
     assert model.S_k == pytest.approx(2 / (1 + b), abs=1e-6)
     igp = ImpreciseGpSpec(c=1.0, model=model)
-    assert igp.case == CASE_EXTREME
+    assert igp.case == 2
     assert abs(model.s_k @ model.y) / model.S_k > 1 + igp.c / model.S_k
 
 
 def test_growing_imprecision_reaches_near_ignorance():
     model = fitted([[0.0], [1.0]], [10.0, 10.0])
-    assert ImpreciseGpSpec(c=50.0, model=model).case == CASE_NEAR_IGNORANCE
+    assert ImpreciseGpSpec(c=50.0, model=model).case == 1
 
 
 def test_imprecision_degree_must_be_positive():
@@ -96,7 +90,7 @@ def test_single_point_bounds_closed_form():
     # one observation y1 = 0: bounds are +/- c (sv - k(x, x1)) / sv modulo jitter
     model = fitted([[0.0]], [0.0])
     igp = ImpreciseGpSpec(c=2.0, model=model)
-    assert igp.case == CASE_NEAR_IGNORANCE
+    assert igp.case == 1
     x = np.array([0.5, 1.0, 3.0])
     k = np.exp(-0.5 * x * x)
     lower, upper = mean_bounds(igp, x[:, None])
@@ -121,7 +115,7 @@ def test_bounds_ordered_and_width_consistent_everywhere():
 def test_width_vanishes_at_training_points_both_cases():
     near = fitted([[0.0], [1.0]], [0.2, -0.1])
     extreme = fitted([[0.0], [1.0]], [10.0, 10.0])
-    for model, case in ((near, CASE_NEAR_IGNORANCE), (extreme, CASE_EXTREME)):
+    for model, case in ((near, 1), (extreme, 2)):
         igp = ImpreciseGpSpec(c=0.5, model=model)
         assert igp.case == case
         assert np.all(width(igp, model.X) <= 1e-9)
@@ -132,7 +126,7 @@ def test_width_linear_in_imprecision_degree_in_case_one():
     model, _, _ = random_model(rng, n=5)
     igp1 = ImpreciseGpSpec(c=0.3, model=model)
     igp2 = ImpreciseGpSpec(c=0.6, model=model)
-    assert igp1.case == igp2.case == CASE_NEAR_IGNORANCE
+    assert igp1.case == igp2.case == 1
     P = rng.uniform(-4, 4, size=(20, 1))
     assert np.allclose(width(igp2, P), 2 * width(igp1, P), rtol=0.0, atol=1e-10)
 
@@ -183,7 +177,7 @@ def test_negative_extreme_widths_clamp_and_count():
     # so the printed formulas cross; policy is clamp to zero and count
     model = fitted([[0.0], [1.0]], [-100.0, -101.0])
     igp = ImpreciseGpSpec(c=1.0, model=model)
-    assert igp.case == CASE_EXTREME
+    assert igp.case == 2
     w, clamped = mean_width_batch(igp, [[5.0], [6.0]])
     assert np.array_equal(w, [0.0, 0.0])
     assert clamped == 2
@@ -195,7 +189,7 @@ def test_extrapolation_weight_above_one_clamps_between_points():
     # between two close points k_x' s_k exceeds 1, another crossing source
     model = fitted([[0.0], [1.0]], [10.0, 10.0])
     igp = ImpreciseGpSpec(c=1.0, model=model)
-    assert igp.case == CASE_EXTREME
+    assert igp.case == 2
     w, clamped = mean_width_batch(igp, [0.5])
     assert w[0] == 0.0
     assert clamped == 1
@@ -210,8 +204,8 @@ def test_case_boundary_continuity_probe():
     c_star = abs(sy) - model.S_k
     lo = ImpreciseGpSpec(c=c_star * (1 - 1e-9), model=model)
     hi = ImpreciseGpSpec(c=c_star * (1 + 1e-9), model=model)
-    assert lo.case == CASE_EXTREME
-    assert hi.case == CASE_NEAR_IGNORANCE
+    assert lo.case == 2
+    assert hi.case == 1
     for x, continuous in (([3.0], True), ([0.5], False)):
         w_lo, w_hi = width(lo, x)[0], width(hi, x)[0]
         if continuous:
