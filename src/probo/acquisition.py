@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, check_keys
+from .errors import ConfigError, check_keys, check_real
 
 KINDS = ("ei", "lcb", "glcb")
 #: the parameters each kind takes
@@ -54,6 +54,8 @@ class AcquisitionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown acquisition {self.kind!r}; choose from {KINDS}")
+        for name in PARAMETERS["glcb"]:
+            check_real(name, getattr(self, name))
         if self.kind in ("lcb", "glcb") and self.tau < 0:
             raise ConfigError("tau must be nonnegative")
         if self.kind == "glcb":

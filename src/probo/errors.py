@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the config checks that raise them."""
 
+import math
 import numbers
 
 
@@ -44,3 +45,9 @@ def check_integer(name: str, value) -> None:
     """Reject a config value that is not an integer (bools included)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Reject a config value that is not a real number (bools and NaN included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrs, dtrtri
 
 from .errors import ConditioningError, check_keys
 from .kernels import (
@@ -139,15 +138,26 @@ def _training_data(dim: int, mean: MeanSpec, X, y) -> tuple[np.ndarray, np.ndarr
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"got {X.shape[0]} points but {y.shape[0]} targets")
+    if not np.isfinite(y).all():
+        raise ValueError("training targets must be finite")
     mean.validate_for_dimension(dim)
     return X, y
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K^-1 b from the lower Cholesky factor L of K: LAPACK potrs, as
+    scipy.linalg.cho_solve calls it, without its input checks (L comes from a
+    successful factorization and the targets are checked finite)."""
+    x, info = dpotrs(L, b, lower=1)
+    assert info == 0  # potrs fails only on malformed arguments
+    return x
 
 
 def _solve_terms(L: np.ndarray, mean: MeanSpec, X: np.ndarray, y: np.ndarray):
     """s_k, S_k, beta_hat, the residual y - trend and alpha = K^-1 residual,
     from the Cholesky factor L of K."""
     ones = np.ones(X.shape[0])
-    s_k = cho_solve((L, True), ones)
+    s_k = _cho_solve(L, ones)
     S_k = float(ones @ s_k)
     if mean.form == "constant-estimated":
         beta_hat = float(s_k @ y) / S_k
@@ -155,7 +165,7 @@ def _solve_terms(L: np.ndarray, mean: MeanSpec, X: np.ndarray, y: np.ndarray):
     else:
         beta_hat = 0.0
         residual = y - mean.values(X)
-    return s_k, S_k, beta_hat, residual, cho_solve((L, True), residual)
+    return s_k, S_k, beta_hat, residual, _cho_solve(L, residual)
 
 
 def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:

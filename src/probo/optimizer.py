@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProboError, check_keys
+from .errors import ProboError, check_integer, check_keys, check_real
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,9 @@ class FocusSearchConfig:
     shrink_factor: float = 0.5
 
     def __post_init__(self):
+        for name in ("evals_per_round", "rounds", "restarts"):
+            check_integer(name, getattr(self, name))
+        check_real("shrink_factor", self.shrink_factor)
         if self.evals_per_round < 1 or self.rounds < 1 or self.restarts < 1:
             raise ValueError("evals_per_round, rounds, and restarts must be positive")
         if not 0.0 < self.shrink_factor < 1.0:

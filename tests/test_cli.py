@@ -112,6 +112,12 @@ def test_unknown_nested_key_rejected(tmp_path, capsys, command, key):
     ("hyperparameter_budget=1.5", "hyperparameter_budget"),
     ("acquisition=lcb:tau=1,rho=5,c=3", "rho"),
     ('acquisition={"kind": "ei", "tau": 7}', "tau"),
+    ('acquisition={"kind": "lcb", "tau": "x"}', "tau"),
+    ('acquisition={"kind": "glcb", "c": true}', "c"),
+    ('acquisition={"kind": "glcb", "rho": NaN}', "rho"),
+    ('infill={"shrink_factor": "0.5"}', "shrink_factor"),
+    ('infill.rounds="3"', "rounds"),
+    ("infill.restarts=2.0", "restarts"),
 ])
 def test_bad_run_input_is_a_config_error(tmp_path, capsys, override, named):
     out = tmp_path / "x"
@@ -136,6 +142,10 @@ def test_bad_run_input_is_a_config_error(tmp_path, capsys, override, named):
     ("sensitivity", ["--jobs", "-2"], "jobs"),
     ("compare", ["--acq", "ei:rho=2"], "rho"),
     ("sensitivity", ["--override", "acquisition=ei:rho=1"], "rho"),
+    ("compare", ["--override", 'infill.rounds="3"'], "rounds"),
+    ("compare", ["--override", 'infill={"shrink_factor": "0.5"}'], "shrink_factor"),
+    ("sensitivity", ["--override", 'infill.evals_per_round=true'], "evals_per_round"),
+    ("sensitivity", ["--override", 'acquisition={"kind": "lcb", "tau": "x"}'], "tau"),
 ])
 def test_bad_protocol_input_is_a_config_error(tmp_path, capsys, command, args, named):
     out = tmp_path / "x"

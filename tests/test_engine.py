@@ -236,6 +236,25 @@ def test_fit_failure_carries_partial_trace(monkeypatch):
     assert all(math.isnan(r.acq_value) for r in partial.records)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("hyperparameter_fit", [False, True])
+def test_non_finite_target_value_is_a_run_error(bad, hyperparameter_fit):
+    tf = registry_lookup("sphere-1d")
+    calls = {"n": 0}
+
+    def seventh_is_bad(x):
+        calls["n"] += 1
+        return bad if calls["n"] == 7 else tf.evaluate(x)
+
+    config = lcb_config(n_init=5, budget=12, hyperparameter_fit=hyperparameter_fit,
+                        hyperparameter_budget=3)
+    with pytest.raises(BoRunError, match="finite") as err:
+        run(config, replace(tf, evaluate=seventh_is_bad))
+    partial = err.value.partial_trace
+    assert partial.budget == 7  # the trace up to and including the bad value
+    assert np.array_equal([partial.records[-1].psi], [bad], equal_nan=True)
+
+
 def test_nudge_moves_duplicates_inside_bounds():
     bounds = BoxBounds(lower=[0.0], upper=[1.0])
     X = np.array([[0.5], [0.9]])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_solve
+from scipy.linalg import LinAlgError, cho_solve, cholesky
 
 from probo.errors import ConditioningError, DimensionMismatchError
 from probo.gp import (
@@ -12,8 +12,9 @@ from probo.gp import (
     fit_hyperparameters,
     log_marginal_likelihood,
     predict_batch,
+    _solve_terms,
 )
-from probo.kernels import FAMILIES, KernelSpec, kernel_matrix
+from probo.kernels import FAMILIES, KernelSpec, kernel_matrix, _cholesky
 
 
 def spec_for(family, lengthscales=(1.0,), sv=1.0):
@@ -269,6 +270,39 @@ def test_non_finite_points_rejected(bad):
     X[3, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         fit_gp(spec, MeanSpec(), X, y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_targets_rejected(bad):
+    rng = np.random.default_rng(29)
+    spec, X, y = random_instance(rng, "squared-exponential", 2, 6)
+    y[4] = bad
+    for mean in (MeanSpec(), MeanSpec(form="constant-fixed", coefficients=(0.3,))):
+        with pytest.raises(ValueError, match="finite"):
+            fit_gp(spec, mean, X, y)
+        with pytest.raises(ValueError, match="finite"):
+            fit_hyperparameters(spec, mean, X, y, budget=3)
+
+
+@pytest.mark.parametrize("lengthscale", [0.1, 1.0])
+def test_lapack_calls_match_scipy_bit_for_bit(lengthscale):
+    # the factor and the solves call LAPACK directly; scipy's wrappers are
+    # the reference
+    model = gramacy_lee_model(lengthscale)
+    X, y = model.X, model.y
+    jittered = kernel_matrix(model.kernel, X, X) + model.K.jitter * np.eye(model.n)
+    L = _cholesky(jittered.copy(), lower=True)
+    assert np.array_equal(L, cholesky(jittered, lower=True))
+    assert np.array_equal(model.K.cholesky, L)
+    for mean in (MeanSpec(), MeanSpec(form="linear-fixed", coefficients=(0.5, -1.0))):
+        s_k, _, _, residual, alpha = _solve_terms(L, mean, X, y)
+        assert np.array_equal(s_k, cho_solve((L, True), np.ones(model.n)))
+        assert np.array_equal(alpha, cho_solve((L, True), residual))
+
+
+def test_factor_of_an_indefinite_matrix_is_a_linalg_error():
+    with pytest.raises(LinAlgError):
+        _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), lower=True)
 
 
 # ---------------------------------------------------------------- evidence

@@ -259,6 +259,64 @@ def test_in_place_kernels_match_out_of_place_formulas(dim):
             assert np.array_equal(kernel_matrix(spec, P, Q), out_of_place_kernel(spec, P, Q))
 
 
+@pytest.mark.parametrize("dim", [3, 7])
+def test_in_place_kernels_match_out_of_place_formulas_across_scratch_blocks(dim):
+    # 150 x 1000 outputs span many scratch blocks; lengthscales of at least 1
+    # on [-3, 3] keep every exp factor normal, so nothing is zeroed
+    rng = np.random.default_rng(50 + dim)
+    A = rng.uniform(-3, 3, size=(150, dim))
+    B = rng.uniform(-3, 3, size=(1000, dim))
+    for family, sv in zip(FAMILIES, (1.0, 0.4, 2.7, 1.0)):
+        spec = spec_for(family, tuple(rng.uniform(1.0, 3.0, dim)), sv=sv)
+        for P, Q in ((A, B), (B, A), (A, A)):
+            assert np.array_equal(kernel_matrix(spec, P, Q), out_of_place_kernel(spec, P, Q))
+
+
+def exp_factor(spec, A, B):
+    """The exp factor of out_of_place_kernel: exp(-d^2/2), exp(-d^p/2) or exp(-a)."""
+    d2 = reference_sqdist(spec, A, B)
+    if spec.family == "squared-exponential":
+        return np.exp(-0.5 * d2)
+    d = np.sqrt(d2)
+    if spec.family == "power-exponential":
+        return np.exp(-0.5 * d**spec.power)
+    return np.exp(-math.sqrt(3.0 if spec.family == "matern-3/2" else 5.0) * d)
+
+
+@pytest.mark.parametrize("sv", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("lengthscale", [0.01, 1e-200])
+def test_far_points_give_exact_zeros(sv, lengthscale):
+    # every pair at least 10 apart: 1000 lengthscales, or a scaled distance
+    # past overflow
+    A = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, -10.0]])
+    B = A + 20.0
+    for family in FAMILIES:
+        with np.errstate(over="ignore"):
+            K = kernel_matrix(spec_for(family, (lengthscale,) * 2, sv=sv), A, B)
+        assert np.all(K == 0.0) and not np.signbit(K).any()
+
+
+@pytest.mark.parametrize("sv", [0.01, 1.0, 100.0])
+def test_no_subnormal_entries_and_normal_ones_unchanged(sv):
+    # distances swept through the band where each family's exp factor, or
+    # the entry itself, leaves the normal range
+    tiny = np.finfo(float).tiny
+    A = np.concatenate([np.linspace(0.0, 40.0, 4001), np.linspace(120.0, 130.0, 2001),
+                        np.linspace(300.0, 420.0, 12001)])[:, None]
+    B = np.array([[0.0], [0.013]])
+    for family in FAMILIES:
+        spec = spec_for(family, sv=sv)
+        got = kernel_matrix(spec, A, B)
+        with np.errstate(under="ignore"):
+            want = out_of_place_kernel(spec, A, B)
+            normal = (exp_factor(spec, A, B) >= tiny) & (want >= tiny)
+        assert np.any((want > 0.0) & (want < tiny))  # the sweep reaches the band
+        assert not np.any((got > 0.0) & (got < tiny))
+        assert np.array_equal(got[normal], want[normal])
+        assert np.all(got[~normal] == 0.0)
+        assert np.array_equal(got.T, kernel_matrix(spec, B, A))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_rejected(bad):
     spec = spec_for("squared-exponential", (1.0, 1.0))
