@@ -1,9 +1,9 @@
 """Prior-mean-robust Bayesian optimization over Gaussian-process surrogates.
 
-The package couples a precise GP surrogate with posterior mean bounds from a
-constant-mean prior near-ignorance set.  The generalized lower confidence
-bound (GLCB) acquisition spends part of its score on the gap between those
-bounds, which makes the optimizer seek out regions where the prior mean
+The package couples a precise GP surrogate with the width of the posterior
+mean bounds from a constant-mean prior near-ignorance set.  The generalized
+lower confidence bound (GLCB) acquisition spends part of its score on that
+width, which makes the optimizer seek out regions where the prior mean
 choice still matters.  A benchmark harness reproduces prior-sensitivity and
 acquisition-comparison protocols on built-in test functions or tabulated
 targets.
@@ -32,15 +32,8 @@ from .engine import (
 )
 from .errors import ConditioningError, ConfigError, DimensionMismatchError, ProboError
 from .functions import load_tabulated_target, registry_lookup, registry_names
-from .gp import (
-    GpModel,
-    MeanSpec,
-    fit_gp,
-    fit_hyperparameters,
-    log_marginal_likelihood,
-    predict_batch,
-)
-from .igp import ImpreciseGpSpec, mean_bounds, mean_width_batch
+from .gp import GpModel, MeanSpec, fit_gp, fit_hyperparameters, predict_batch
+from .igp import ImpreciseGpSpec, mean_width_batch
 from .kernels import KernelSpec, build_base_kernel_matrix, kernel_matrix
 from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
@@ -56,9 +49,8 @@ __all__ = [
     "TargetFunction", "run", "save_trace_csv",
     "ConditioningError", "ConfigError", "DimensionMismatchError", "ProboError",
     "load_tabulated_target", "registry_lookup", "registry_names",
-    "GpModel", "MeanSpec", "fit_gp", "fit_hyperparameters",
-    "log_marginal_likelihood", "predict_batch",
-    "ImpreciseGpSpec", "mean_bounds", "mean_width_batch",
+    "GpModel", "MeanSpec", "fit_gp", "fit_hyperparameters", "predict_batch",
+    "ImpreciseGpSpec", "mean_width_batch",
     "KernelSpec", "build_base_kernel_matrix", "kernel_matrix",
     "BoxBounds", "FocusSearchConfig", "focus_search", "latin_hypercube",
 ]

@@ -15,7 +15,6 @@ adaptive iterations, after the initial design.
 
 from __future__ import annotations
 
-import csv
 import logging
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +33,7 @@ from .engine import (
     run,
     save_trace_csv,
     _check_target,
+    _write_csv,
 )
 from .errors import ConfigError, ProboError, check_integer
 from .functions import registry_lookup
@@ -394,65 +394,58 @@ def _fmt(v) -> str:
 
 def write_mop_csv(mop: MopMatrix, path) -> None:
     """One row per iteration, one column per setting."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration"] + [f"mop_{label}" for label in mop.labels])
-        for t in range(mop.values.shape[0]):
-            writer.writerow([t + 1] + [_fmt(v) for v in mop.values[t]])
+    _write_csv(path, ["iteration"] + [f"mop_{label}" for label in mop.labels],
+               ([t + 1] + [_fmt(v) for v in row] for t, row in enumerate(mop.values)))
 
 
 def write_comparison_csv(result: ComparisonResult, path) -> None:
     """Long-format comparison: function, iteration, then MOP and CI per setting."""
     if not result.mops:
         raise ConfigError("comparison produced no results; nothing to write")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     first = next(iter(result.mops.values()))
     header = ["function", "iteration"]
     for label in first.labels:
         header += [f"mop_{label}", f"ci_{label}"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for fname, mop in result.mops.items():
-            ci = result.ci_half_widths[fname]
-            for t in range(mop.values.shape[0]):
-                row = [fname, t + 1]
-                for s in range(len(mop.labels)):
-                    row += [_fmt(mop.values[t, s]), _fmt(ci[t, s])]
-                writer.writerow(row)
+    rows = []
+    for fname, mop in result.mops.items():
+        ci = result.ci_half_widths[fname]
+        for t in range(mop.values.shape[0]):
+            rows.append([fname, t + 1] + [_fmt(v) for pair in zip(mop.values[t], ci[t])
+                                          for v in pair])
+    _write_csv(path, header, rows)
 
 
 def write_ad_summary_csv(result: SensitivityResult, path) -> None:
     """Per (function, axis): AD and relative AD."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["function", "axis", "ad", "relative_ad"])
-        for fname in sorted(result.ads):
-            for axis, ad in result.ads[fname].items():
-                rel = result.relative.get(fname, {}).get(axis, "")
-                writer.writerow([fname, axis, _fmt(ad), _fmt(rel) if rel != "" else ""])
+    rows = []
+    for fname in sorted(result.ads):
+        relative = result.relative.get(fname, {})
+        for axis, ad in result.ads[fname].items():
+            rows.append([fname, axis, _fmt(ad), _fmt(relative[axis]) if axis in relative else ""])
+    _write_csv(path, ["function", "axis", "ad", "relative_ad"], rows)
 
 
 def write_relative_ad_sums_csv(result: SensitivityResult, path) -> None:
     """Per-axis sums of relative ADs across functions."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "sum_relative_ad"])
-        for axis, total in result.axis_sums.items():
-            writer.writerow([axis, _fmt(total)])
+    _write_csv(path, ["axis", "sum_relative_ad"],
+               ([axis, _fmt(total)] for axis, total in result.axis_sums.items()))
 
 
 def write_traces(traces: Mapping[tuple, OptimizationTrace], out_dir) -> None:
-    """One CSV per run under out_dir, keyed path segments joined by '/'. """
+    """One CSV per run under out_dir: each key segment but the last names a
+    directory, with every '/' in it written as '_' (the variant matern-3/2
+    goes under matern-3_2), and the last, the repetition r, names rep{r}.csv.
+    Keys that would share a file raise ConfigError before anything is
+    written."""
     out_dir = Path(out_dir)
-    for key, trace in sorted(traces.items(), key=lambda kv: str(kv[0])):
+    files: dict[Path, tuple] = {}
+    for key in sorted(traces, key=str):
         *segments, rep = key
-        path = out_dir.joinpath(*[str(s) for s in segments]) / f"rep{rep}.csv"
-        save_trace_csv(trace, path)
+        folder = out_dir.joinpath(*[str(s).replace("/", "_") for s in segments])
+        path = folder / f"rep{rep}.csv"
+        if path in files:
+            raise ConfigError(f"traces {files[path]} and {key} would both be written "
+                              f"to {path}")
+        files[path] = key
+    for path, key in files.items():
+        save_trace_csv(traces[key], path)

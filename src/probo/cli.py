@@ -35,7 +35,7 @@ from .bench import (
     write_relative_ad_sums_csv,
     write_traces,
 )
-from .engine import RunConfig, TargetFunction, run, save_trace_csv
+from .engine import RunConfig, TargetFunction, run, save_trace_csv, _write_json
 from .errors import ConfigError, ProboError, check_integer, check_keys
 from .functions import load_tabulated_target, registry_lookup, registry_names
 from .gp import MeanSpec
@@ -138,11 +138,6 @@ def _master_seed(args, config: dict) -> int:
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     check_integer("seed", seed)
     return seed
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------ subcommands
@@ -263,8 +258,8 @@ def cmd_inspect(args) -> int:
     xs = target.evaluate.xs
     ys = target.evaluate.ys
     print(f"rows:    {xs.size}")
-    print(f"domain:  [{xs[0]!r}, {xs[-1]!r}]")
-    print(f"y range: [{ys.min()!r}, {ys.max()!r}]")
+    print(f"domain:  [{float(xs[0])!r}, {float(xs[-1])!r}]")
+    print(f"y range: [{float(ys.min())!r}, {float(ys.max())!r}]")
     print(f"negated: {target.evaluate.negate}")
     return EXIT_OK
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
-from .errors import ConfigError, ProboError, check_integer, check_keys
+from .errors import ConfigError, ProboError, check_bool, check_integer, check_keys
 from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
 from .igp import ImpreciseGpSpec, mean_width_batch
 from .kernels import DUPLICATE_TOL, KernelSpec
@@ -85,8 +85,11 @@ class RunConfig:
     def __post_init__(self):
         for name in ("n_init", "budget", "seed", "hyperparameter_budget"):
             check_integer(name, getattr(self, name))
+        check_bool("hyperparameter_fit", self.hyperparameter_fit)
         if self.n_init < 1:
             raise ConfigError("n_init must be positive")
+        if self.hyperparameter_budget < 1:
+            raise ConfigError("hyperparameter_budget must be at least 1")
         # budget == n_init is the degenerate run: initial design only
         if self.budget < self.n_init:
             raise ConfigError(
@@ -259,32 +262,35 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
     return trace
 
 
-def trace_rows(trace: OptimizationTrace) -> list[dict]:
-    """Flat row dicts matching the trace CSV schema."""
-    dim = trace.records[0].point.shape[0]
-    rows = []
-    for r in trace.records:
-        row = {"iter": r.index}
-        for j in range(dim):
-            row[f"x_{j + 1}"] = repr(float(r.point[j]))
-        row["psi"] = repr(float(r.psi))
-        row["incumbent"] = repr(float(r.incumbent))
-        row["acq_value"] = "" if np.isnan(r.acq_value) else repr(float(r.acq_value))
-        row["igp_case"] = r.igp_case if r.igp_case else ""
-        row["clamped"] = r.clamped if r.igp_case else ""
-        rows.append(row)
-    return rows
+def _write_csv(path, header, rows) -> None:
+    """Write a header row and the rows to path as CSV, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write payload to path as sorted, indented JSON, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def save_trace_csv(trace: OptimizationTrace, csv_path, config_path=None) -> None:
     """Write the trace as CSV; optionally a JSON sidecar with the config snapshot."""
-    rows = trace_rows(trace)
-    csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    dim = trace.records[0].point.shape[0]
+    header = (["iter"] + [f"x_{j + 1}" for j in range(dim)]
+              + ["psi", "incumbent", "acq_value", "igp_case", "clamped"])
+    rows = []
+    for r in trace.records:
+        acq_value = "" if np.isnan(r.acq_value) else repr(float(r.acq_value))
+        rows.append([r.index, *(repr(float(v)) for v in r.point), repr(float(r.psi)),
+                     repr(float(r.incumbent)), acq_value, r.igp_case or "",
+                     r.clamped if r.igp_case else ""])
+    _write_csv(csv_path, header, rows)
     if config_path is not None:
-        snapshot = {"config": trace.config.to_dict(), "target": trace.target_name}
-        Path(config_path).write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+        _write_json(config_path, {"config": trace.config.to_dict(),
+                                  "target": trace.target_name})

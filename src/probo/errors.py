@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class ProboError(Exception):
     """Base class for all errors raised by this package."""
@@ -25,8 +27,9 @@ class ConditioningError(ProboError):
         super().__init__(message)
 
 
-class ConfigError(ProboError):
-    """A run or experiment configuration is invalid."""
+class ConfigError(ProboError, ValueError):
+    """A run or experiment configuration is invalid.  Also a ValueError, so
+    the spec classes raise it where a bad argument value raises ValueError."""
 
 
 def check_keys(d, allowed, where: str) -> None:
@@ -47,7 +50,25 @@ def check_integer(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def check_bool(name: str, value) -> None:
+    """Reject a config value that is not true or false."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
 def check_real(name: str, value) -> None:
-    """Reject a config value that is not a real number (bools and NaN included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    """Reject a config value that is not a finite real number (bools included)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
+def check_reals(name: str, values) -> tuple[float, ...]:
+    """A flat list, tuple or 1-D array of finite real numbers, as floats."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of finite real numbers, got {values!r}")
+    for value in values:
+        check_real(name, value)
+    return tuple(float(value) for value in values)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import TargetFunction
-from .errors import ConfigError, ProboError
+from .errors import ConfigError, ProboError, check_bool
 from .optimizer import BoxBounds
 
 
@@ -123,9 +123,10 @@ def load_tabulated_target(csv_path, negate: bool = False,
                           name: str | None = None) -> TargetFunction:
     """Build a 1-D target from a CSV of numeric x, y columns (optional header).
 
-    Rows are sorted by x; duplicate x values are rejected.  negate=True for
-    targets that are to be maximized.
+    Rows are sorted by x; duplicate and non-finite x values are rejected.
+    negate=True for targets that are to be maximized.
     """
+    check_bool("negate", negate)
     csv_path = Path(csv_path)
     try:
         text = csv_path.read_text()
@@ -138,14 +139,17 @@ def load_tabulated_target(csv_path, negate: bool = False,
         if len(row) < 2:
             raise ProboError(f"{csv_path}:{lineno}: expected two columns, got {row!r}")
         try:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
+            x, y = float(row[0]), float(row[1])
         except ValueError:
             if lineno == 1:  # header row
                 continue
             raise ProboError(
                 f"{csv_path}:{lineno}: non-numeric cell in {row!r}"
             ) from None
+        if not math.isfinite(x):
+            raise ProboError(f"{csv_path}:{lineno}: non-finite x in {row!r}")
+        xs.append(x)
+        ys.append(y)
     if len(xs) < 2:
         raise ProboError(f"{csv_path}: need at least two data rows, got {len(xs)}")
     order = np.argsort(xs)

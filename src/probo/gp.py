@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrs, dtrtri
 
-from .errors import ConditioningError, check_keys
+from .errors import ConditioningError, check_keys, check_reals
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
@@ -59,7 +59,7 @@ class MeanSpec:
     def __post_init__(self):
         if self.form not in MEAN_FORMS:
             raise ValueError(f"unknown mean form {self.form!r}; choose from {MEAN_FORMS}")
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = check_reals("coefficients", self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if self.form == "constant-estimated" and coeffs:
             raise ValueError("constant-estimated mean carries no coefficients")
@@ -123,10 +123,6 @@ class GpModel:
             arr.flags.writeable = False
 
     @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def dimension(self) -> int:
         return self.X.shape[1]
 
@@ -181,12 +177,6 @@ def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
                    alpha=alpha, s_k=s_k, L_inv=L_inv, S_k=S_k, beta_hat=beta_hat)
 
 
-def _trend(model: GpModel, X: np.ndarray) -> np.ndarray:
-    if model.mean.form == "constant-estimated":
-        return np.full(X.shape[0], model.beta_hat)
-    return model.mean.values(X)
-
-
 def predict_batch(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at each row of X, vectorized.
 
@@ -195,9 +185,10 @@ def predict_batch(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
     """
     X = _as_points(X, model.dimension, "prediction points")
     Kx = kernel_matrix(model.kernel, model.X, X)  # (n, m)
-    mu = _trend(model, X) + Kx.T @ model.alpha
+    estimated = model.mean.form == "constant-estimated"
+    mu = (model.beta_hat if estimated else model.mean.values(X)) + Kx.T @ model.alpha
     kriging = 0.0
-    if model.mean.form == "constant-estimated":
+    if estimated:
         kriging = (1.0 - Kx.T @ model.s_k) ** 2 / model.S_k
     # v' = Kx' L^-T, the product with the cached inverse written over Kx, so
     # that no second (n, m) array is allocated
@@ -207,17 +198,12 @@ def predict_batch(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evidence(L: np.ndarray, residual: np.ndarray, alpha: np.ndarray) -> float:
-    """Log marginal likelihood from the Cholesky factor L of K, the residual
-    and alpha = K^-1 residual."""
+    """Gaussian log marginal likelihood of the targets under the (jittered)
+    prior, from the Cholesky factor L of K, the residual y - trend and
+    alpha = K^-1 residual."""
     quad = float(residual @ alpha)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return -0.5 * quad - 0.5 * logdet - 0.5 * L.shape[0] * math.log(2.0 * math.pi)
-
-
-def log_marginal_likelihood(model: GpModel) -> float:
-    """Gaussian log marginal likelihood of the targets under the (jittered) prior."""
-    residual = model.y - _trend(model, model.X)
-    return _evidence(model.K.cholesky, residual, model.alpha)
 
 
 #: log-uniform range of the hyperparameter search, for every lengthscale and
@@ -235,8 +221,8 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     the last ConditioningError propagates.
 
     The data are checked once; each candidate then costs one Gram matrix, its
-    jittered Cholesky factor and the solves of fit_gp, scored with the
-    arithmetic of log_marginal_likelihood(fit_gp(candidate, mean, X, y)).
+    jittered Cholesky factor and the solves of fit_gp, scored by _evidence on
+    the terms fit_gp(candidate, mean, X, y) would cache.
     """
     if budget < 1:
         raise ValueError("search budget must be at least 1")

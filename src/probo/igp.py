@@ -1,4 +1,4 @@
-"""Posterior mean bounds under a constant-mean prior near-ignorance set.
+"""Width of the posterior mean bounds under a constant-mean prior near-ignorance set.
 
 Instead of one constant prior mean, the model carries the whole set of
 constants M*h (M >= 0, h = +/-1) with covariance inflated by (1 + M) / c,
@@ -19,6 +19,7 @@ applies does not depend on x:
         lower = k_x' K^-1 y + (1 - k_x' s_k) * s_k' y / (c + S_k)
 
 As c -> 0 both bounds collapse to the precise estimated-constant prediction.
+GLCB scores only the width upper - lower, which needs no k_x' K^-1 y term.
 In case (2) the printed formulas can produce upper < lower when
 1 - k_x' s_k < 0 or the targets' GLS mean is strongly negative; widths are
 clamped at zero and the number of clamped points is returned with them
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .gp import GpModel
 from .kernels import kernel_matrix, _as_points
@@ -59,18 +59,12 @@ class ImpreciseGpSpec:
         object.__setattr__(self, "case", 1 if abs(gls_mean) <= 1.0 + c / m.S_k else 2)
 
 
-def _one_minus(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, np.ndarray]:
-    """k_x for each row of X, shape (n, q), and 1 - k_x' s_k per row."""
-    m = spec.model
-    Kx = kernel_matrix(m.kernel, m.X, _as_points(X, m.dimension, "evaluation points"))
-    return Kx, 1.0 - m.s_k @ Kx
-
-
 def mean_width_batch(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, int]:
     """Upper minus lower posterior mean at each row of X, clamped at zero,
     and the number of rows whose width was clamped."""
     m = spec.model
-    _, one_minus = _one_minus(spec, X)
+    Kx = kernel_matrix(m.kernel, m.X, _as_points(X, m.dimension, "evaluation points"))
+    one_minus = 1.0 - m.s_k @ Kx  # 1 - k_x' s_k per row
     if spec.case == 1:
         return 2.0 * spec.c * np.abs(one_minus) / m.S_k, 0
     sy = float(m.s_k @ m.y)
@@ -78,24 +72,3 @@ def mean_width_batch(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, int]:
     width = one_minus * factor
     negative = width < 0.0
     return np.where(negative, 0.0, width), int(np.count_nonzero(negative))
-
-
-def mean_bounds(spec: ImpreciseGpSpec, X) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper posterior mean at each row of X.
-
-    Where the case-2 formulas cross (upper < lower), both bounds collapse to
-    their midpoint, so upper - lower is the width mean_width_batch reports.
-    """
-    m = spec.model
-    Kx, one_minus = _one_minus(spec, X)
-    ky = cho_solve((m.K.cholesky, True), m.y) @ Kx  # k_x' K^-1 y
-    sy = float(m.s_k @ m.y)
-    if spec.case == 1:
-        central = ky + one_minus * sy / m.S_k
-        half = spec.c * np.abs(one_minus) / m.S_k
-        return central - half, central + half
-    upper = ky + one_minus * sy / m.S_k + spec.c * one_minus / m.S_k
-    lower = ky + one_minus * sy / (spec.c + m.S_k)
-    crossed = upper < lower
-    mid = 0.5 * (lower + upper)
-    return np.where(crossed, mid, lower), np.where(crossed, mid, upper)

@@ -33,7 +33,8 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf
 
-from .errors import ConditioningError, ConfigError, DimensionMismatchError, check_keys
+from .errors import (ConditioningError, ConfigError, DimensionMismatchError, check_keys,
+                     check_real, check_reals)
 
 FAMILIES = (
     "squared-exponential",
@@ -81,19 +82,21 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; choose from {FAMILIES}"
             )
-        ls = tuple(float(l) for l in np.atleast_1d(self.lengthscales))
+        ls = check_reals("lengthscales", self.lengthscales)
         if len(ls) == 0:
             raise ValueError("at least one lengthscale is required")
-        if any(not math.isfinite(l) or l <= 0.0 for l in ls):
+        if any(l <= 0.0 for l in ls):
             raise ValueError(f"lengthscales must be strictly positive, got {ls}")
         object.__setattr__(self, "lengthscales", ls)
+        check_real("signal_variance", self.signal_variance)
         sv = float(self.signal_variance)
-        if not math.isfinite(sv) or sv <= 0.0:
+        if sv <= 0.0:
             raise ValueError(f"signal_variance must be strictly positive, got {sv}")
         object.__setattr__(self, "signal_variance", sv)
         if self.family == "power-exponential":
             if self.power is None:
                 raise ValueError("power-exponential requires a power exponent")
+            check_real("power", self.power)
             p = float(self.power)
             if not 0.0 < p <= 2.0:
                 raise ValueError(f"power exponent must lie in (0, 2], got {p}")
@@ -124,11 +127,11 @@ class KernelSpec:
                        "power"), "kernel")
         if "lengthscale" in d and "lengthscales" in d:
             raise ConfigError("give kernel lengthscale or lengthscales, not both")
-        ls = np.atleast_1d(np.asarray(d.get("lengthscales", d.get("lengthscale", 1.0)),
-                                      dtype=float))
-        if dim is not None and ls.size == 1:
-            ls = np.full(dim, ls[0])
-        return cls(family=d.get("family", "squared-exponential"), lengthscales=tuple(ls),
+        ls = d.get("lengthscales", d.get("lengthscale", 1.0))
+        ls = list(ls) if isinstance(ls, (list, tuple)) else [ls]
+        if dim is not None and len(ls) == 1:
+            ls *= dim
+        return cls(family=d.get("family", "squared-exponential"), lengthscales=ls,
                    signal_variance=d.get("signal_variance", 1.0), power=d.get("power"))
 
 
@@ -145,10 +148,6 @@ class BaseKernelMatrix:
 
     def __post_init__(self):
         self.cholesky.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.cholesky.shape[0]
 
 
 def _as_points(X, dim: int, what: str) -> np.ndarray:

@@ -26,9 +26,11 @@ from probo.cli import main
 from probo.engine import RunConfig, run
 from probo.functions import registry_lookup
 from probo.gp import MeanSpec, fit_gp, predict_batch
-from probo.igp import ImpreciseGpSpec, mean_bounds, mean_width_batch
+from probo.igp import ImpreciseGpSpec, mean_width_batch
 from probo.kernels import FAMILIES, KernelSpec, kernel_matrix
 from probo.optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
+
+from oracles import mean_bounds
 
 
 def spec_for(family, ls, sv=1.0):

@@ -150,6 +150,13 @@ def test_spec_validation_and_labels():
     assert AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=100.0).label == "glcb_tau1_rho1_c100"
 
 
+@pytest.mark.parametrize("field", ["tau", "rho", "c"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_spec_parameters_must_be_finite(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be a finite real number"):
+        AcquisitionSpec(kind="glcb", **{field: value})
+
+
 def test_spec_dict_round_trip():
     spec = AcquisitionSpec(kind="glcb", tau=0.5, rho=2.0, c=10.0)
     assert AcquisitionSpec.from_dict(spec.to_dict()) == spec

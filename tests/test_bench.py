@@ -13,6 +13,7 @@ from probo.bench import (
     relative_ad_summary,
     run_acquisition_comparison,
     run_sensitivity_experiment,
+    write_traces,
 )
 from probo.engine import RunConfig, derive_seed, run
 from probo.errors import ConfigError
@@ -305,3 +306,29 @@ def test_process_pool_matches_serial_results():
     pooled = run_acquisition_comparison(jobs=2, **kw)
     assert np.array_equal(serial.mops["sphere-1d"].values,
                           pooled.mops["sphere-1d"].values)
+
+
+# ------------------------------------------------------------ trace files
+
+def tiny_trace():
+    config = RunConfig(kernel=PriorVariant(name="se").kernel_for(1), n_init=3, budget=3)
+    return run(config, registry_lookup("sphere-1d"))
+
+
+def test_trace_paths_contain_no_slash_from_a_label(tmp_path):
+    trace = tiny_trace()
+    keys = [("kernel-functional-form", "sphere-1d", family, 0)
+            for family in ("squared-exponential", "matern-3/2", "matern-5/2")]
+    write_traces({key: trace for key in keys}, tmp_path)
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                     if p.is_file())
+    assert written == [f"kernel-functional-form/sphere-1d/{label}/rep0.csv"
+                       for label in ("matern-3_2", "matern-5_2", "squared-exponential")]
+
+
+def test_trace_keys_that_share_a_file_are_rejected(tmp_path):
+    trace = tiny_trace()
+    traces = {("sphere-1d", "x/y", 0): trace, ("sphere-1d", "x_y", 0): trace}
+    with pytest.raises(ConfigError, match="x_y"):
+        write_traces(traces, tmp_path)
+    assert not any(tmp_path.iterdir())

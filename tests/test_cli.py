@@ -78,6 +78,20 @@ def test_run_prints_best_value_as_a_plain_float(tmp_path, capsys):
     assert float(value.split(":", 1)[1]) >= 0.0
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The points at which the CLI evaluates registry targets."""
+    points = []
+    lookup = probo.cli.registry_lookup
+
+    def counting_lookup(name):
+        target = lookup(name)
+        return replace(target, evaluate=lambda x: points.append(x) or target.evaluate(x))
+
+    monkeypatch.setattr(probo.cli, "registry_lookup", counting_lookup)
+    return points
+
+
 QUICK = {
     "run": ["run", "--override", "target=sphere-1d", "--override", "budget=6",
             "--override", "n_init=5", *FAST],
@@ -118,14 +132,29 @@ def test_unknown_nested_key_rejected(tmp_path, capsys, command, key):
     ('infill={"shrink_factor": "0.5"}', "shrink_factor"),
     ('infill.rounds="3"', "rounds"),
     ("infill.restarts=2.0", "restarts"),
+    ("kernel.lengthscales=[[1,2]]", "lengthscales"),
+    ("kernel.lengthscales=[Infinity]", "lengthscales"),
+    ("kernel.signal_variance=true", "signal_variance"),
+    ('kernel={"family": "power-exponential", "power": true}', "power"),
+    ('mean={"form": "constant-fixed", "coefficients": 5}', "coefficients"),
+    ('mean={"form": "constant-fixed", "coefficients": [true]}', "coefficients"),
+    ('mean={"form": "constant-fixed", "coefficients": [NaN]}', "coefficients"),
+    ("acquisition=glcb:tau=1,rho=1,c=inf", "c"),
+    ("acquisition=glcb:tau=1,rho=inf,c=1", "rho"),
+    ("acquisition=lcb:tau=inf", "tau"),
+    ('hyperparameter_fit="no"', "hyperparameter_fit"),
+    ("hyperparameter_fit=1", "hyperparameter_fit"),
+    ("hyperparameter_budget=0", "hyperparameter_budget"),
+    ('target={"csv": "x.csv", "negate": "no"}', "negate"),
 ])
-def test_bad_run_input_is_a_config_error(tmp_path, capsys, override, named):
+def test_bad_run_input_is_a_config_error(tmp_path, capsys, evaluated, override, named):
     out = tmp_path / "x"
     args = QUICK["run"] + ["--override", override, "--out", str(out)]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert any(line.startswith("error:") and named in line for line in err.splitlines())
+    assert evaluated == []
     assert not out.exists()
 
 
@@ -157,15 +186,7 @@ def test_bad_protocol_input_is_a_config_error(tmp_path, capsys, command, args, n
 
 
 def test_mean_that_does_not_fit_the_target_fails_before_the_design(
-        tmp_path, capsys, monkeypatch):
-    evaluated = []
-    lookup = probo.cli.registry_lookup
-
-    def counting_lookup(name):
-        target = lookup(name)
-        return replace(target, evaluate=lambda x: evaluated.append(x) or target.evaluate(x))
-
-    monkeypatch.setattr(probo.cli, "registry_lookup", counting_lookup)
+        tmp_path, capsys, evaluated):
     out = tmp_path / "x"
     code = main(["run", "--override", "target=sphere-2d",
                  "--override", 'mean={"form": "linear-fixed", "coefficients": [0, 1]}',
@@ -343,6 +364,19 @@ def test_inspect_reports_rows_and_range(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rows:    210" in out
     assert "0.1" in out
+    fields = dict(line.split(":", 1) for line in out.splitlines())
+    domain = [float(v) for v in fields["domain"].strip(" []").split(",")]
+    y_range = [float(v) for v in fields["y range"].strip(" []").split(",")]
+    assert domain == [0.0, 10.0]
+    assert y_range == [float(ys.min()), float(ys.max())]
+
+
+def test_inspect_rejects_a_non_finite_x(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y\n0,1\ninf,2\n")
+    assert main(["inspect", "--csv", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}:3: non-finite x" in err
 
 
 def test_inspect_malformed_csv_fails(tmp_path):

@@ -62,6 +62,18 @@ def test_integer_fields_reject_other_types(field, value):
         lcb_config(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["no", 1, 0, None])
+def test_hyperparameter_fit_must_be_a_bool(value):
+    with pytest.raises(ConfigError, match="hyperparameter_fit"):
+        lcb_config(hyperparameter_fit=value)
+
+
+@pytest.mark.parametrize("fit", [True, False])
+def test_hyperparameter_budget_must_be_positive(fit):
+    with pytest.raises(ConfigError, match="hyperparameter_budget"):
+        lcb_config(hyperparameter_fit=fit, hyperparameter_budget=0)
+
+
 def test_target_dimension_follows_bounds():
     base = registry_lookup("sphere-2d")
     assert base.dimension == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from probo.errors import ProboError
+from probo.errors import ConfigError, ProboError
 from probo.functions import (
     ackley,
     gramacy_lee,
@@ -124,6 +124,25 @@ def test_too_few_rows(tmp_path):
 def test_non_numeric_cell(tmp_path):
     with pytest.raises(ProboError, match="non-numeric"):
         load_tabulated_target(write_csv(tmp_path, "0,0\n1,zap\n2,3\n"))
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_non_finite_x_rejected_with_its_line(tmp_path, cell):
+    path = write_csv(tmp_path, f"x,y\n0,0\n{cell},1\n2,3\n")
+    with pytest.raises(ProboError, match=f"{path}:3: non-finite x"):
+        load_tabulated_target(path)
+
+
+def test_header_row_with_one_numeric_cell_is_skipped_whole(tmp_path):
+    tf = load_tabulated_target(write_csv(tmp_path, "1,y\n2,3\n4,5\n"))
+    assert np.array_equal(tf.bounds.lower, [2.0])
+    assert tf([4.0]) == 5.0
+
+
+@pytest.mark.parametrize("negate", ["no", 1, None])
+def test_negate_must_be_a_bool(tmp_path, negate):
+    with pytest.raises(ConfigError, match="negate"):
+        load_tabulated_target(write_csv(tmp_path, "0,0\n1,2\n"), negate=negate)
 
 
 def test_duplicate_x_rejected(tmp_path):

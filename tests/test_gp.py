@@ -10,11 +10,12 @@ from probo.gp import (
     MeanSpec,
     fit_gp,
     fit_hyperparameters,
-    log_marginal_likelihood,
     predict_batch,
     _solve_terms,
 )
 from probo.kernels import FAMILIES, KernelSpec, kernel_matrix, _cholesky
+
+from oracles import log_marginal_likelihood
 
 
 def spec_for(family, lengthscales=(1.0,), sv=1.0):
@@ -103,6 +104,19 @@ def test_fixed_mean_coefficient_counts():
         MeanSpec(form="quadratic-fixed", coefficients=(0.0, 1.0)).validate_for_dimension(1)
     with pytest.raises(ValueError):
         MeanSpec(form="constant-estimated", coefficients=(1.0,))
+
+
+@pytest.mark.parametrize("coefficients", [
+    5, "5", (True,), (math.nan,), (math.inf,), ((1.0, 2.0),), None])
+def test_mean_coefficients_are_a_flat_list_of_finite_reals(coefficients):
+    with pytest.raises(ValueError, match="coefficients"):
+        MeanSpec(form="constant-fixed", coefficients=coefficients)
+
+
+def test_mean_coefficients_accept_numpy_numbers():
+    mean = MeanSpec(form="linear-fixed", coefficients=np.array([0.5, -1.0]))
+    assert mean.coefficients == (0.5, -1.0)
+    assert MeanSpec(form="constant-fixed", coefficients=[np.float64(2)]).coefficients == (2.0,)
 
 
 def test_target_length_must_match():
@@ -250,8 +264,9 @@ def test_cached_inverse_factor(lengthscale):
     # left residual, which bounds the error in L^-1 k_x, within the
     # componentwise bound n eps |L^-1| |L| of a stable triangular inversion
     L, L_inv = model.K.cholesky, model.L_inv
-    residual = L_inv.astype(np.longdouble) @ L.astype(np.longdouble) - np.eye(model.n)
-    bound = model.n * np.finfo(float).eps * (np.abs(L_inv) @ np.abs(L))
+    n = len(model.X)
+    residual = L_inv.astype(np.longdouble) @ L.astype(np.longdouble) - np.eye(n)
+    bound = n * np.finfo(float).eps * (np.abs(L_inv) @ np.abs(L))
     assert np.all(np.abs(residual) <= bound)
     assert np.abs(residual).max() <= 1e-10
 
@@ -290,13 +305,13 @@ def test_lapack_calls_match_scipy_bit_for_bit(lengthscale):
     # the reference
     model = gramacy_lee_model(lengthscale)
     X, y = model.X, model.y
-    jittered = kernel_matrix(model.kernel, X, X) + model.K.jitter * np.eye(model.n)
+    jittered = kernel_matrix(model.kernel, X, X) + model.K.jitter * np.eye(len(X))
     L = _cholesky(jittered.copy(), lower=True)
     assert np.array_equal(L, cholesky(jittered, lower=True))
     assert np.array_equal(model.K.cholesky, L)
     for mean in (MeanSpec(), MeanSpec(form="linear-fixed", coefficients=(0.5, -1.0))):
         s_k, _, _, residual, alpha = _solve_terms(L, mean, X, y)
-        assert np.array_equal(s_k, cho_solve((L, True), np.ones(model.n)))
+        assert np.array_equal(s_k, cho_solve((L, True), np.ones(len(X))))
         assert np.array_equal(alpha, cho_solve((L, True), residual))
 
 

@@ -100,6 +100,38 @@ def test_spec_validation():
         KernelSpec(family="exponential", lengthscales=(1.0,))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lengthscales", ((1.0, 2.0),)),
+    ("lengthscales", (True,)),
+    ("lengthscales", (math.inf,)),
+    ("lengthscales", (math.nan,)),
+    ("lengthscales", 1.0),
+    ("lengthscales", "1"),
+    ("signal_variance", True),
+    ("signal_variance", math.inf),
+    ("signal_variance", "1"),
+    ("power", True),
+    ("power", math.nan),
+])
+def test_spec_numbers_are_finite_reals(field, value):
+    kw = dict(family="power-exponential", lengthscales=(1.0,), power=1.5)
+    with pytest.raises(ValueError, match=field):
+        KernelSpec(**dict(kw, **{field: value}))
+
+
+@pytest.mark.parametrize("mapping, field", [
+    ({"lengthscales": [[1, 2]]}, "lengthscales"),
+    ({"lengthscale": True}, "lengthscales"),
+    ({"lengthscales": [1, "x"]}, "lengthscales"),
+    ({"signal_variance": True}, "signal_variance"),
+    ({"family": "power-exponential", "power": True}, "power"),
+])
+def test_spec_from_config_mapping_rejects_non_numbers(mapping, field):
+    for dim in (None, 1, 2):
+        with pytest.raises(ConfigError, match=field):
+            KernelSpec.from_dict(mapping, dim)
+
+
 def test_spec_dict_round_trip():
     spec = KernelSpec(family="power-exponential", lengthscales=(0.5, 2.0),
                       signal_variance=1.5, power=1.2)
@@ -123,7 +155,7 @@ def test_spec_from_config_mapping():
 def test_single_point_matrix_is_variance_plus_jitter():
     spec = spec_for("squared-exponential", sv=2.0)
     K = build_base_kernel_matrix(spec, [[0.5]])
-    jittered = kernel_matrix(spec, [[0.5]], [[0.5]]) + K.jitter * np.eye(K.n)
+    jittered = kernel_matrix(spec, [[0.5]], [[0.5]]) + K.jitter * np.eye(K.cholesky.shape[0])
     assert jittered.shape == (1, 1)
     assert jittered[0, 0] == pytest.approx(2.0 + K.jitter, abs=1e-15)
     assert K.jitter == pytest.approx(JITTER_INITIAL * 2.0)
@@ -133,7 +165,7 @@ def test_two_point_matrix_hand_computed():
     spec = spec_for("squared-exponential")
     X = [[0.0], [1.0]]
     K = build_base_kernel_matrix(spec, X)
-    jittered = kernel_matrix(spec, X, X) + K.jitter * np.eye(K.n)
+    jittered = kernel_matrix(spec, X, X) + K.jitter * np.eye(K.cholesky.shape[0])
     b = math.exp(-0.5)
     assert jittered[0, 1] == pytest.approx(b, abs=1e-15)
     assert jittered[1, 0] == pytest.approx(b, abs=1e-15)
@@ -159,7 +191,8 @@ def test_gram_symmetric_and_psd_all_families():
             raw = kernel_matrix(spec, X, X)
             assert np.array_equal(raw, raw.T)
             assert np.linalg.eigvalsh(raw).min() >= -1e-10
-            assert np.allclose(K.cholesky @ K.cholesky.T, raw + K.jitter * np.eye(K.n))
+            n = K.cholesky.shape[0]
+            assert np.allclose(K.cholesky @ K.cholesky.T, raw + K.jitter * np.eye(n))
 
 
 def test_short_lengthscales_decorrelate():

@@ -1,0 +1,28 @@
+import probo
+
+#: every public name; adding or removing one is a deliberate edit here
+PUBLIC_NAMES = [
+    "AcquisitionSpec",
+    "MopMatrix", "PriorVariant", "SensitivityPlan",
+    "accumulated_difference", "default_sensitivity_plans",
+    "mean_optimization_path", "relative_ad_summary",
+    "run_acquisition_comparison", "run_sensitivity_experiment",
+    "BoRunError", "IterationRecord", "OptimizationTrace", "RunConfig",
+    "TargetFunction", "run", "save_trace_csv",
+    "ConditioningError", "ConfigError", "DimensionMismatchError", "ProboError",
+    "load_tabulated_target", "registry_lookup", "registry_names",
+    "GpModel", "MeanSpec", "fit_gp", "fit_hyperparameters", "predict_batch",
+    "ImpreciseGpSpec", "mean_width_batch",
+    "KernelSpec", "build_base_kernel_matrix", "kernel_matrix",
+    "BoxBounds", "FocusSearchConfig", "focus_search", "latin_hypercube",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 38
+    assert probo.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in probo.__all__ if not hasattr(probo, name)]
+    assert missing == []
