@@ -34,7 +34,7 @@ from .errors import ConditioningError, ConfigError, DimensionMismatchError, Prob
 from .functions import load_tabulated_target, registry_lookup, registry_names
 from .gp import GpModel, MeanSpec, fit_gp, fit_hyperparameters, predict_batch
 from .igp import ImpreciseGpSpec, mean_width_batch
-from .kernels import KernelSpec, build_base_kernel_matrix, kernel_matrix
+from .kernels import KernelSpec
 from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
 __version__ = "0.1.0"
@@ -51,6 +51,6 @@ __all__ = [
     "load_tabulated_target", "registry_lookup", "registry_names",
     "GpModel", "MeanSpec", "fit_gp", "fit_hyperparameters", "predict_batch",
     "ImpreciseGpSpec", "mean_width_batch",
-    "KernelSpec", "build_base_kernel_matrix", "kernel_matrix",
+    "KernelSpec",
     "BoxBounds", "FocusSearchConfig", "focus_search", "latin_hypercube",
 ]

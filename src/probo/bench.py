@@ -94,19 +94,20 @@ def relative_ad_summary(
     """Divide each function's ADs by their mean across axes and sum per axis.
 
     Returns (relative ADs per function, per-axis sums, excluded functions).
-    Functions whose ADs are all zero cannot be normalized and are excluded
-    with a warning.  For the rest, the relative values of one function sum
-    to the number of axes by construction.
+    Functions that lack an AD on an axis another function has (their runs
+    there failed), or whose ADs are all zero, cannot be normalized and are
+    excluded with a warning.  For the rest, the relative values of one
+    function sum to the number of axes by construction.
     """
     relative: dict[str, dict[str, float]] = {}
     excluded: list[str] = []
-    axes: list[str] = []
+    axes = list(dict.fromkeys(axis for ads in ads_by_function.values() for axis in ads))
     for fname, ads in ads_by_function.items():
-        if not axes:
-            axes = list(ads)
-        mean_ad = float(np.mean(list(ads.values())))
+        missing = [axis for axis in axes if axis not in ads]
+        mean_ad = 0.0 if missing else float(np.mean(list(ads.values())))
         if mean_ad == 0.0:
-            warnings.warn(f"function {fname!r} has all-zero ADs; excluded from sums")
+            why = f"no AD on {', '.join(missing)}" if missing else "all-zero ADs"
+            warnings.warn(f"function {fname!r} has {why}; excluded from sums")
             excluded.append(fname)
             continue
         relative[fname] = {axis: ad / mean_ad for axis, ad in ads.items()}

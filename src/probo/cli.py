@@ -238,7 +238,7 @@ def cmd_sensitivity(args) -> int:
     for axis, total in result.axis_sums.items():
         print(f"  {axis}: {total:.4f}")
     if result.excluded:
-        print(f"excluded (all-zero ADs): {', '.join(result.excluded)}")
+        print(f"excluded from sums: {', '.join(result.excluded)}")
     print(f"wrote {out / 'ad_summary.csv'}")
     return EXIT_OK
 
@@ -272,22 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
                                  "acquisition and a benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
+    def common(p, protocol):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, dotted keys allowed (repeatable)")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker processes (default: available cores)")
-        if with_out:
-            p.add_argument("--out", default="probo-out", help="output directory")
+        if protocol:
+            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                           help="worker processes (default: available cores)")
+        p.add_argument("--out", default="probo-out", help="output directory")
 
     p_run = sub.add_parser("run", help="one optimization run")
-    common(p_run)
+    common(p_run, protocol=False)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="paired acquisition comparison")
-    common(p_cmp)
+    common(p_cmp, protocol=True)
     p_cmp.add_argument("--acq", action="append", metavar="SPEC",
                        help="acquisition, e.g. ei, lcb:tau=1, "
                             "glcb:tau=1,rho=1,c=100, glcb-1-100 (repeatable)")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sen = sub.add_parser("sensitivity", help="prior sensitivity experiment")
-    common(p_sen)
+    common(p_sen, protocol=True)
     p_sen.add_argument("--functions", action="append", metavar="NAME",
                        help="registry function (repeatable)")
     p_sen.set_defaults(func=cmd_sensitivity)

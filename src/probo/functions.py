@@ -121,8 +121,9 @@ class TabulatedTarget:
 
 def load_tabulated_target(csv_path, negate: bool = False,
                           name: str | None = None) -> TargetFunction:
-    """Build a 1-D target from a CSV of numeric x, y columns (optional header).
+    """Build a 1-D target from a CSV of numeric x, y columns.
 
+    Line 1 is a header, and skipped, only when its x cell is not a number.
     Rows are sorted by x; duplicate and non-finite x values are rejected.
     negate=True for targets that are to be maximized.
     """
@@ -138,10 +139,12 @@ def load_tabulated_target(csv_path, negate: bool = False,
             continue
         if len(row) < 2:
             raise ProboError(f"{csv_path}:{lineno}: expected two columns, got {row!r}")
+        x = None
         try:
-            x, y = float(row[0]), float(row[1])
+            x = float(row[0])
+            y = float(row[1])
         except ValueError:
-            if lineno == 1:  # header row
+            if lineno == 1 and x is None:  # header row
                 continue
             raise ProboError(
                 f"{csv_path}:{lineno}: non-numeric cell in {row!r}"

@@ -28,7 +28,6 @@ from .kernels import (
     kernel_matrix,
     _as_points,
     _check_training_points,
-    _factorize,
 )
 
 MEAN_FORMS = (
@@ -129,7 +128,8 @@ class GpModel:
 
 def _training_data(dim: int, mean: MeanSpec, X, y) -> tuple[np.ndarray, np.ndarray]:
     """Training points and targets as float arrays, checked against each
-    other and against the mean form."""
+    other, against the mean form and for near-duplicate points.  The one
+    check of the data that fit_gp and fit_hyperparameters take."""
     X = _as_points(X, dim, "training points")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
@@ -137,6 +137,7 @@ def _training_data(dim: int, mean: MeanSpec, X, y) -> tuple[np.ndarray, np.ndarr
     if not np.isfinite(y).all():
         raise ValueError("training targets must be finite")
     mean.validate_for_dimension(dim)
+    _check_training_points(X)
     return X, y
 
 
@@ -227,7 +228,6 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     if budget < 1:
         raise ValueError("search budget must be at least 1")
     X, y = _training_data(kernel.dimension, mean, X, y)
-    _check_training_points(X)
     rng = np.random.default_rng(seed)
 
     best_spec, best_lml, last_error = None, -np.inf, None
@@ -237,7 +237,7 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
         sv = float(np.exp(rng.uniform(lo, hi)))
         spec = replace(kernel, lengthscales=ls, signal_variance=sv)
         try:
-            L = _factorize(spec, kernel_matrix(spec, X, X)).cholesky
+            L = build_base_kernel_matrix(spec, X).cholesky
         except ConditioningError as exc:
             last_error = exc
             continue

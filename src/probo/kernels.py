@@ -229,13 +229,12 @@ def _smallest_exponent(spec: KernelSpec, d2max: float) -> float:
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Covariance matrix k(a_i, b_j) for two point sets, shape (len(A), len(B)).
 
-    Every family is evaluated in place on the distance buffer, with the
-    operations of the formulas in the module docstring in their order, so
-    the result matches those formulas bit for bit, apart from the entries
-    that the module docstring's policy returns as 0.
+    A and B are finite float arrays of shape (n, d) and (m, d), checked by
+    the caller.  Every family is evaluated in place on the distance buffer,
+    with the operations of the formulas in the module docstring in their
+    order, so the result matches those formulas bit for bit, apart from the
+    entries that the module docstring's policy returns as 0.
     """
-    A = _as_points(A, spec.dimension, "first point set")
-    B = _as_points(B, spec.dimension, "second point set")
     K = _scaled_sqdist(spec, A, B)
     sv = spec.signal_variance
     # every entry stays normal while each exp factor is at least
@@ -319,9 +318,14 @@ def _cholesky(K: np.ndarray, lower: bool) -> np.ndarray:
     return c
 
 
-def _factorize(spec: KernelSpec, K: np.ndarray) -> BaseKernelMatrix:
-    """Factor the Gram matrix K with the jitter policy of
-    build_base_kernel_matrix."""
+def build_base_kernel_matrix(spec: KernelSpec, X: np.ndarray) -> BaseKernelMatrix:
+    """Gram matrix over the training inputs, jittered until it factorizes.
+
+    X is a checked (n, d) float array, as kernel_matrix takes it.  Jitter
+    escalates tenfold from 1e-10 * sv to 1e-6 * sv; if the Cholesky
+    factorization still fails the conditioning problem is reported.
+    """
+    K = kernel_matrix(spec, X, X)
     # construction is exactly symmetric; guard against regressions anyway
     assert np.max(np.abs(K - K.T)) <= 1e-12
     jitter = JITTER_INITIAL * spec.signal_variance
@@ -342,14 +346,3 @@ def _factorize(spec: KernelSpec, K: np.ndarray) -> BaseKernelMatrix:
                     jitter=jitter,
                 ) from None
             jitter *= 10.0
-
-
-def build_base_kernel_matrix(spec: KernelSpec, X) -> BaseKernelMatrix:
-    """Gram matrix over the training inputs, jittered until it factorizes.
-
-    Jitter escalates tenfold from 1e-10 * sv to 1e-6 * sv; if the Cholesky
-    factorization still fails the conditioning problem is reported.
-    """
-    X = _as_points(X, spec.dimension, "training points")
-    _check_training_points(X)
-    return _factorize(spec, kernel_matrix(spec, X, X))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from probo.bench import (
     run_sensitivity_experiment,
     write_traces,
 )
-from probo.engine import RunConfig, derive_seed, run
-from probo.errors import ConfigError
+from probo.engine import RunConfig, TargetFunction, derive_seed, run
+from probo.errors import ConfigError, ProboError
 from probo.functions import registry_lookup
 from probo.optimizer import FocusSearchConfig
 
@@ -119,6 +121,16 @@ def test_all_zero_function_excluded_with_warning():
     assert excluded == ["dead"]
     assert "dead" not in rel
     assert all(np.isfinite(v) for v in sums.values())
+
+
+@pytest.mark.parametrize("order", [("short", "full"), ("full", "short")])
+def test_function_missing_an_axis_excluded_with_warning(order):
+    given = {"short": {"a": 1.0}, "full": {"a": 1.0, "b": 3.0}}
+    with pytest.warns(UserWarning, match="'short' has no AD on b"):
+        rel, sums, excluded = relative_ad_summary({f: given[f] for f in order})
+    assert excluded == ["short"]
+    assert rel == {"full": {"a": 0.5, "b": 1.5}}
+    assert sums == {"a": 0.5, "b": 1.5}
 
 
 # ------------------------------------------------------------------- plans
@@ -228,6 +240,31 @@ def test_sensitivity_deterministic_under_master_seed():
     r1 = run_sensitivity_experiment([micro_plan(variants)], master_seed=3)
     r2 = run_sensitivity_experiment([micro_plan(variants)], master_seed=3)
     assert r1.ads == r2.ads
+
+
+@pytest.mark.parametrize("failing_first", [True, False])
+def test_function_whose_runs_fail_on_one_axis_is_excluded(failing_first):
+    # "flaky" works on the kernel-parameters axis and fails on mean-parameters
+    sphere = registry_lookup("sphere-1d")
+
+    def unavailable(x):
+        raise ProboError("target unavailable")
+
+    def with_flaky(evaluate):
+        flaky = TargetFunction(name="flaky", evaluate=evaluate, bounds=sphere.bounds)
+        return (flaky, sphere) if failing_first else (sphere, flaky)
+
+    variants = (PriorVariant(name="a", lengthscale=0.7),
+                PriorVariant(name="b", lengthscale=1.4))
+    plan = micro_plan(variants)
+    plans = [replace(plan, functions=with_flaky(sphere.evaluate)),
+             replace(plan, axis="mean-parameters", functions=with_flaky(unavailable))]
+    with pytest.warns(UserWarning, match="'flaky' has no AD on mean-parameters"):
+        result = run_sensitivity_experiment(plans, master_seed=4)
+    assert set(result.ads["flaky"]) == {"kernel-parameters"}
+    assert result.excluded == ["flaky"]
+    assert list(result.relative) == ["sphere-1d"]
+    assert set(result.axis_sums) == {"kernel-parameters", "mean-parameters"}
 
 
 def test_paired_initial_designs_across_variants():

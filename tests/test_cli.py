@@ -388,3 +388,12 @@ def test_inspect_malformed_csv_fails(tmp_path):
 def test_usage_error_exits_one():
     assert main(["frobnicate"]) == 1
     assert main(["inspect"]) == 1  # --csv required
+
+
+def test_run_takes_no_jobs_option(tmp_path, capsys, evaluated):
+    # worker processes serve only the protocols; a single run rejects --jobs
+    out = tmp_path / "x"
+    assert main(QUICK["run"] + ["--jobs", "2", "--out", str(out)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert evaluated == []
+    assert not out.exists()

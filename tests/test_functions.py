@@ -133,10 +133,16 @@ def test_non_finite_x_rejected_with_its_line(tmp_path, cell):
         load_tabulated_target(path)
 
 
-def test_header_row_with_one_numeric_cell_is_skipped_whole(tmp_path):
-    tf = load_tabulated_target(write_csv(tmp_path, "1,y\n2,3\n4,5\n"))
+def test_header_row_is_skipped(tmp_path):
+    tf = load_tabulated_target(write_csv(tmp_path, "x,3\n2,3\n4,5\n"))
     assert np.array_equal(tf.bounds.lower, [2.0])
     assert tf([4.0]) == 5.0
+
+
+def test_first_row_with_a_numeric_x_is_data(tmp_path):
+    path = write_csv(tmp_path, "0,zap\n1,2\n2,3\n")
+    with pytest.raises(ProboError, match=f"{path}:1: non-numeric cell"):
+        load_tabulated_target(path)
 
 
 @pytest.mark.parametrize("negate", ["no", 1, None])

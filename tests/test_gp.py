@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_solve, cholesky
 
+from probo import gp
 from probo.errors import ConditioningError, DimensionMismatchError
 from probo.gp import (
     GpModel,
@@ -122,6 +123,26 @@ def test_mean_coefficients_accept_numpy_numbers():
 def test_target_length_must_match():
     with pytest.raises(ValueError):
         fit_gp(spec_for("squared-exponential"), MeanSpec(), [[0.0], [1.0]], [1.0])
+
+
+def test_wrong_dimension_rejected():
+    spec = spec_for("squared-exponential", (1.0, 1.0))
+    with pytest.raises(DimensionMismatchError):
+        fit_gp(spec, MeanSpec(), [[0.0], [1.0]], [0.0, 1.0])
+    model = fit_gp(spec, MeanSpec(), [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
+    for P in ([[0.0]], np.zeros((3, 3))):
+        with pytest.raises(DimensionMismatchError):
+            predict_batch(model, P)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-11])
+def test_near_duplicate_training_points_rejected(gap):
+    spec = spec_for("squared-exponential")
+    X, y = [[0.0], [1.0], [1.0 + gap]], [0.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="duplicate"):
+        fit_gp(spec, MeanSpec(), X, y)
+    with pytest.raises(ValueError, match="duplicate"):
+        fit_hyperparameters(spec, MeanSpec(), X, y, budget=3)
 
 
 # -------------------------------------------------------------- prediction
@@ -285,6 +306,8 @@ def test_non_finite_points_rejected(bad):
     X[3, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         fit_gp(spec, MeanSpec(), X, y)
+    with pytest.raises(ValueError, match="finite"):
+        fit_hyperparameters(spec, MeanSpec(), X, y, budget=3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -445,6 +468,25 @@ def test_search_keeps_the_template_family_power_and_dimension():
     with pytest.raises(DimensionMismatchError):
         fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), X, y,
                             budget=3)
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_search_factors_each_candidate_through_the_base_kernel_matrix(monkeypatch, budget):
+    rng = np.random.default_rng(20)
+    X = rng.uniform(-2, 2, size=(8, 2))
+    y = np.sin(X[:, 0])
+    real = gp.build_base_kernel_matrix
+    specs = []
+
+    def counted(spec, points):
+        specs.append(spec)
+        return real(spec, points)
+
+    monkeypatch.setattr("probo.gp.build_base_kernel_matrix", counted)
+    got = fit_hyperparameters(spec_for("matern-3/2", (1.0, 1.0)), MeanSpec(), X, y,
+                              budget=budget, seed=8)
+    assert len(specs) == budget
+    assert got in specs
 
 
 def test_search_skips_a_candidate_that_fails_to_factorize(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from probo.errors import DimensionMismatchError
 from probo.gp import MeanSpec, fit_gp, predict_batch
 from probo.igp import ImpreciseGpSpec, mean_width_batch
 from probo.kernels import FAMILIES, KernelSpec
@@ -226,3 +227,11 @@ def test_non_finite_points_rejected(bad):
             mean_width_batch(igp, [[0.0], [bad]])
         with pytest.raises(ValueError, match="finite"):
             mean_width_batch(igp, [bad])
+
+
+def test_wrong_dimension_rejected():
+    model, _, _ = random_model(np.random.default_rng(32), dim=2, n=4)
+    igp = ImpreciseGpSpec(c=1.0, model=model)
+    for P in ([[0.0]], np.zeros((3, 3))):
+        with pytest.raises(DimensionMismatchError):
+            mean_width_batch(igp, P)

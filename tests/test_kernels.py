@@ -12,6 +12,8 @@ from probo.kernels import (
     KernelSpec,
     build_base_kernel_matrix,
     kernel_matrix,
+    _as_points,
+    _check_training_points,
     _scaled_sqdist,
 )
 
@@ -29,7 +31,8 @@ def random_spec(rng, family, dim):
 
 def kernel_eval(spec, x, xp):
     """Covariance between two single points, as a 1 x 1 kernel matrix."""
-    return float(kernel_matrix(spec, [x], [xp])[0, 0])
+    A, B = np.array([x], dtype=float), np.array([xp], dtype=float)
+    return float(kernel_matrix(spec, A, B)[0, 0])
 
 
 # ------------------------------------------------------- single entries
@@ -76,11 +79,24 @@ def test_kernel_eval_symmetric_exactly():
 
 
 def test_dimension_mismatch_rejected():
-    spec = spec_for("squared-exponential", (1.0, 1.0))
+    # the point check of every public entry point
     with pytest.raises(DimensionMismatchError):
-        kernel_matrix(spec, [[0.0]], [[0.0, 1.0]])
+        _as_points([[0.0]], 2, "points")
     with pytest.raises(DimensionMismatchError):
-        kernel_matrix(spec, np.zeros((3, 2)), [[0.0]])
+        _as_points(np.zeros((3, 2)), 1, "points")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    P = np.zeros((3, 2))
+    P[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _as_points(P, 2, "points")
+
+
+def test_duplicate_points_rejected():
+    with pytest.raises(ValueError, match="duplicate"):
+        _check_training_points(np.array([[0.0], [1e-11]]))
 
 
 # ------------------------------------------------------------- spec rules
@@ -154,8 +170,9 @@ def test_spec_from_config_mapping():
 
 def test_single_point_matrix_is_variance_plus_jitter():
     spec = spec_for("squared-exponential", sv=2.0)
-    K = build_base_kernel_matrix(spec, [[0.5]])
-    jittered = kernel_matrix(spec, [[0.5]], [[0.5]]) + K.jitter * np.eye(K.cholesky.shape[0])
+    X = np.array([[0.5]])
+    K = build_base_kernel_matrix(spec, X)
+    jittered = kernel_matrix(spec, X, X) + K.jitter * np.eye(K.cholesky.shape[0])
     assert jittered.shape == (1, 1)
     assert jittered[0, 0] == pytest.approx(2.0 + K.jitter, abs=1e-15)
     assert K.jitter == pytest.approx(JITTER_INITIAL * 2.0)
@@ -163,7 +180,7 @@ def test_single_point_matrix_is_variance_plus_jitter():
 
 def test_two_point_matrix_hand_computed():
     spec = spec_for("squared-exponential")
-    X = [[0.0], [1.0]]
+    X = np.array([[0.0], [1.0]])
     K = build_base_kernel_matrix(spec, X)
     jittered = kernel_matrix(spec, X, X) + K.jitter * np.eye(K.cholesky.shape[0])
     b = math.exp(-0.5)
@@ -173,12 +190,6 @@ def test_two_point_matrix_hand_computed():
     assert jittered[0, 0] == pytest.approx(1.0 + K.jitter, abs=1e-15)
     # Cholesky factor reproduces the matrix
     assert np.allclose(K.cholesky @ K.cholesky.T, jittered, atol=1e-14)
-
-
-def test_duplicate_points_rejected():
-    spec = spec_for("squared-exponential")
-    with pytest.raises(ValueError, match="duplicate"):
-        build_base_kernel_matrix(spec, [[0.0], [1e-11]])
 
 
 def test_gram_symmetric_and_psd_all_families():
@@ -350,23 +361,10 @@ def test_no_subnormal_entries_and_normal_ones_unchanged(sv):
         assert np.array_equal(got.T, kernel_matrix(spec, B, A))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_points_rejected(bad):
-    spec = spec_for("squared-exponential", (1.0, 1.0))
-    P = np.zeros((3, 2))
-    P[1, 0] = bad
-    with pytest.raises(ValueError, match="finite"):
-        kernel_matrix(spec, P, [[0.0, 1.0]])
-    with pytest.raises(ValueError, match="finite"):
-        kernel_matrix(spec, [[0.0, 1.0]], P)
-    with pytest.raises(ValueError, match="finite"):
-        build_base_kernel_matrix(spec, P + np.arange(3)[:, None])
-
-
 def test_cross_covariance_at_training_point_is_signal_variance():
     spec = spec_for("matern-3/2", (1.0,), sv=1.7)
     X = np.array([[0.0], [2.0]])
-    kx = kernel_matrix(spec, X, [[2.0]])
+    kx = kernel_matrix(spec, X, np.array([[2.0]]))
     assert kx.shape == (2, 1)
     assert kx[1, 0] == pytest.approx(1.7, abs=1e-14)
 
@@ -383,7 +381,7 @@ def test_jitter_escalates_then_errors(monkeypatch):
 
     monkeypatch.setattr("probo.kernels._cholesky", always_fail)
     with pytest.raises(ConditioningError) as err:
-        build_base_kernel_matrix(spec, [[0.0], [1.0]])
+        build_base_kernel_matrix(spec, np.array([[0.0], [1.0]]))
     # escalation: 1e-10*sv, 1e-9*sv, ..., 1e-6*sv
     assert len(attempts) == 5
     assert err.value.jitter == pytest.approx(JITTER_MAX * 2.0)
@@ -402,5 +400,5 @@ def test_jitter_stops_escalating_on_success(monkeypatch):
         return real(K, lower=lower)
 
     monkeypatch.setattr("probo.kernels._cholesky", flaky)
-    K = build_base_kernel_matrix(spec, [[0.0], [1.0]])
+    K = build_base_kernel_matrix(spec, np.array([[0.0], [1.0]]))
     assert K.jitter == pytest.approx(JITTER_INITIAL * 100)
