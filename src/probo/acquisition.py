@@ -14,6 +14,7 @@ model imprecision (ambiguity); with rho = 0 the score is exactly LCB.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ from .errors import ConfigError, check_keys, check_real
 KINDS = ("ei", "lcb", "glcb")
 #: the parameters each kind takes
 PARAMETERS = {"ei": (), "lcb": ("tau",), "glcb": ("tau", "rho", "c")}
+#: glcb-RHO-C, tau 1: glcb-1-100, or glcb-1-1e-3 (a dash after an e is an
+#: exponent's sign, not a separator)
+_SHORTHAND = re.compile(r"glcb-(.+?)(?<!e)-(.+)")
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -67,20 +71,12 @@ class AcquisitionSpec:
     @property
     def label(self) -> str:
         """CSV-safe identifier, e.g. lcb_tau1 or glcb_tau1_rho1_c100."""
-        if self.kind == "ei":
-            return "ei"
-        if self.kind == "lcb":
-            return f"lcb_tau{self.tau:g}"
-        return f"glcb_tau{self.tau:g}_rho{self.rho:g}_c{self.c:g}"
+        return "_".join([self.kind] + [f"{name}{getattr(self, name):g}"
+                                       for name in PARAMETERS[self.kind]])
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind in ("lcb", "glcb"):
-            d["tau"] = self.tau
-        if self.kind == "glcb":
-            d["rho"] = self.rho
-            d["c"] = self.c
-        return d
+        return {"kind": self.kind,
+                **{name: getattr(self, name) for name in PARAMETERS[self.kind]}}
 
     @classmethod
     def from_dict(cls, d) -> "AcquisitionSpec":
@@ -103,12 +99,11 @@ def _parse(text: str) -> dict:
     text = text.strip().lower()
     kind, _, params = text.partition(":")
     if kind not in KINDS:
-        # shorthand glcb-1-100 means rho=1, c=100
-        parts = text.split("-")
-        if parts[0] == "glcb" and len(parts) == 3:
+        shorthand = _SHORTHAND.fullmatch(text)
+        if shorthand:
             try:
-                return {"kind": "glcb", "tau": 1.0, "rho": float(parts[1]),
-                        "c": float(parts[2])}
+                return {"kind": "glcb", "tau": 1.0, "rho": float(shorthand[1]),
+                        "c": float(shorthand[2])}
             except ValueError:
                 pass
         raise ConfigError(f"cannot parse acquisition {text!r}")

@@ -270,8 +270,12 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
 
 
 def _resolve(functions: Sequence) -> list[TargetFunction]:
-    return [f if isinstance(f, TargetFunction) else registry_lookup(f)
-            for f in functions]
+    targets = [f if isinstance(f, TargetFunction) else registry_lookup(f)
+               for f in functions]
+    names = [t.name for t in targets]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"function names must be distinct, got {names}")
+    return targets
 
 
 # ----------------------------------------------------- sensitivity runner

@@ -124,6 +124,14 @@ def _target_from_config(spec) -> TargetFunction:
     )
 
 
+def _list_setting(config: dict, key: str) -> list:
+    """A protocol setting that holds a list of names or specs; [] if absent."""
+    value = config.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _protocol_args(config: dict, keys) -> dict:
     """Runner keyword arguments for the settings among keys that config
     gives; the others keep the runner's defaults."""
@@ -171,10 +179,9 @@ def cmd_compare(args) -> int:
     config = _apply_overrides(_load_config(args.config), args.override)
     check_keys(config, _COMPARE_KEYS, "compare")
     acquisitions = [AcquisitionSpec.from_dict(a) for a in
-                    list(args.acq or []) + list(config.get("acquisitions", []))]
-    if len(acquisitions) < 2:
-        raise ConfigError("compare needs at least two --acq settings")
-    names = list(args.functions or []) or list(config.get("functions", []))
+                    list(args.acq or []) + _list_setting(config, "acquisitions")]
+    configured = _list_setting(config, "functions")
+    names = list(args.functions or []) or configured
     if not names:
         raise ConfigError("compare needs at least one --functions name")
     seed = _master_seed(args, config)
@@ -209,7 +216,8 @@ def cmd_compare(args) -> int:
 def cmd_sensitivity(args) -> int:
     config = _apply_overrides(_load_config(args.config), args.override)
     check_keys(config, _SENSITIVITY_KEYS, "sensitivity")
-    names = list(args.functions or []) or list(config.get("functions", []))
+    configured = _list_setting(config, "functions")
+    names = list(args.functions or []) or configured
     if not names:
         raise ConfigError("sensitivity needs at least one --functions name")
     seed = _master_seed(args, config)

@@ -207,25 +207,27 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
     records: list[IterationRecord] = []
     trace = OptimizationTrace(records=records, config=config, target_name=target.name)
 
-    design = latin_hypercube(config.n_init, bounds, _stream(config.seed, "design"))
-    X = design.copy()
-    y = np.empty(config.n_init)
-    incumbent = np.inf
-    for i in range(config.n_init):
-        y[i] = target(X[i])
-        incumbent = min(incumbent, y[i])
-        records.append(IterationRecord(index=i + 1, point=X[i].copy(), psi=y[i],
-                                       incumbent=incumbent))
+    def observe(point: np.ndarray, **scored) -> None:
+        """Evaluate and record the target at point; a non-finite value ends the run."""
+        psi = target(point)
+        best = records[-1].incumbent if records else np.inf
+        records.append(IterationRecord(index=len(records) + 1, point=point.copy(),
+                                       psi=psi, incumbent=min(best, psi), **scored))
+        if not np.isfinite(psi):
+            raise BoRunError(f"evaluation {len(records)}: target value {psi!r} is not "
+                             "finite", partial_trace=trace)
 
-    kernel = config.kernel
-    t = 0
-    while len(records) < config.budget:
-        t += 1
+    for point in latin_hypercube(config.n_init, bounds, _stream(config.seed, "design")):
+        observe(point)
+
+    for t in range(1, config.budget - config.n_init + 1):
+        X = np.array([r.point for r in records])
+        y = np.array([r.psi for r in records])
         try:
-            if config.hyperparameter_fit:
-                kernel = fit_hyperparameters(config.kernel, config.mean, X, y,
-                                             config.hyperparameter_budget,
-                                             _stream(config.seed, "hyper", t))
+            kernel = (fit_hyperparameters(config.kernel, config.mean, X, y,
+                                          config.hyperparameter_budget,
+                                          _stream(config.seed, "hyper", t))
+                      if config.hyperparameter_fit else config.kernel)
             model = fit_gp(kernel, config.mean, X, y)
         except Exception as exc:
             raise BoRunError(f"surrogate fit failed at iteration {t}: {exc}",
@@ -238,7 +240,7 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
             nonlocal clamped
             mu, var = predict_batch(model, P)
             if acq.kind == "ei":
-                return ei_values(mu, var, incumbent)
+                return ei_values(mu, var, records[-1].incumbent)
             if acq.kind == "lcb":
                 return lcb_values(mu, var, acq.tau)
             width, n_clamped = mean_width_batch(igp, P)
@@ -248,17 +250,7 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
         point, score = focus_search(objective, bounds, config.infill,
                                     _stream(config.seed, "infill", t))
         point = _nudge_duplicate(point, X, bounds, _stream(config.seed, "dedup", t))
-
-        psi = target(point)
-        X = np.vstack([X, point])
-        y = np.append(y, psi)
-        incumbent = min(incumbent, psi)
-        records.append(IterationRecord(
-            index=len(records) + 1, point=point.copy(), psi=psi,
-            incumbent=incumbent, acq_value=score,
-            igp_case=igp.case if igp else 0,
-            clamped=clamped,
-        ))
+        observe(point, acq_value=score, igp_case=igp.case if igp else 0, clamped=clamped)
     return trace
 
 

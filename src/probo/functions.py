@@ -119,13 +119,12 @@ class TabulatedTarget:
         return -value if self.negate else value
 
 
-def load_tabulated_target(csv_path, negate: bool = False,
-                          name: str | None = None) -> TargetFunction:
+def load_tabulated_target(csv_path, negate: bool = False) -> TargetFunction:
     """Build a 1-D target from a CSV of numeric x, y columns.
 
-    Line 1 is a header, and skipped, only when its x cell is not a number.
-    Rows are sorted by x; duplicate and non-finite x values are rejected.
-    negate=True for targets that are to be maximized.
+    The first non-blank row is a header, skipped only when its x cell is not
+    a number.  Rows are sorted by x; duplicate x values and non-finite x or
+    y values are rejected.  negate=True for targets that are to be maximized.
     """
     check_bool("negate", negate)
     csv_path = Path(csv_path)
@@ -133,10 +132,10 @@ def load_tabulated_target(csv_path, negate: bool = False,
         text = csv_path.read_text()
     except OSError as exc:
         raise ProboError(f"cannot read {csv_path}: {exc}") from exc
+    rows = [(n, row) for n, row in enumerate(csv.reader(text.splitlines()), start=1)
+            if any(cell.strip() for cell in row)]
     xs, ys = [], []
-    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for k, (lineno, row) in enumerate(rows):
         if len(row) < 2:
             raise ProboError(f"{csv_path}:{lineno}: expected two columns, got {row!r}")
         x = None
@@ -144,13 +143,14 @@ def load_tabulated_target(csv_path, negate: bool = False,
             x = float(row[0])
             y = float(row[1])
         except ValueError:
-            if lineno == 1 and x is None:  # header row
+            if k == 0 and x is None:  # header row
                 continue
             raise ProboError(
                 f"{csv_path}:{lineno}: non-numeric cell in {row!r}"
             ) from None
-        if not math.isfinite(x):
-            raise ProboError(f"{csv_path}:{lineno}: non-finite x in {row!r}")
+        for axis, value in (("x", x), ("y", y)):
+            if not math.isfinite(value):
+                raise ProboError(f"{csv_path}:{lineno}: non-finite {axis} in {row!r}")
         xs.append(x)
         ys.append(y)
     if len(xs) < 2:
@@ -162,7 +162,7 @@ def load_tabulated_target(csv_path, negate: bool = False,
         raise ProboError(f"{csv_path}: x values must be distinct")
     interp = TabulatedTarget(xs=xs, ys=ys, negate=negate)
     return TargetFunction(
-        name=name or csv_path.stem,
+        name=csv_path.stem,
         evaluate=interp,
         bounds=BoxBounds(lower=np.array([xs[0]]), upper=np.array([xs[-1]])),
         known_optimum=None,

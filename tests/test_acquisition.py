@@ -128,9 +128,9 @@ def test_parse_plain_forms():
 
 
 def test_parse_shorthand():
-    got = parse("glcb-1-100")
-    assert got == AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=100.0)
-    assert parse("GLCB-10-50").rho == 10.0
+    for text, rho, c in (("glcb-1-100", 1.0, 100.0), ("GLCB-10-50", 10.0, 50.0),
+                         ("glcb-1-1e-3", 1.0, 0.001), ("glcb-1e-1-100", 0.1, 100.0)):
+        assert parse(text) == AcquisitionSpec(kind="glcb", tau=1.0, rho=rho, c=c)
 
 
 def test_parse_rejects_garbage():
@@ -159,6 +159,9 @@ def test_spec_parameters_must_be_finite(field, value):
 
 def test_spec_dict_round_trip():
     spec = AcquisitionSpec(kind="glcb", tau=0.5, rho=2.0, c=10.0)
+    assert spec.to_dict() == {"kind": "glcb", "tau": 0.5, "rho": 2.0, "c": 10.0}
+    assert AcquisitionSpec(kind="lcb", tau=2.0).to_dict() == {"kind": "lcb", "tau": 2.0}
+    assert AcquisitionSpec(kind="ei").to_dict() == {"kind": "ei"}
     assert AcquisitionSpec.from_dict(spec.to_dict()) == spec
     assert AcquisitionSpec.from_dict("glcb:tau=0.5,rho=2,c=10") == spec
     with pytest.raises(ConfigError, match="beta"):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import probo.bench
 from probo.acquisition import AcquisitionSpec
 from probo.bench import (
     AXES,
@@ -333,6 +334,22 @@ def test_comparison_rejects_duplicate_labels():
             ["sphere-1d"],
             [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="lcb", tau=1.0)],
             repetitions=2, budget=6, n_init=4)
+
+
+@pytest.mark.parametrize("protocol", ["compare", "sensitivity"])
+def test_repeated_functions_are_rejected_before_any_run(monkeypatch, protocol):
+    ran = []
+    monkeypatch.setattr(probo.bench, "run", lambda config, target: ran.append(target))
+    functions = ("sphere-1d", "sphere-2d", "sphere-1d")
+    with pytest.raises(ConfigError, match="function names must be distinct"):
+        if protocol == "compare":
+            run_acquisition_comparison(
+                functions, [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")],
+                repetitions=1, budget=6, n_init=4)
+        else:
+            variants = (PriorVariant(name="a"), PriorVariant(name="b", lengthscale=2.0))
+            run_sensitivity_experiment([replace(micro_plan(variants), functions=functions)])
+    assert ran == []
 
 
 def test_process_pool_matches_serial_results():

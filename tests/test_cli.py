@@ -175,6 +175,11 @@ def test_bad_run_input_is_a_config_error(tmp_path, capsys, evaluated, override, 
     ("compare", ["--override", 'infill={"shrink_factor": "0.5"}'], "shrink_factor"),
     ("sensitivity", ["--override", 'infill.evals_per_round=true'], "evals_per_round"),
     ("sensitivity", ["--override", 'acquisition={"kind": "lcb", "tau": "x"}'], "tau"),
+    ("compare", ["--override", 'functions="sphere-1d"'], "functions"),
+    ("sensitivity", ["--override", 'functions="sphere-1d"'], "functions"),
+    ("compare", ["--override", 'acquisitions="ei"'], "acquisitions"),
+    ("compare", ["--functions", "sphere-1d"], "distinct"),
+    ("sensitivity", ["--functions", "sphere-1d"], "distinct"),
 ])
 def test_bad_protocol_input_is_a_config_error(tmp_path, capsys, command, args, named):
     out = tmp_path / "x"
@@ -205,14 +210,26 @@ def test_unknown_override_key_rejected(tmp_path):
     assert code == 1
 
 
-def test_runtime_failure_exits_two(tmp_path):
-    # a NaN-valued tabulated target breaks the infill scoring mid-run
-    bad = tmp_path / "bad.csv"
-    bad.write_text("0,nan\n1,nan\n2,nan\n")
-    code = main(["run", "--override", f'target={{"csv": "{bad}"}}',
+def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # the target turns NaN after the 3-point design, so the run fails mid-loop
+    lookup = probo.cli.registry_lookup
+    evaluated = []
+
+    def nan_after_design(name):
+        target = lookup(name)
+
+        def evaluate(x):
+            evaluated.append(x)
+            return target.evaluate(x) if len(evaluated) <= 3 else np.nan
+        return replace(target, evaluate=evaluate)
+
+    monkeypatch.setattr(probo.cli, "registry_lookup", nan_after_design)
+    code = main(["run", "--override", "target=sphere-1d",
                  "--override", "budget=6", "--override", "n_init=3",
                  *FAST, "--out", str(tmp_path / "y")])
     assert code == 2
+    assert "evaluation 4: target value nan is not finite" in capsys.readouterr().err
+    assert len(evaluated) == 4
 
 
 # ----------------------------------------------------------------- compare

@@ -249,21 +249,26 @@ def test_fit_failure_carries_partial_trace(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("hyperparameter_fit", [False, True])
-def test_non_finite_target_value_is_a_run_error(bad, hyperparameter_fit):
+@pytest.mark.parametrize("hyperparameter_fit, at", [
+    # evaluation 7 is mid-run, 3 is in the design and 12 is the last
+    pytest.param(False, 7, id="False"), pytest.param(True, 7, id="True"),
+    pytest.param(False, 3, id="False-at3"), pytest.param(True, 3, id="True-at3"),
+    pytest.param(False, 12, id="False-at12"), pytest.param(True, 12, id="True-at12"),
+])
+def test_non_finite_target_value_is_a_run_error(bad, hyperparameter_fit, at):
     tf = registry_lookup("sphere-1d")
     calls = {"n": 0}
 
-    def seventh_is_bad(x):
+    def bad_at(x):
         calls["n"] += 1
-        return bad if calls["n"] == 7 else tf.evaluate(x)
+        return bad if calls["n"] == at else tf.evaluate(x)
 
     config = lcb_config(n_init=5, budget=12, hyperparameter_fit=hyperparameter_fit,
                         hyperparameter_budget=3)
-    with pytest.raises(BoRunError, match="finite") as err:
-        run(config, replace(tf, evaluate=seventh_is_bad))
+    with pytest.raises(BoRunError, match=f"evaluation {at}: .* not finite") as err:
+        run(config, replace(tf, evaluate=bad_at))
     partial = err.value.partial_trace
-    assert partial.budget == 7  # the trace up to and including the bad value
+    assert partial.budget == at  # the trace up to and including the bad value
     assert np.array_equal([partial.records[-1].psi], [bad], equal_nan=True)
 
 

@@ -131,12 +131,21 @@ def test_non_finite_x_rejected_with_its_line(tmp_path, cell):
     path = write_csv(tmp_path, f"x,y\n0,0\n{cell},1\n2,3\n")
     with pytest.raises(ProboError, match=f"{path}:3: non-finite x"):
         load_tabulated_target(path)
+    path = write_csv(tmp_path, f"x,y\n0,{cell}\n1,1\n2,inf\n", name="y.csv")
+    with pytest.raises(ProboError, match=f"{path}:2: non-finite y"):
+        load_tabulated_target(path)
 
 
 def test_header_row_is_skipped(tmp_path):
     tf = load_tabulated_target(write_csv(tmp_path, "x,3\n2,3\n4,5\n"))
     assert np.array_equal(tf.bounds.lower, [2.0])
     assert tf([4.0]) == 5.0
+
+
+def test_header_is_the_first_non_blank_row(tmp_path):
+    tf = load_tabulated_target(write_csv(tmp_path, "\nx,y\n0,0\n1,1\n"))
+    assert np.array_equal(tf.bounds.lower, [0.0])
+    assert tf([1.0]) == 1.0
 
 
 def test_first_row_with_a_numeric_x_is_data(tmp_path):
