@@ -119,38 +119,22 @@ def relative_ad_summary(
 
 @dataclass(frozen=True)
 class PriorVariant:
-    """One GP prior in a sensitivity plan, broadcast to any input dimension.
-
-    Scalar lengthscale and mean parameters are expanded per dimension when
-    the variant is attached to a concrete function (slope and quad apply to
-    every coordinate).
-    """
+    """One GP prior in a sensitivity plan, written for one input dimension
+    and broadcast to each function's; the defaults are the baseline prior
+    of default_sensitivity_plans."""
 
     name: str
-    family: str = "squared-exponential"
-    lengthscale: float = 1.0
-    signal_variance: float = 1.0
-    power: float | None = None
-    mean_form: str = "constant-estimated"
-    mean_intercept: float = 0.0
-    mean_slope: float = 0.0
-    mean_quad: float = 0.0
+    kernel: KernelSpec = KernelSpec("squared-exponential", (1.0,))
+    mean: MeanSpec = MeanSpec()
 
-    def kernel_for(self, dim: int) -> KernelSpec:
-        return KernelSpec(family=self.family, lengthscales=(self.lengthscale,) * dim,
-                          signal_variance=self.signal_variance, power=self.power)
-
-    def mean_for(self, dim: int) -> MeanSpec:
-        if self.mean_form == "constant-estimated":
-            return MeanSpec()
-        if self.mean_form == "constant-fixed":
-            coeffs = (self.mean_intercept,)
-        elif self.mean_form == "linear-fixed":
-            coeffs = (self.mean_intercept,) + (self.mean_slope,) * dim
-        else:
-            coeffs = ((self.mean_intercept,) + (self.mean_slope,) * dim
-                      + (self.mean_quad,) * dim)
-        return MeanSpec(form=self.mean_form, coefficients=coeffs)
+    def __post_init__(self):
+        try:
+            if self.kernel.dimension != 1:
+                raise ValueError(f"its kernel has {self.kernel.dimension} lengthscales")
+            self.mean.validate_for_dimension(1)
+        except ValueError as exc:
+            raise ConfigError(f"prior variant {self.name!r} must be written for one "
+                              f"input dimension: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -190,25 +174,23 @@ def default_sensitivity_plans(functions: Sequence[str], **settings) -> list[Sens
     variance, estimated constant mean.  One component varies per plan; the
     parameter grids are +/- 25% and 50% around the baseline.
     """
-    base = dict(family="squared-exponential", lengthscale=1.0, signal_variance=1.0)
     mean_forms = (
-        PriorVariant(name="constant-estimated", **base),
-        PriorVariant(name="constant-0", mean_form="constant-fixed", **base),
-        PriorVariant(name="linear-0.1", mean_form="linear-fixed", mean_slope=0.1, **base),
-        PriorVariant(name="quadratic-0.1-0.01", mean_form="quadratic-fixed",
-                     mean_slope=0.1, mean_quad=0.01, **base),
+        PriorVariant(name="constant-estimated"),
+        PriorVariant(name="constant-0", mean=MeanSpec("constant-fixed", (0.0,))),
+        PriorVariant(name="linear-0.1", mean=MeanSpec("linear-fixed", (0.0, 0.1))),
+        PriorVariant(name="quadratic-0.1-0.01",
+                     mean=MeanSpec("quadratic-fixed", (0.0, 0.1, 0.01))),
     )
     mean_params = tuple(
-        PriorVariant(name=f"constant-{v:g}", mean_form="constant-fixed",
-                     mean_intercept=v, **base)
+        PriorVariant(name=f"constant-{v:g}", mean=MeanSpec("constant-fixed", (v,)))
         for v in (-1.0, -0.5, 0.0, 0.5, 1.0)
     )
     kernel_forms = tuple(
-        PriorVariant(name=fam, family=fam)
+        PriorVariant(name=fam, kernel=KernelSpec(fam, (1.0,)))
         for fam in ("squared-exponential", "matern-3/2", "matern-5/2")
     )
     kernel_params = tuple(
-        PriorVariant(name=f"lengthscale-{s:g}", lengthscale=s)
+        PriorVariant(name=f"lengthscale-{s:g}", kernel=KernelSpec("squared-exponential", (s,)))
         for s in (0.5, 0.75, 1.0, 1.25, 1.5)
     )
     return [
@@ -238,8 +220,11 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
     the pool.  Every setting is checked against its target before the first
     run.  Returns the traces keyed group + (label, r), and per group the
     MopMatrix with each setting's R x T paths, or None (with a warning) if
-    any of the group's runs failed.
+    any of the group's runs failed; raises ProboError if every group has
+    a failed run.
     """
+    check_integer("master_seed", master_seed)
+    check_integer("jobs", jobs)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     for target, configs, _ in groups.values():
@@ -266,12 +251,16 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
         paths = [np.array([traces[key].incumbent_path() for key in row]) for row in keys]
         mop = np.column_stack([mean_optimization_path(p) for p in paths])
         built[group] = MopMatrix(values=mop, labels=tuple(configs)), paths
+    if all(cell is None for cell in built.values()):
+        raise ProboError("every group has a failed run; there are no results")
     return traces, built
 
 
 def _resolve(functions: Sequence) -> list[TargetFunction]:
     targets = [f if isinstance(f, TargetFunction) else registry_lookup(f)
                for f in functions]
+    if not targets:
+        raise ConfigError("need at least one function")
     names = [t.name for t in targets]
     if len(set(names)) != len(names):
         raise ConfigError(f"function names must be distinct, got {names}")
@@ -308,7 +297,8 @@ def run_sensitivity_experiment(
     for plan in plans:
         for target in _resolve(plan.functions):
             dim = target.dimension
-            configs = {v.name: RunConfig(kernel=v.kernel_for(dim), mean=v.mean_for(dim),
+            configs = {v.name: RunConfig(kernel=v.kernel.broadcast(dim),
+                                         mean=v.mean.broadcast(dim),
                                          acquisition=plan.acquisition, infill=plan.infill,
                                          n_init=plan.n_init,
                                          budget=plan.n_init + plan.iterations)
@@ -323,7 +313,7 @@ def run_sensitivity_experiment(
             mops[(fname, axis)] = cell[0]
             ads.setdefault(fname, {})[axis] = accumulated_difference(cell[0].values)
 
-    relative, axis_sums, excluded = relative_ad_summary(ads) if ads else ({}, {}, [])
+    relative, axis_sums, excluded = relative_ad_summary(ads)
     return SensitivityResult(ads=ads, relative=relative, axis_sums=axis_sums,
                              excluded=excluded, mops=mops, traces=traces)
 
@@ -347,7 +337,7 @@ def run_acquisition_comparison(
     n_init: int = 10,
     master_seed: int = 0,
     jobs: int = 1,
-    kernel: Mapping | None = None,
+    kernel: KernelSpec = KernelSpec("squared-exponential", (1.0,)),
     mean: MeanSpec = MeanSpec(),
     infill: FocusSearchConfig = FocusSearchConfig(),
 ) -> ComparisonResult:
@@ -356,8 +346,8 @@ def run_acquisition_comparison(
     All acquisitions share the derived seed of each repetition index, hence
     its initial design.  Alongside each mean optimization path the pointwise
     0.95 normal-approximation half-width 1.96 * sd / sqrt(R) is reported.
-    kernel is a KernelSpec config mapping, resolved per target dimension
-    (default: squared-exponential, unit lengthscales and signal variance).
+    kernel is broadcast to each target's dimension (KernelSpec.broadcast;
+    default: squared-exponential, lengthscale 1).
     """
     if len(acquisitions) < 2:
         raise ConfigError("need at least two acquisition settings to compare")
@@ -371,7 +361,7 @@ def run_acquisition_comparison(
 
     groups = {}
     for target in targets:
-        spec = KernelSpec.from_dict(kernel or {}, target.dimension)
+        spec = kernel.broadcast(target.dimension)
         configs = {acq.label: RunConfig(kernel=spec, mean=mean, acquisition=acq,
                                         infill=infill, n_init=n_init, budget=budget)
                    for acq in acquisitions}
@@ -405,18 +395,12 @@ def write_mop_csv(mop: MopMatrix, path) -> None:
 
 def write_comparison_csv(result: ComparisonResult, path) -> None:
     """Long-format comparison: function, iteration, then MOP and CI per setting."""
-    if not result.mops:
-        raise ConfigError("comparison produced no results; nothing to write")
-    first = next(iter(result.mops.values()))
-    header = ["function", "iteration"]
-    for label in first.labels:
-        header += [f"mop_{label}", f"ci_{label}"]
-    rows = []
-    for fname, mop in result.mops.items():
-        ci = result.ci_half_widths[fname]
-        for t in range(mop.values.shape[0]):
-            rows.append([fname, t + 1] + [_fmt(v) for pair in zip(mop.values[t], ci[t])
-                                          for v in pair])
+    labels = next(iter(result.mops.values())).labels
+    header = ["function", "iteration"] + [f"{kind}_{label}" for label in labels
+                                          for kind in ("mop", "ci")]
+    rows = ([fname, t + 1] + [_fmt(v) for pair in zip(row, ci) for v in pair]
+            for fname, mop in result.mops.items()
+            for t, (row, ci) in enumerate(zip(mop.values, result.ci_half_widths[fname])))
     _write_csv(path, header, rows)
 
 

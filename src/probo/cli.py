@@ -35,10 +35,11 @@ from .bench import (
     write_relative_ad_sums_csv,
     write_traces,
 )
-from .engine import RunConfig, TargetFunction, run, save_trace_csv, _write_json
+from .engine import BoRunError, RunConfig, TargetFunction, run, save_trace_csv, _write_json
 from .errors import ConfigError, ProboError, check_integer, check_keys
 from .functions import load_tabulated_target, registry_lookup, registry_names
 from .gp import MeanSpec
+from .kernels import KernelSpec
 from .optimizer import FocusSearchConfig
 
 log = logging.getLogger(__name__)
@@ -67,12 +68,12 @@ _COMPARE_KEYS = ("functions", "acquisitions", "reps", "budget", "n_init", "seed"
 _SENSITIVITY_KEYS = ("functions", "reps", "iterations", "n_init", "seed",
                      "acquisition", "infill")
 #: protocol settings that must be integers
-_INTEGERS = ("reps", "iterations", "n_init", "budget", "seed")
+_INTEGERS = ("reps", "iterations", "n_init", "budget")
 #: protocol settings whose runner argument has another name, or that parse
 #: into a spec object
 _RENAME = {"reps": "repetitions"}
-_PARSE = {"acquisition": AcquisitionSpec.from_dict, "mean": MeanSpec.from_dict,
-          "infill": FocusSearchConfig.from_dict}
+_PARSE = {"acquisition": AcquisitionSpec.from_dict, "kernel": KernelSpec.from_dict,
+          "mean": MeanSpec.from_dict, "infill": FocusSearchConfig.from_dict}
 
 
 def _load_config(path: str | None) -> dict:
@@ -124,12 +125,13 @@ def _target_from_config(spec) -> TargetFunction:
     )
 
 
-def _list_setting(config: dict, key: str) -> list:
-    """A protocol setting that holds a list of names or specs; [] if absent."""
+def _list_setting(config: dict, key: str, given: list | None) -> list:
+    """A list of names or specs, [] if absent; a list given on the command
+    line replaces it, but the setting is still checked."""
     value = config.get(key, [])
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
+    return given or value
 
 
 def _protocol_args(config: dict, keys) -> dict:
@@ -142,10 +144,8 @@ def _protocol_args(config: dict, keys) -> dict:
             for k in keys if k in config}
 
 
-def _master_seed(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    check_integer("seed", seed)
-    return seed
+def _master_seed(args, config: dict):
+    return args.seed if args.seed is not None else config.get("seed", 0)
 
 
 # ------------------------------------------------------------ subcommands
@@ -159,14 +159,19 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         settings["seed"] = args.seed
     run_config = RunConfig.from_dict(settings, target.dimension)
-
-    trace = run(run_config, target)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_trace_csv(trace, out / "trace.csv")
     snapshot = {"target": config["target"], "config": run_config.to_dict()}
-    _write_json(out / "config.json", snapshot)
+    out = Path(args.out)
+
+    def save(trace):
+        save_trace_csv(trace, out / "trace.csv")
+        _write_json(out / "config.json", snapshot)
+
+    try:
+        trace = run(run_config, target)
+    except BoRunError as exc:
+        save(exc.partial_trace)  # the records up to the failure, the bad one included
+        raise
+    save(trace)
 
     best = trace.best_point()
     print(f"argmin: {np.array2string(best, separator=', ')}")
@@ -178,12 +183,9 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     config = _apply_overrides(_load_config(args.config), args.override)
     check_keys(config, _COMPARE_KEYS, "compare")
-    acquisitions = [AcquisitionSpec.from_dict(a) for a in
-                    list(args.acq or []) + _list_setting(config, "acquisitions")]
-    configured = _list_setting(config, "functions")
-    names = list(args.functions or []) or configured
-    if not names:
-        raise ConfigError("compare needs at least one --functions name")
+    acquisitions = [AcquisitionSpec.from_dict(a)
+                    for a in _list_setting(config, "acquisitions", args.acq)]
+    names = _list_setting(config, "functions", args.functions)
     seed = _master_seed(args, config)
 
     result = run_acquisition_comparison(
@@ -216,10 +218,7 @@ def cmd_compare(args) -> int:
 def cmd_sensitivity(args) -> int:
     config = _apply_overrides(_load_config(args.config), args.override)
     check_keys(config, _SENSITIVITY_KEYS, "sensitivity")
-    configured = _list_setting(config, "functions")
-    names = list(args.functions or []) or configured
-    if not names:
-        raise ConfigError("sensitivity needs at least one --functions name")
+    names = _list_setting(config, "functions", args.functions)
     seed = _master_seed(args, config)
     plans = default_sensitivity_plans(
         functions=names,

@@ -63,12 +63,23 @@ class MeanSpec:
         if self.form == "constant-estimated" and coeffs:
             raise ValueError("constant-estimated mean carries no coefficients")
 
-    def validate_for_dimension(self, dim: int) -> None:
-        want = {"constant-estimated": 0, "constant-fixed": 1,
+    def _size(self, dim: int) -> int:
+        return {"constant-estimated": 0, "constant-fixed": 1,
                 "linear-fixed": 1 + dim, "quadratic-fixed": 1 + 2 * dim}[self.form]
-        if len(self.coefficients) != want:
+
+    def broadcast(self, dim: int) -> "MeanSpec":
+        """This mean in dimension dim: a one-dimensional mean has each slope
+        and each quadratic coefficient repeated dim times, so (c0, a, b)
+        becomes (c0, a x dim, b x dim); any other mean comes back unchanged."""
+        c = self.coefficients
+        if len(c) != self._size(1):
+            return self
+        return replace(self, coefficients=c[:1] + tuple(t for t in c[1:] for _ in range(dim)))
+
+    def validate_for_dimension(self, dim: int) -> None:
+        if len(self.coefficients) != self._size(dim):
             raise ValueError(
-                f"{self.form} mean in dimension {dim} needs {want} coefficients, "
+                f"{self.form} mean in dimension {dim} needs {self._size(dim)} coefficients, "
                 f"got {len(self.coefficients)}"
             )
 

@@ -27,7 +27,7 @@ distance can reach it pay for the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -108,6 +108,12 @@ class KernelSpec:
     def dimension(self) -> int:
         return len(self.lengthscales)
 
+    def broadcast(self, dim: int) -> "KernelSpec":
+        """A single lengthscale repeated dim times; a kernel with several is unchanged."""
+        if self.dimension != 1:
+            return self
+        return replace(self, lengthscales=self.lengthscales * dim)
+
     def to_dict(self) -> dict:
         d = {
             "family": self.family,
@@ -129,10 +135,9 @@ class KernelSpec:
             raise ConfigError("give kernel lengthscale or lengthscales, not both")
         ls = d.get("lengthscales", d.get("lengthscale", 1.0))
         ls = list(ls) if isinstance(ls, (list, tuple)) else [ls]
-        if dim is not None and len(ls) == 1:
-            ls *= dim
-        return cls(family=d.get("family", "squared-exponential"), lengthscales=ls,
+        spec = cls(family=d.get("family", "squared-exponential"), lengthscales=ls,
                    signal_variance=d.get("signal_variance", 1.0), power=d.get("power"))
+        return spec if dim is None else spec.broadcast(dim)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,16 @@ from probo.bench import (
 from probo.engine import RunConfig, TargetFunction, derive_seed, run
 from probo.errors import ConfigError, ProboError
 from probo.functions import registry_lookup
+from probo.gp import MeanSpec
+from probo.kernels import KernelSpec
 from probo.optimizer import FocusSearchConfig
 
 FAST_INFILL = FocusSearchConfig(evals_per_round=150, rounds=3, restarts=2)
+
+
+def se(lengthscale):
+    """A one-dimensional squared-exponential kernel."""
+    return KernelSpec(family="squared-exponential", lengthscales=(lengthscale,))
 
 
 # --------------------------------------------------------------------- MOP
@@ -156,8 +163,8 @@ def test_plan_requires_two_variants():
 
 def test_plan_rejects_duplicate_variant_names():
     # a second variant of the same name would overwrite the first one's runs
-    a1 = PriorVariant(name="a", lengthscale=1.0)
-    a2 = PriorVariant(name="a", lengthscale=2.0)
+    a1 = PriorVariant(name="a", kernel=se(1.0))
+    a2 = PriorVariant(name="a", kernel=se(2.0))
     with pytest.raises(ConfigError, match="distinct"):
         SensitivityPlan(axis="kernel-parameters", variants=(a1, a2),
                         functions=("sphere-1d",))
@@ -165,7 +172,7 @@ def test_plan_rejects_duplicate_variant_names():
 
 def test_plan_rejects_unknown_axis():
     v = PriorVariant(name="a")
-    w = PriorVariant(name="b", lengthscale=2.0)
+    w = PriorVariant(name="b", kernel=se(2.0))
     with pytest.raises(ConfigError, match="axis"):
         SensitivityPlan(axis="noise", variants=(v, w), functions=("sphere-1d",))
 
@@ -174,7 +181,7 @@ def test_plan_rejects_unknown_axis():
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
 def test_plan_counts_must_be_integers(field, value):
     v = PriorVariant(name="a")
-    w = PriorVariant(name="b", lengthscale=2.0)
+    w = PriorVariant(name="b", kernel=se(2.0))
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         SensitivityPlan(axis="kernel-parameters", variants=(v, w),
                         functions=("sphere-1d",), **{field: value})
@@ -183,14 +190,25 @@ def test_plan_counts_must_be_integers(field, value):
 
 
 def test_variant_broadcasts_to_dimension():
-    v = PriorVariant(name="v", lengthscale=0.5, mean_form="quadratic-fixed",
-                     mean_intercept=1.0, mean_slope=0.2, mean_quad=0.05)
-    k = v.kernel_for(3)
-    assert k.lengthscales == (0.5, 0.5, 0.5)
-    m = v.mean_for(3)
-    assert m.coefficients == (1.0, 0.2, 0.2, 0.2, 0.05, 0.05, 0.05)
-    m1 = PriorVariant(name="c", mean_form="constant-fixed", mean_intercept=2.0).mean_for(4)
-    assert m1.coefficients == (2.0,)
+    v = PriorVariant(name="v", kernel=se(0.5), mean=MeanSpec("quadratic-fixed", (1.0, 0.2, 0.05)))
+    assert v.kernel.broadcast(3).lengthscales == (0.5, 0.5, 0.5)
+    assert v.mean.broadcast(3).coefficients == (1.0, 0.2, 0.2, 0.2, 0.05, 0.05, 0.05)
+    assert MeanSpec("constant-fixed", (2.0,)).broadcast(4).coefficients == (2.0,)
+    assert MeanSpec().broadcast(4) == MeanSpec()
+    # a spec already written for several dimensions comes back unchanged
+    wide = KernelSpec(family="matern-3/2", lengthscales=(0.5, 2.0))
+    assert wide.broadcast(3) == wide
+    linear = MeanSpec("linear-fixed", (0.0, 1.0, 2.0))
+    assert linear.broadcast(3) == linear
+
+
+@pytest.mark.parametrize("spec", [
+    {"kernel": KernelSpec(family="squared-exponential", lengthscales=(1.0, 1.0))},
+    {"mean": MeanSpec("linear-fixed", (0.0, 1.0, 2.0))},
+])
+def test_variant_must_be_written_for_one_dimension(spec):
+    with pytest.raises(ConfigError, match="prior variant 'wide' .* one input dimension"):
+        PriorVariant(name="wide", **spec)
 
 
 # ------------------------------------------------------------- sensitivity
@@ -205,39 +223,41 @@ def micro_plan(variants, reps=2, iters=3):
 
 def test_identical_variants_give_exactly_zero_ad():
     twins = (PriorVariant(name="a"), PriorVariant(name="b"))
-    result = run_sensitivity_experiment([micro_plan(twins)], master_seed=5)
+    with pytest.warns(UserWarning, match="'sphere-1d' has all-zero ADs"):
+        result = run_sensitivity_experiment([micro_plan(twins)], master_seed=5)
     assert result.ads["sphere-1d"]["kernel-parameters"] == 0.0
     mop = result.mops[("sphere-1d", "kernel-parameters")]
     assert np.array_equal(mop.values[:, 0], mop.values[:, 1])
 
 
 def test_sensitivity_matches_hand_assembled_runs():
-    variants = (PriorVariant(name="narrow", lengthscale=0.5),
-                PriorVariant(name="wide", lengthscale=2.0))
-    plan = micro_plan(variants)
+    variants = (PriorVariant(name="narrow", kernel=se(0.5)),
+                PriorVariant(name="wide", kernel=se(2.0),
+                             mean=MeanSpec("linear-fixed", (0.0, 0.1))))
+    plan = replace(micro_plan(variants), functions=("sphere-2d",))
     result = run_sensitivity_experiment([plan], master_seed=9)
 
-    target = registry_lookup("sphere-1d")
+    target = registry_lookup("sphere-2d")
     columns = []
     for variant in variants:
         paths = []
         for rep in range(plan.repetitions):
-            cfg = RunConfig(kernel=variant.kernel_for(1), mean=variant.mean_for(1),
+            cfg = RunConfig(kernel=variant.kernel.broadcast(2), mean=variant.mean.broadcast(2),
                             acquisition=plan.acquisition, infill=plan.infill,
                             n_init=plan.n_init, budget=plan.n_init + plan.iterations,
                             seed=derive_seed(9, target.name, rep))
             paths.append(run(cfg, target).incumbent_path())
         columns.append(np.mean(paths, axis=0))
     expected = np.column_stack(columns)
-    mop = result.mops[("sphere-1d", "kernel-parameters")]
+    mop = result.mops[("sphere-2d", "kernel-parameters")]
     assert np.array_equal(mop.values, expected)
     hand_ad = float(np.sum(expected.max(axis=1) - expected.min(axis=1)))
-    assert result.ads["sphere-1d"]["kernel-parameters"] == hand_ad
+    assert result.ads["sphere-2d"]["kernel-parameters"] == hand_ad
 
 
 def test_sensitivity_deterministic_under_master_seed():
-    variants = (PriorVariant(name="a", lengthscale=0.7),
-                PriorVariant(name="b", lengthscale=1.4))
+    variants = (PriorVariant(name="a", kernel=se(0.7)),
+                PriorVariant(name="b", kernel=se(1.4)))
     r1 = run_sensitivity_experiment([micro_plan(variants)], master_seed=3)
     r2 = run_sensitivity_experiment([micro_plan(variants)], master_seed=3)
     assert r1.ads == r2.ads
@@ -255,12 +275,13 @@ def test_function_whose_runs_fail_on_one_axis_is_excluded(failing_first):
         flaky = TargetFunction(name="flaky", evaluate=evaluate, bounds=sphere.bounds)
         return (flaky, sphere) if failing_first else (sphere, flaky)
 
-    variants = (PriorVariant(name="a", lengthscale=0.7),
-                PriorVariant(name="b", lengthscale=1.4))
+    variants = (PriorVariant(name="a", kernel=se(0.7)),
+                PriorVariant(name="b", kernel=se(1.4)))
     plan = micro_plan(variants)
     plans = [replace(plan, functions=with_flaky(sphere.evaluate)),
              replace(plan, axis="mean-parameters", functions=with_flaky(unavailable))]
-    with pytest.warns(UserWarning, match="'flaky' has no AD on mean-parameters"):
+    with pytest.warns(UserWarning, match="runs failed for mean-parameters/flaky"), \
+            pytest.warns(UserWarning, match="'flaky' has no AD on mean-parameters"):
         result = run_sensitivity_experiment(plans, master_seed=4)
     assert set(result.ads["flaky"]) == {"kernel-parameters"}
     assert result.excluded == ["flaky"]
@@ -269,8 +290,8 @@ def test_function_whose_runs_fail_on_one_axis_is_excluded(failing_first):
 
 
 def test_paired_initial_designs_across_variants():
-    variants = (PriorVariant(name="a", lengthscale=0.7),
-                PriorVariant(name="b", lengthscale=1.4))
+    variants = (PriorVariant(name="a", kernel=se(0.7)),
+                PriorVariant(name="b", kernel=se(1.4)))
     plan = micro_plan(variants)
     result = run_sensitivity_experiment([plan], master_seed=7)
     for rep in range(plan.repetitions):
@@ -306,11 +327,11 @@ def test_ci_half_width_shrinks_with_more_repetitions():
     acqs = [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")]
     small = run_acquisition_comparison(["gramacy-lee"], acqs, repetitions=10,
                                        budget=8, n_init=5, master_seed=2,
-                                       kernel={"lengthscale": 0.2}, infill=FAST_INFILL)
+                                       kernel=se(0.2), infill=FAST_INFILL)
     # seeds are derived per repetition index, so the first 10 runs coincide
     big = run_acquisition_comparison(["gramacy-lee"], acqs, repetitions=40,
                                      budget=8, n_init=5, master_seed=2,
-                                     kernel={"lengthscale": 0.2}, infill=FAST_INFILL)
+                                     kernel=se(0.2), infill=FAST_INFILL)
     assert big.ci_half_widths["gramacy-lee"].mean() < small.ci_half_widths["gramacy-lee"].mean()
 
 
@@ -336,20 +357,57 @@ def test_comparison_rejects_duplicate_labels():
             repetitions=2, budget=6, n_init=4)
 
 
-@pytest.mark.parametrize("protocol", ["compare", "sensitivity"])
-def test_repeated_functions_are_rejected_before_any_run(monkeypatch, protocol):
+def run_protocol(protocol, functions=("sphere-1d",), **kw):
+    """A small run of either protocol on functions."""
+    if protocol == "compare":
+        return run_acquisition_comparison(
+            functions, [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")],
+            repetitions=1, budget=6, n_init=4, infill=FAST_INFILL, **kw)
+    variants = (PriorVariant(name="a"), PriorVariant(name="b", kernel=se(2.0)))
+    return run_sensitivity_experiment([replace(micro_plan(variants), functions=functions)],
+                                      **kw)
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The targets the protocols run on; probo.bench.run only records them."""
     ran = []
     monkeypatch.setattr(probo.bench, "run", lambda config, target: ran.append(target))
-    functions = ("sphere-1d", "sphere-2d", "sphere-1d")
+    return ran
+
+
+@pytest.mark.parametrize("protocol", ["compare", "sensitivity"])
+def test_repeated_functions_are_rejected_before_any_run(runs, protocol):
     with pytest.raises(ConfigError, match="function names must be distinct"):
-        if protocol == "compare":
-            run_acquisition_comparison(
-                functions, [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")],
-                repetitions=1, budget=6, n_init=4)
-        else:
-            variants = (PriorVariant(name="a"), PriorVariant(name="b", lengthscale=2.0))
-            run_sensitivity_experiment([replace(micro_plan(variants), functions=functions)])
-    assert ran == []
+        run_protocol(protocol, functions=("sphere-1d", "sphere-2d", "sphere-1d"))
+    assert runs == []
+
+
+@pytest.mark.parametrize("protocol", ["compare", "sensitivity"])
+@pytest.mark.parametrize("name, value", [("master_seed", 2.7), ("master_seed", "2"),
+                                         ("master_seed", True), ("jobs", 1.5)])
+def test_seed_and_jobs_must_be_integers_before_any_run(runs, protocol, name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        run_protocol(protocol, **{name: value})
+    assert runs == []
+
+
+@pytest.mark.parametrize("protocol", ["compare", "sensitivity"])
+def test_protocol_with_no_complete_group_is_a_run_error(monkeypatch, protocol):
+    def unavailable(config, target):
+        raise ProboError("target unavailable")
+
+    monkeypatch.setattr(probo.bench, "run", unavailable)
+    with pytest.warns(UserWarning, match="runs failed for"), \
+            pytest.raises(ProboError, match="every group has a failed run") as info:
+        run_protocol(protocol)
+    assert not isinstance(info.value, ConfigError)
+
+
+def test_comparison_broadcasts_its_kernel():
+    result = run_protocol("compare", functions=("sphere-2d",), kernel=se(0.3))
+    assert {trace.config.kernel for trace in result.traces.values()} == {
+        KernelSpec(family="squared-exponential", lengthscales=(0.3, 0.3))}
 
 
 def test_process_pool_matches_serial_results():
@@ -365,7 +423,7 @@ def test_process_pool_matches_serial_results():
 # ------------------------------------------------------------ trace files
 
 def tiny_trace():
-    config = RunConfig(kernel=PriorVariant(name="se").kernel_for(1), n_init=3, budget=3)
+    config = RunConfig(kernel=se(1.0), n_init=3, budget=3)
     return run(config, registry_lookup("sphere-1d"))
 
 

@@ -230,6 +230,25 @@ def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "evaluation 4: target value nan is not finite" in capsys.readouterr().err
     assert len(evaluated) == 4
+    # the evaluations made before the failure are kept, the bad one included
+    rows = read_csv(tmp_path / "y" / "trace.csv")
+    assert len(rows) == 4
+    assert rows[-1]["psi"] == "nan"
+    assert (tmp_path / "y" / "config.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["compare", "sensitivity"])
+def test_protocol_with_no_complete_group_exits_two(tmp_path, capsys, monkeypatch, command):
+    lookup = probo.bench.registry_lookup
+    monkeypatch.setattr(probo.bench, "registry_lookup",
+                        lambda name: replace(lookup(name), evaluate=lambda x: np.nan))
+    out = tmp_path / "x"
+    with pytest.warns(UserWarning, match="runs failed for"):
+        assert main(QUICK[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and "every group has a failed run" in line
+               for line in err.splitlines())
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- compare
@@ -264,6 +283,18 @@ def test_compare_accepts_paper_shorthand(tmp_path):
     assert code == 0
     snapshot = json.loads((out / "config.json").read_text())
     assert {"kind": "glcb", "tau": 1.0, "rho": 1.0, "c": 100.0} in snapshot["acquisitions"]
+
+
+def test_acq_replaces_the_configured_acquisitions(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"acquisitions": ["lcb:tau=1"]}))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--functions", "sphere-1d",
+                 "--acq", "ei", "--acq", "glcb-1-100",
+                 "--override", "reps=1", "--override", "budget=6", "--override", "n_init=5",
+                 *FAST, "--jobs", "1", "--out", str(out)]) == 0
+    snapshot = json.loads((out / "config.json").read_text())
+    assert [a["kind"] for a in snapshot["acquisitions"]] == ["ei", "glcb"]
 
 
 def test_compare_honours_kernel_lengthscales(tmp_path):
