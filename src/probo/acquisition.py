@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, check_keys, check_real
+from .errors import ConfigError, ConfigObject, check_real
 
 KINDS = ("ei", "lcb", "glcb")
 #: the parameters each kind takes
@@ -43,23 +43,31 @@ def _norm_pdf(z):
 
 
 @dataclass(frozen=True)
-class AcquisitionSpec:
+class AcquisitionSpec(ConfigObject, section="acquisition"):
     """Tagged choice of acquisition function and its parameters.
 
-    tau applies to lcb and glcb, rho and c to glcb only.  glcb with rho = 0
-    scores identically to lcb at the same tau.
+    Each kind takes only its own parameters: none for ei, tau for lcb, and
+    tau, rho and c for glcb; one it takes defaults to 1.0, and one it does
+    not take stays None.  glcb with rho = 0 scores identically to lcb at
+    the same tau.
     """
 
     kind: str
-    tau: float = 1.0
-    rho: float = 1.0
-    c: float = 1.0
+    tau: float | None = None
+    rho: float | None = None
+    c: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown acquisition {self.kind!r}; choose from {KINDS}")
         for name in PARAMETERS["glcb"]:
-            check_real(name, getattr(self, name))
+            value = getattr(self, name)
+            if name in PARAMETERS[self.kind]:
+                object.__setattr__(self, name, 1.0 if value is None else value)
+                check_real(name, getattr(self, name))
+            elif value is not None:
+                raise ConfigError(f"{self.kind} acquisition takes no {name}; its "
+                                  f"parameters: {', '.join(PARAMETERS[self.kind]) or 'none'}")
         if self.kind in ("lcb", "glcb") and self.tau < 0:
             raise ConfigError("tau must be nonnegative")
         if self.kind == "glcb":
@@ -74,24 +82,12 @@ class AcquisitionSpec:
         return "_".join([self.kind] + [f"{name}{getattr(self, name):g}"
                                        for name in PARAMETERS[self.kind]])
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind,
-                **{name: getattr(self, name) for name in PARAMETERS[self.kind]}}
-
     @classmethod
     def from_dict(cls, d) -> "AcquisitionSpec":
         """Build from a mapping {"kind": ..., parameters} or from a string:
         "ei", "lcb:tau=1", "glcb:tau=1,rho=1,c=100", or the shorthand
-        "glcb-RHO-C" (tau 1).  Each kind takes only its own parameters:
-        none for ei, tau for lcb, and tau, rho and c for glcb."""
-        if isinstance(d, str):
-            d = _parse(d)
-        check_keys(d, ("kind",) + PARAMETERS["glcb"], "acquisition")
-        if "kind" not in d:
-            raise ConfigError("acquisition config needs a kind")
-        if d["kind"] in KINDS:  # the constructor names an unknown kind
-            check_keys(d, ("kind",) + PARAMETERS[d["kind"]], f"{d['kind']} acquisition")
-        return cls(**d)
+        "glcb-RHO-C" (tau 1)."""
+        return super().from_dict(_parse(d) if isinstance(d, str) else d)
 
 
 def _parse(text: str) -> dict:

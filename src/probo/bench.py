@@ -32,6 +32,7 @@ from .engine import (
     derive_seed,
     run,
     save_trace_csv,
+    _check_seed,
     _check_target,
     _write_csv,
 )
@@ -223,7 +224,7 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
     any of the group's runs failed; raises ProboError if every group has
     a failed run.
     """
-    check_integer("master_seed", master_seed)
+    _check_seed("master_seed", master_seed)
     check_integer("jobs", jobs)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -289,6 +290,7 @@ def run_sensitivity_experiment(
     Repetition r of every (function, variant) cell across all plans shares
     one derived seed, so compared settings face identical initial designs.
     A failed run voids its function for the affected axis with a warning.
+    Two plans that vary one axis on one function raise ConfigError.
     """
     if not plans:
         raise ConfigError("need at least one sensitivity plan")
@@ -303,6 +305,8 @@ def run_sensitivity_experiment(
                                          n_init=plan.n_init,
                                          budget=plan.n_init + plan.iterations)
                        for v in plan.variants}
+            if (plan.axis, target.name) in groups:
+                raise ConfigError(f"two plans vary {plan.axis} on {target.name}")
             groups[(plan.axis, target.name)] = (target, configs, plan.repetitions)
     traces, built = _run_grid(groups, master_seed, jobs)
 

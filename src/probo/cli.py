@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +36,10 @@ from .bench import (
     write_relative_ad_sums_csv,
     write_traces,
 )
-from .engine import BoRunError, RunConfig, TargetFunction, run, save_trace_csv, _write_json
+from .engine import (SECTIONS, BoRunError, RunConfig, TargetFunction, run, save_trace_csv,
+                     _write_json)
 from .errors import ConfigError, ProboError, check_integer, check_keys
 from .functions import load_tabulated_target, registry_lookup, registry_names
-from .gp import MeanSpec
-from .kernels import KernelSpec
-from .optimizer import FocusSearchConfig
 
 log = logging.getLogger(__name__)
 
@@ -67,13 +66,8 @@ _COMPARE_KEYS = ("functions", "acquisitions", "reps", "budget", "n_init", "seed"
                  "kernel", "mean", "infill")
 _SENSITIVITY_KEYS = ("functions", "reps", "iterations", "n_init", "seed",
                      "acquisition", "infill")
-#: protocol settings that must be integers
-_INTEGERS = ("reps", "iterations", "n_init", "budget")
-#: protocol settings whose runner argument has another name, or that parse
-#: into a spec object
+#: protocol settings whose runner argument has another name
 _RENAME = {"reps": "repetitions"}
-_PARSE = {"acquisition": AcquisitionSpec.from_dict, "kernel": KernelSpec.from_dict,
-          "mean": MeanSpec.from_dict, "infill": FocusSearchConfig.from_dict}
 
 
 def _load_config(path: str | None) -> dict:
@@ -136,12 +130,12 @@ def _list_setting(config: dict, key: str, given: list | None) -> list:
 
 def _protocol_args(config: dict, keys) -> dict:
     """Runner keyword arguments for the settings among keys that config
-    gives; the others keep the runner's defaults."""
-    for k in keys:
-        if k in _INTEGERS and k in config:
-            check_integer(k, config[k])
-    return {_RENAME.get(k, k): _PARSE[k](config[k]) if k in _PARSE else config[k]
-            for k in keys if k in config}
+    gives; the others keep the runner's defaults.  reps is checked here,
+    under the name the config gives it; the runners check the others."""
+    if "reps" in config:
+        check_integer("reps", config["reps"])
+    return {_RENAME.get(k, k): SECTIONS[k].from_dict(config[k]) if k in SECTIONS
+            else config[k] for k in keys if k in config}
 
 
 def _master_seed(args, config: dict):
@@ -158,7 +152,8 @@ def cmd_run(args) -> int:
     settings = {k: v for k, v in config.items() if k != "target"}
     if args.seed is not None:
         settings["seed"] = args.seed
-    run_config = RunConfig.from_dict(settings, target.dimension)
+    run_config = RunConfig.from_dict(settings)
+    run_config = replace(run_config, kernel=run_config.kernel.broadcast(target.dimension))
     snapshot = {"target": config["target"], "config": run_config.to_dict()}
     out = Path(args.out)
 

@@ -25,7 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
-from .errors import ConfigError, ProboError, check_bool, check_integer, check_keys
+from .errors import (ConfigError, ConfigObject, ProboError, check_bool, check_integer,
+                     check_keys)
 from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
 from .igp import ImpreciseGpSpec, mean_width_batch
 from .kernels import DUPLICATE_TOL, KernelSpec
@@ -35,12 +36,20 @@ log = logging.getLogger(__name__)
 
 NUDGE_RADIUS = 1e-6
 
-_SEED_MASK = (1 << 63) - 1
+#: a seed is an integer in [0, _SEED_END); derive_seed draws below it
+_SEED_END = 1 << 63
+
+
+def _check_seed(name: str, value) -> None:
+    """Reject a seed that is not an integer in [0, 2**63)."""
+    check_integer(name, value)
+    if not 0 <= value < _SEED_END:
+        raise ConfigError(f"{name} must lie in [0, 2**63), got {value}")
 
 
 def _stream(seed: int, *key) -> np.random.Generator:
     """Named child generator of a master seed; stable across runs and platforms."""
-    parts = [int(seed) & _SEED_MASK]
+    parts = [int(seed)]
     for k in key:
         parts.append(zlib.crc32(str(k).encode()) if isinstance(k, str) else int(k))
     return np.random.default_rng(np.random.SeedSequence(parts))
@@ -48,7 +57,7 @@ def _stream(seed: int, *key) -> np.random.Generator:
 
 def derive_seed(master: int, *key) -> int:
     """Deterministic integer seed for a named sub-experiment of a master seed."""
-    return int(_stream(master, *key).integers(0, _SEED_MASK))
+    return int(_stream(master, *key).integers(0, _SEED_END - 1))
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,7 @@ class TargetFunction:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ConfigObject, section="run"):
     """Everything one optimization run needs besides the target itself."""
 
     kernel: KernelSpec
@@ -83,8 +92,9 @@ class RunConfig:
     hyperparameter_budget: int = 50
 
     def __post_init__(self):
-        for name in ("n_init", "budget", "seed", "hyperparameter_budget"):
+        for name in ("n_init", "budget", "hyperparameter_budget"):
             check_integer(name, getattr(self, name))
+        _check_seed("seed", self.seed)
         check_bool("hyperparameter_fit", self.hyperparameter_fit)
         if self.n_init < 1:
             raise ConfigError("n_init must be positive")
@@ -96,29 +106,18 @@ class RunConfig:
                 f"budget ({self.budget}) must be at least n_init ({self.n_init})"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_dict(),
-            "mean": self.mean.to_dict(),
-            "acquisition": self.acquisition.to_dict(),
-            "infill": self.infill.to_dict(),
-            "n_init": self.n_init,
-            "budget": self.budget,
-            "seed": self.seed,
-            "hyperparameter_fit": self.hyperparameter_fit,
-            "hyperparameter_budget": self.hyperparameter_budget,
-        }
-
     @classmethod
-    def from_dict(cls, d: dict, dim: int | None = None) -> "RunConfig":
-        """Build from a config mapping; omitted keys take the field defaults.
-        dim, the target's dimension, broadcasts a single kernel lengthscale."""
-        check_keys(d, [f.name for f in fields(cls)], "run")
-        kw = dict(d, kernel=KernelSpec.from_dict(d.get("kernel", {}), dim))
-        parsers = {"mean": MeanSpec.from_dict, "acquisition": AcquisitionSpec.from_dict,
-                   "infill": FocusSearchConfig.from_dict}
-        kw.update({k: parse(d[k]) for k, parse in parsers.items() if k in d})
-        return cls(**kw)
+    def from_dict(cls, d) -> "RunConfig":
+        """Build from a config mapping; omitted keys take the field defaults,
+        and an omitted kernel those of KernelSpec.from_dict."""
+        check_keys(d, [f.name for f in fields(cls)], cls.section)
+        return super().from_dict({k: SECTIONS[k].from_dict(v) if k in SECTIONS else v
+                                  for k, v in {"kernel": {}, **d}.items()})
+
+
+#: the config sections of a run, by key
+SECTIONS = {"kernel": KernelSpec, "mean": MeanSpec, "acquisition": AcquisitionSpec,
+            "infill": FocusSearchConfig}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the config checks that raise them."""
+"""Exception types shared across the package, the config checks that raise
+them, and the base class of the config objects."""
 
 import math
 import numbers
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -72,3 +74,31 @@ def check_reals(name: str, values) -> tuple[float, ...]:
     for value in values:
         check_real(name, value)
     return tuple(float(value) for value in values)
+
+
+class ConfigObject:
+    """Base of a frozen dataclass whose fields are its config keys; section,
+    given at subclassing (class MeanSpec(ConfigObject, section="mean")),
+    names the config in error messages."""
+
+    def __init_subclass__(cls, section: str):
+        cls.section = section
+
+    def to_dict(self) -> dict:
+        """Every field that is not None, a nested config object as its own
+        dict and a tuple as a list."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.to_dict() if isinstance(v, ConfigObject) else
+                list(v) if isinstance(v, tuple) else v
+                for k, v in values.items() if v is not None}
+
+    @classmethod
+    def from_dict(cls, d):
+        """Build from a mapping of field names to values; a field without a
+        default must be given."""
+        check_keys(d, [f.name for f in fields(cls)], cls.section)
+        missing = [f.name for f in fields(cls) if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"{cls.section} config needs {', '.join(missing)}")
+        return cls(**d)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrs, dtrtri
 
-from .errors import ConditioningError, check_keys, check_reals
+from .errors import ConditioningError, ConfigObject, check_reals
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
@@ -39,7 +39,7 @@ MEAN_FORMS = (
 
 
 @dataclass(frozen=True)
-class MeanSpec:
+class MeanSpec(ConfigObject, section="mean"):
     """Trend of the GP prior.
 
     constant-estimated carries no coefficients (the constant is fitted by
@@ -96,14 +96,6 @@ class MeanSpec:
         elif self.form == "quadratic-fixed":
             out += X @ c[1 : 1 + dim] + (X * X) @ c[1 + dim :]
         return out
-
-    def to_dict(self) -> dict:
-        return {"form": self.form, "coefficients": list(self.coefficients)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeanSpec":
-        check_keys(d, ("form", "coefficients"), "mean")
-        return cls(**d)
 
 
 @dataclass(frozen=True)

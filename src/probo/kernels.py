@@ -27,14 +27,14 @@ distance can reach it pay for the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf
 
-from .errors import (ConditioningError, ConfigError, DimensionMismatchError, check_keys,
-                     check_real, check_reals)
+from .errors import (ConditioningError, ConfigError, ConfigObject, DimensionMismatchError,
+                     check_keys, check_real, check_reals)
 
 FAMILIES = (
     "squared-exponential",
@@ -64,7 +64,7 @@ _SCRATCH_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(ConfigObject, section="kernel"):
     """Kernel family plus hyperparameters.
 
     lengthscales has one strictly positive entry per input dimension;
@@ -114,30 +114,18 @@ class KernelSpec:
             return self
         return replace(self, lengthscales=self.lengthscales * dim)
 
-    def to_dict(self) -> dict:
-        d = {
-            "family": self.family,
-            "lengthscales": list(self.lengthscales),
-            "signal_variance": self.signal_variance,
-        }
-        if self.power is not None:
-            d["power"] = self.power
-        return d
-
     @classmethod
-    def from_dict(cls, d: dict, dim: int | None = None) -> "KernelSpec":
+    def from_dict(cls, d) -> "KernelSpec":
         """Build from a config mapping.  family defaults to squared-exponential
         and the lengthscales to 1; "lengthscale" is an alias of
-        "lengthscales", and a single value is repeated dim times."""
-        check_keys(d, ("family", "lengthscales", "lengthscale", "signal_variance",
-                       "power"), "kernel")
+        "lengthscales", and a single value is a list of one."""
+        check_keys(d, [f.name for f in fields(cls)] + ["lengthscale"], cls.section)
         if "lengthscale" in d and "lengthscales" in d:
             raise ConfigError("give kernel lengthscale or lengthscales, not both")
-        ls = d.get("lengthscales", d.get("lengthscale", 1.0))
-        ls = list(ls) if isinstance(ls, (list, tuple)) else [ls]
-        spec = cls(family=d.get("family", "squared-exponential"), lengthscales=ls,
-                   signal_variance=d.get("signal_variance", 1.0), power=d.get("power"))
-        return spec if dim is None else spec.broadcast(dim)
+        kw = dict(d)
+        ls = kw.pop("lengthscale", kw.get("lengthscales", 1.0))
+        kw["lengthscales"] = list(ls) if isinstance(ls, (list, tuple)) else [ls]
+        return cls(**{"family": "squared-exponential", **kw})
 
 
 @dataclass(frozen=True)

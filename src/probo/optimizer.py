@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProboError, check_integer, check_keys, check_real
+from .errors import ConfigObject, ProboError, check_integer, check_real
 
 
 @dataclass(frozen=True)
 class BoxBounds:
-    """Axis-aligned search box; lower[i] < upper[i] per dimension."""
+    """Axis-aligned search box; finite lower[i] < upper[i] per dimension."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -28,6 +28,8 @@ class BoxBounds:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D and the same length")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError(f"bounds must be finite, got {lower} / {upper}")
         if not np.all(lower < upper):
             raise ValueError(f"need lower < upper in every dimension, got {lower} / {upper}")
         lower.flags.writeable = False
@@ -48,7 +50,7 @@ class BoxBounds:
 
 
 @dataclass(frozen=True)
-class FocusSearchConfig:
+class FocusSearchConfig(ConfigObject, section="infill"):
     """Shrinking random search: per restart, `rounds` rounds of
     `evals_per_round` uniform samples, halving (by default) the box around
     the incumbent between rounds.  Defaults follow the benchmark protocol
@@ -69,15 +71,6 @@ class FocusSearchConfig:
             raise ValueError("evals_per_round, rounds, and restarts must be positive")
         if not 0.0 < self.shrink_factor < 1.0:
             raise ValueError(f"shrink_factor must lie in (0, 1), got {self.shrink_factor}")
-
-    def to_dict(self) -> dict:
-        return {"evals_per_round": self.evals_per_round, "rounds": self.rounds,
-                "restarts": self.restarts, "shrink_factor": self.shrink_factor}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FocusSearchConfig":
-        check_keys(d, ("evals_per_round", "rounds", "restarts", "shrink_factor"), "infill")
-        return cls(**d)
 
 
 def latin_hypercube(n: int, bounds: BoxBounds, seed=0) -> np.ndarray:

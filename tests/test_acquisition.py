@@ -157,6 +157,21 @@ def test_spec_parameters_must_be_finite(field, value):
         AcquisitionSpec(kind="glcb", **{field: value})
 
 
+@pytest.mark.parametrize("kind, name, value", [("ei", "tau", 7), ("lcb", "rho", 2),
+                                               ("lcb", "c", 3)])
+def test_spec_rejects_parameters_of_another_kind(kind, name, value):
+    with pytest.raises(ConfigError, match=f"{kind} acquisition takes no {name}"):
+        AcquisitionSpec(kind, **{name: value})
+
+
+def test_spec_holds_only_its_kinds_parameters():
+    assert AcquisitionSpec("glcb") == AcquisitionSpec("glcb", tau=1.0, rho=1.0, c=1.0)
+    lcb = AcquisitionSpec("lcb")
+    assert (lcb.tau, lcb.rho, lcb.c) == (1.0, None, None)
+    ei = AcquisitionSpec("ei")
+    assert (ei.tau, ei.rho, ei.c) == (None, None, None)
+
+
 def test_spec_dict_round_trip():
     spec = AcquisitionSpec(kind="glcb", tau=0.5, rho=2.0, c=10.0)
     assert spec.to_dict() == {"kind": "glcb", "tau": 0.5, "rho": 2.0, "c": 10.0}

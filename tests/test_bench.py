@@ -385,10 +385,23 @@ def test_repeated_functions_are_rejected_before_any_run(runs, protocol):
 
 @pytest.mark.parametrize("protocol", ["compare", "sensitivity"])
 @pytest.mark.parametrize("name, value", [("master_seed", 2.7), ("master_seed", "2"),
-                                         ("master_seed", True), ("jobs", 1.5)])
+                                         ("master_seed", True), ("jobs", 1.5),
+                                         ("master_seed", -1), ("master_seed", 2**63)])
 def test_seed_and_jobs_must_be_integers_before_any_run(runs, protocol, name, value):
-    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+    # a seed must also lie in [0, 2**63)
+    problem = "must lie in" if value in (-1, 2**63) else "must be an integer"
+    with pytest.raises(ConfigError, match=f"{name} {problem}"):
         run_protocol(protocol, **{name: value})
+    assert runs == []
+
+
+def test_two_plans_that_vary_one_axis_on_one_function_are_rejected(runs):
+    # the second plan's runs would replace the first plan's
+    first = micro_plan((PriorVariant(name="a"), PriorVariant(name="b", kernel=se(2.0))))
+    second = micro_plan((PriorVariant(name="c", kernel=se(0.5)),
+                         PriorVariant(name="d", kernel=se(3.0))))
+    with pytest.raises(ConfigError, match="two plans vary kernel-parameters on sphere-1d"):
+        run_sensitivity_experiment([first, second])
     assert runs == []
 
 

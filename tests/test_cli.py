@@ -116,6 +116,18 @@ def test_unknown_nested_key_rejected(tmp_path, capsys, command, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(QUICK))
+@pytest.mark.parametrize("seed", ["-1", str(2**63)])
+def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, evaluated, command, seed):
+    out = tmp_path / "x"
+    assert main(QUICK[command] + ["--seed", seed, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and "seed must lie in" in line
+               for line in err.splitlines())
+    assert evaluated == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, named", [
     ('target={"function": "sphere-1d", "bogus": 1}', "bogus"),
     ('target={"function": "sphere-1d", "csv": "x.csv"}', "csv"),

@@ -62,6 +62,13 @@ def test_integer_fields_reject_other_types(field, value):
         lcb_config(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_seed_must_lie_in_range(seed):
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*63\)"):
+        lcb_config(seed=seed)
+    assert lcb_config(seed=2**63 - 1).seed == 2**63 - 1
+
+
 @pytest.mark.parametrize("value", ["no", 1, 0, None])
 def test_hyperparameter_fit_must_be_a_bool(value):
     with pytest.raises(ConfigError, match="hyperparameter_fit"):
@@ -99,6 +106,29 @@ def test_mean_must_fit_target_dimension():
     with pytest.raises(ConfigError, match="sphere-2d"):
         run(cfg, tf)
     assert evaluated == []
+
+
+@pytest.mark.parametrize("obj", [
+    KernelSpec(family="squared-exponential", lengthscales=(0.5, 2.0), signal_variance=1.5),
+    KernelSpec(family="power-exponential", lengthscales=(0.5,), power=1.2),
+    KernelSpec(family="matern-3/2", lengthscales=(3.0,)),
+    KernelSpec(family="matern-5/2", lengthscales=(0.1, 0.2, 0.3), signal_variance=2.0),
+    MeanSpec(),
+    MeanSpec(form="constant-fixed", coefficients=(0.5,)),
+    MeanSpec(form="linear-fixed", coefficients=(0.0, 0.1, -0.2)),
+    MeanSpec(form="quadratic-fixed", coefficients=(1.0, 0.1, 0.01)),
+    AcquisitionSpec(kind="ei"),
+    AcquisitionSpec(kind="lcb", tau=2.5),
+    AcquisitionSpec(kind="glcb", tau=0.5, rho=2.0, c=10.0),
+    FocusSearchConfig(evals_per_round=7, rounds=2, restarts=3, shrink_factor=0.25),
+    RunConfig(kernel=KernelSpec(family="power-exponential", lengthscales=(0.5, 2.0), power=1.5),
+              mean=MeanSpec(form="linear-fixed", coefficients=(1.0, 0.5, 0.25)),
+              acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=2.0, c=100.0),
+              infill=FAST_INFILL, n_init=3, budget=5, seed=2**63 - 1,
+              hyperparameter_fit=True, hyperparameter_budget=7),
+], ids=lambda obj: type(obj).__name__)
+def test_config_objects_round_trip_through_json(obj):
+    assert type(obj).from_dict(json.loads(json.dumps(obj.to_dict()))) == obj
 
 
 def test_config_dict_round_trip():

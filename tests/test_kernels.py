@@ -143,9 +143,8 @@ def test_spec_numbers_are_finite_reals(field, value):
     ({"family": "power-exponential", "power": True}, "power"),
 ])
 def test_spec_from_config_mapping_rejects_non_numbers(mapping, field):
-    for dim in (None, 1, 2):
-        with pytest.raises(ConfigError, match=field):
-            KernelSpec.from_dict(mapping, dim)
+    with pytest.raises(ConfigError, match=field):
+        KernelSpec.from_dict(mapping)
 
 
 def test_spec_dict_round_trip():
@@ -157,13 +156,13 @@ def test_spec_dict_round_trip():
 def test_spec_from_config_mapping():
     # a single lengthscale, under either key, is repeated per dimension
     want = KernelSpec(family="squared-exponential", lengthscales=(0.5, 0.5, 0.5))
-    assert KernelSpec.from_dict({"lengthscale": 0.5}, 3) == want
-    assert KernelSpec.from_dict({"lengthscales": [0.5]}, 3) == want
-    assert KernelSpec.from_dict({}, 2).lengthscales == (1.0, 1.0)
+    assert KernelSpec.from_dict({"lengthscale": 0.5}).broadcast(3) == want
+    assert KernelSpec.from_dict({"lengthscales": [0.5]}).broadcast(3) == want
+    assert KernelSpec.from_dict({}).broadcast(2).lengthscales == (1.0, 1.0)
     with pytest.raises(ConfigError, match="bogus"):
-        KernelSpec.from_dict({"bogus": 1}, 1)
+        KernelSpec.from_dict({"bogus": 1})
     with pytest.raises(ConfigError):
-        KernelSpec.from_dict({"lengthscale": 1.0, "lengthscales": [2.0]}, 1)
+        KernelSpec.from_dict({"lengthscale": 1.0, "lengthscales": [2.0]})
 
 
 # ------------------------------------------------------------ base matrix

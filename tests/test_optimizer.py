@@ -40,6 +40,13 @@ def random_search(objective, bounds, n_evals, seed):
 
 # ------------------------------------------------------------------ bounds
 
+@pytest.mark.parametrize("lower, upper", [([-np.inf], [1.0]), ([0.0], [np.inf]),
+                                          ([-np.inf], [np.inf]), ([0.0, 0.0], [1.0, np.inf])])
+def test_bounds_must_be_finite(lower, upper):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        BoxBounds(lower=lower, upper=upper)
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         BoxBounds(lower=[0.0], upper=[0.0])
