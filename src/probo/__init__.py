@@ -11,11 +11,12 @@ targets.
 
 from .acquisition import AcquisitionSpec
 from .bench import (
+    CompareConfig,
     MopMatrix,
     PriorVariant,
+    SensitivityConfig,
     SensitivityPlan,
     accumulated_difference,
-    default_sensitivity_plans,
     mean_optimization_path,
     relative_ad_summary,
     run_acquisition_comparison,
@@ -41,8 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcquisitionSpec",
-    "MopMatrix", "PriorVariant", "SensitivityPlan",
-    "accumulated_difference", "default_sensitivity_plans",
+    "CompareConfig", "MopMatrix", "PriorVariant", "SensitivityConfig", "SensitivityPlan",
+    "accumulated_difference",
     "mean_optimization_path", "relative_ad_summary",
     "run_acquisition_comparison", "run_sensitivity_experiment",
     "BoRunError", "IterationRecord", "OptimizationTrace", "RunConfig",

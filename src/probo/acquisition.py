@@ -47,9 +47,9 @@ class AcquisitionSpec(ConfigObject, section="acquisition"):
     """Tagged choice of acquisition function and its parameters.
 
     Each kind takes only its own parameters: none for ei, tau for lcb, and
-    tau, rho and c for glcb; one it takes defaults to 1.0, and one it does
-    not take stays None.  glcb with rho = 0 scores identically to lcb at
-    the same tau.
+    tau, rho and c for glcb; one it takes defaults to 1.0 and is stored as
+    a float, and one it does not take stays None.  glcb with rho = 0
+    scores identically to lcb at the same tau.
     """
 
     kind: str
@@ -63,8 +63,7 @@ class AcquisitionSpec(ConfigObject, section="acquisition"):
         for name in PARAMETERS["glcb"]:
             value = getattr(self, name)
             if name in PARAMETERS[self.kind]:
-                object.__setattr__(self, name, 1.0 if value is None else value)
-                check_real(name, getattr(self, name))
+                object.__setattr__(self, name, check_real(name, 1.0 if value is None else value))
             elif value is not None:
                 raise ConfigError(f"{self.kind} acquisition takes no {name}; its "
                                   f"parameters: {', '.join(PARAMETERS[self.kind]) or 'none'}")

@@ -36,7 +36,7 @@ from .engine import (
     _check_target,
     _write_csv,
 )
-from .errors import ConfigError, ProboError, check_integer
+from .errors import ConfigError, ConfigObject, ProboError, check_integer, check_list
 from .functions import registry_lookup
 from .gp import MeanSpec
 from .kernels import KernelSpec
@@ -125,7 +125,7 @@ class PriorVariant:
     of default_sensitivity_plans."""
 
     name: str
-    kernel: KernelSpec = KernelSpec("squared-exponential", (1.0,))
+    kernel: KernelSpec = KernelSpec()
     mean: MeanSpec = MeanSpec()
 
     def __post_init__(self):
@@ -159,6 +159,7 @@ class SensitivityPlan:
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError(f"variant names must be distinct, got {names}")
+        object.__setattr__(self, "functions", check_list("functions", self.functions))
         if not self.functions:
             raise ConfigError("a sensitivity plan needs at least one function")
         for name in ("repetitions", "iterations", "n_init"):
@@ -187,15 +188,15 @@ def default_sensitivity_plans(functions: Sequence[str], **settings) -> list[Sens
         for v in (-1.0, -0.5, 0.0, 0.5, 1.0)
     )
     kernel_forms = tuple(
-        PriorVariant(name=fam, kernel=KernelSpec(fam, (1.0,)))
+        PriorVariant(name=fam, kernel=KernelSpec(fam))
         for fam in ("squared-exponential", "matern-3/2", "matern-5/2")
     )
     kernel_params = tuple(
-        PriorVariant(name=f"lengthscale-{s:g}", kernel=KernelSpec("squared-exponential", (s,)))
+        PriorVariant(name=f"lengthscale-{s:g}", kernel=KernelSpec(lengthscales=(s,)))
         for s in (0.5, 0.75, 1.0, 1.25, 1.5)
     )
     return [
-        SensitivityPlan(axis=axis, variants=variants, functions=tuple(functions), **settings)
+        SensitivityPlan(axis=axis, variants=variants, functions=functions, **settings)
         for axis, variants in zip(AXES, (mean_forms, mean_params, kernel_forms, kernel_params))
     ]
 
@@ -270,6 +271,38 @@ def _resolve(functions: Sequence) -> list[TargetFunction]:
 
 # ----------------------------------------------------- sensitivity runner
 
+@dataclass(frozen=True)
+class SensitivityConfig(ConfigObject, section="sensitivity"):
+    """The settings of the sensitivity protocol: the default plan set on
+    functions, each setting repeated reps times with paired seeds derived
+    from seed.  The seed defaults to that of RunConfig and every other
+    setting but functions to that of SensitivityPlan."""
+
+    functions: tuple = ()
+    reps: int = SensitivityPlan.repetitions
+    iterations: int = SensitivityPlan.iterations
+    n_init: int = SensitivityPlan.n_init
+    seed: int = RunConfig.seed
+    acquisition: AcquisitionSpec = SensitivityPlan.acquisition
+    infill: FocusSearchConfig = SensitivityPlan.infill
+
+    def __post_init__(self):
+        object.__setattr__(self, "functions", check_list("functions", self.functions))
+        _check_reps(self.reps)
+        _check_seed("seed", self.seed)
+
+    def plans(self) -> list[SensitivityPlan]:
+        return default_sensitivity_plans(
+            self.functions, repetitions=self.reps, iterations=self.iterations,
+            n_init=self.n_init, acquisition=self.acquisition, infill=self.infill)
+
+
+def _check_reps(reps) -> None:
+    check_integer("reps", reps)
+    if reps < 1:
+        raise ConfigError("reps must be positive")
+
+
 @dataclass
 class SensitivityResult:
     ads: dict[str, dict[str, float]]
@@ -324,65 +357,73 @@ def run_sensitivity_experiment(
 
 # ------------------------------------------------------ comparison runner
 
+@dataclass(frozen=True)
+class CompareConfig(ConfigObject, section="compare"):
+    """The settings of the acquisition comparison: every acquisition on
+    every function, reps paired repetitions with seeds derived from seed.
+    An acquisition may be given as a spec, its mapping or its string
+    (AcquisitionSpec.from_dict); kernel is broadcast to each function's
+    dimension (KernelSpec.broadcast).  Every setting but the three lists
+    defaults to that of RunConfig."""
+
+    functions: tuple = ()
+    acquisitions: tuple[AcquisitionSpec, ...] = ()
+    reps: int = 60
+    budget: int = RunConfig.budget
+    n_init: int = RunConfig.n_init
+    seed: int = RunConfig.seed
+    kernel: KernelSpec = RunConfig.kernel
+    mean: MeanSpec = RunConfig.mean
+    infill: FocusSearchConfig = RunConfig.infill
+
+    def __post_init__(self):
+        object.__setattr__(self, "functions", check_list("functions", self.functions))
+        acquisitions = tuple(a if isinstance(a, AcquisitionSpec) else AcquisitionSpec.from_dict(a)
+                             for a in check_list("acquisitions", self.acquisitions))
+        object.__setattr__(self, "acquisitions", acquisitions)
+        if len(acquisitions) < 2:
+            raise ConfigError("need at least two acquisition settings to compare")
+        labels = [a.label for a in acquisitions]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"acquisition settings must be distinct, got {labels}")
+        _check_reps(self.reps)
+        _check_seed("seed", self.seed)
+
+
 @dataclass
 class ComparisonResult:
     mops: dict[str, MopMatrix]
     ci_half_widths: dict[str, np.ndarray]
-    repetitions: int
-    n_init: int
     traces: dict[tuple, OptimizationTrace] = field(repr=False, default_factory=dict)
 
 
-def run_acquisition_comparison(
-    functions: Sequence,
-    acquisitions: Sequence[AcquisitionSpec],
-    repetitions: int = 60,
-    budget: int = 90,
-    n_init: int = 10,
-    master_seed: int = 0,
-    jobs: int = 1,
-    kernel: KernelSpec = KernelSpec("squared-exponential", (1.0,)),
-    mean: MeanSpec = MeanSpec(),
-    infill: FocusSearchConfig = FocusSearchConfig(),
-) -> ComparisonResult:
+def run_acquisition_comparison(config: CompareConfig, jobs: int = 1) -> ComparisonResult:
     """Paired acquisition-function comparison on each target.
 
     All acquisitions share the derived seed of each repetition index, hence
     its initial design.  Alongside each mean optimization path the pointwise
     0.95 normal-approximation half-width 1.96 * sd / sqrt(R) is reported.
-    kernel is broadcast to each target's dimension (KernelSpec.broadcast;
-    default: squared-exponential, lengthscale 1).
     """
-    if len(acquisitions) < 2:
-        raise ConfigError("need at least two acquisition settings to compare")
-    check_integer("repetitions", repetitions)
-    if repetitions < 1:
-        raise ConfigError("repetitions must be positive")
-    targets = _resolve(functions)
-    labels = [a.label for a in acquisitions]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"acquisition settings must be distinct, got {labels}")
-
     groups = {}
-    for target in targets:
-        spec = kernel.broadcast(target.dimension)
-        configs = {acq.label: RunConfig(kernel=spec, mean=mean, acquisition=acq,
-                                        infill=infill, n_init=n_init, budget=budget)
-                   for acq in acquisitions}
-        groups[(target.name,)] = (target, configs, repetitions)
-    traces, built = _run_grid(groups, master_seed, jobs)
+    for target in _resolve(config.functions):
+        configs = {acq.label: RunConfig(kernel=config.kernel.broadcast(target.dimension),
+                                        mean=config.mean, acquisition=acq,
+                                        infill=config.infill, n_init=config.n_init,
+                                        budget=config.budget)
+                   for acq in config.acquisitions}
+        groups[(target.name,)] = (target, configs, config.reps)
+    traces, built = _run_grid(groups, config.seed, jobs)
 
+    reps = config.reps
     mops: dict[str, MopMatrix] = {}
     cis: dict[str, np.ndarray] = {}
     for (fname,), cell in built.items():
         if cell is None:
             continue
         mops[fname], paths = cell
-        sds = [p.std(axis=0, ddof=1) if repetitions > 1 else np.zeros(p.shape[1])
-               for p in paths]
-        cis[fname] = np.column_stack([1.96 * sd / np.sqrt(repetitions) for sd in sds])
-    return ComparisonResult(mops=mops, ci_half_widths=cis, repetitions=repetitions,
-                            n_init=n_init, traces=traces)
+        sds = [p.std(axis=0, ddof=1) if reps > 1 else np.zeros(p.shape[1]) for p in paths]
+        cis[fname] = np.column_stack([1.96 * sd / np.sqrt(reps) for sd in sds])
+    return ComparisonResult(mops=mops, ci_half_widths=cis, traces=traces)
 
 
 # ------------------------------------------------------------ CSV output

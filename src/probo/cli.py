@@ -9,8 +9,9 @@ Subcommands:
     inspect      report on a tabulated CSV target
 
 Configuration comes from JSON files merged with --override key=value pairs
-(dotted keys reach into nested objects); unknown keys are rejected.  Exit
-codes: 0 success, 1 usage or configuration error, 2 runtime failure.
+(dotted keys reach into nested objects); unknown keys are rejected.  The
+config.json a command writes is a --config that reruns it.  Exit codes:
+0 success, 1 usage or configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import AcquisitionSpec
 from .bench import (
-    default_sensitivity_plans,
+    CompareConfig,
+    SensitivityConfig,
     run_acquisition_comparison,
     run_sensitivity_experiment,
     write_ad_summary_csv,
@@ -36,9 +37,8 @@ from .bench import (
     write_relative_ad_sums_csv,
     write_traces,
 )
-from .engine import (SECTIONS, BoRunError, RunConfig, TargetFunction, run, save_trace_csv,
-                     _write_json)
-from .errors import ConfigError, ProboError, check_integer, check_keys
+from .engine import BoRunError, RunConfig, TargetFunction, run, save_trace_csv, _write_json
+from .errors import ConfigError, ProboError, check_keys, check_list
 from .functions import load_tabulated_target, registry_lookup, registry_names
 
 log = logging.getLogger(__name__)
@@ -61,14 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ------------------------------------------------------------- config I/O
-
-_COMPARE_KEYS = ("functions", "acquisitions", "reps", "budget", "n_init", "seed",
-                 "kernel", "mean", "infill")
-_SENSITIVITY_KEYS = ("functions", "reps", "iterations", "n_init", "seed",
-                     "acquisition", "infill")
-#: protocol settings whose runner argument has another name
-_RENAME = {"reps": "repetitions"}
-
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -119,42 +111,31 @@ def _target_from_config(spec) -> TargetFunction:
     )
 
 
-def _list_setting(config: dict, key: str, given: list | None) -> list:
-    """A list of names or specs, [] if absent; a list given on the command
-    line replaces it, but the setting is still checked."""
-    value = config.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return given or value
-
-
-def _protocol_args(config: dict, keys) -> dict:
-    """Runner keyword arguments for the settings among keys that config
-    gives; the others keep the runner's defaults.  reps is checked here,
-    under the name the config gives it; the runners check the others."""
-    if "reps" in config:
-        check_integer("reps", config["reps"])
-    return {_RENAME.get(k, k): SECTIONS[k].from_dict(config[k]) if k in SECTIONS
-            else config[k] for k in keys if k in config}
-
-
-def _master_seed(args, config: dict):
-    return args.seed if args.seed is not None else config.get("seed", 0)
+def _settings(args, **given) -> dict:
+    """The config mapping of the file and overrides, with --seed and the
+    lists given on the command line (functions, acquisitions) folded in; a
+    list given there replaces the configured one, which is still checked."""
+    config = _apply_overrides(_load_config(args.config), args.override)
+    for key, value in given.items():
+        if value is not None:
+            check_list(key, config.get(key, ()))
+            config[key] = value
+    if args.seed is not None:
+        config["seed"] = args.seed
+    return config
 
 
 # ------------------------------------------------------------ subcommands
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args.override)
-    if "target" not in config:
+    settings = _settings(args)
+    if "target" not in settings:
         raise ConfigError("run needs a target (config key \"target\")")
-    target = _target_from_config(config["target"])
-    settings = {k: v for k, v in config.items() if k != "target"}
-    if args.seed is not None:
-        settings["seed"] = args.seed
+    given_target = settings.pop("target")
+    target = _target_from_config(given_target)
     run_config = RunConfig.from_dict(settings)
     run_config = replace(run_config, kernel=run_config.kernel.broadcast(target.dimension))
-    snapshot = {"target": config["target"], "config": run_config.to_dict()}
+    snapshot = {"target": given_target, **run_config.to_dict()}
     out = Path(args.out)
 
     def save(trace):
@@ -176,32 +157,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args.override)
-    check_keys(config, _COMPARE_KEYS, "compare")
-    acquisitions = [AcquisitionSpec.from_dict(a)
-                    for a in _list_setting(config, "acquisitions", args.acq)]
-    names = _list_setting(config, "functions", args.functions)
-    seed = _master_seed(args, config)
-
-    result = run_acquisition_comparison(
-        functions=names, acquisitions=acquisitions, master_seed=seed, jobs=args.jobs,
-        **_protocol_args(config, ("reps", "budget", "n_init", "kernel", "mean", "infill")),
-    )
+    config = CompareConfig.from_dict(_settings(args, functions=args.functions,
+                                               acquisitions=args.acq))
+    result = run_acquisition_comparison(config, jobs=args.jobs)
 
     out = Path(args.out)
     write_comparison_csv(result, out / "comparison.csv")
     for fname, mop in result.mops.items():
         write_mop_csv(mop, out / fname / "mop.csv")
     write_traces(result.traces, out / "traces")
-    ran = {key[0]: trace.config for key, trace in result.traces.items()}
-    first = next(iter(ran.values()))
-    snapshot = {
-        "functions": names, "acquisitions": [a.to_dict() for a in acquisitions],
-        "reps": result.repetitions, "budget": first.budget, "n_init": result.n_init,
-        "seed": seed, "mean": first.mean.to_dict(), "infill": first.infill.to_dict(),
-        "kernels": {fname: c.kernel.to_dict() for fname, c in ran.items()},
-    }
-    _write_json(out / "config.json", snapshot)
+    _write_json(out / "config.json", config.to_dict())
     for fname, mop in result.mops.items():
         finals = ", ".join(f"{lab}={float(val)!r}" for lab, val in
                            zip(mop.labels, mop.values[-1]))
@@ -211,16 +176,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args.override)
-    check_keys(config, _SENSITIVITY_KEYS, "sensitivity")
-    names = _list_setting(config, "functions", args.functions)
-    seed = _master_seed(args, config)
-    plans = default_sensitivity_plans(
-        functions=names,
-        **_protocol_args(config, ("reps", "iterations", "n_init", "acquisition", "infill")),
-    )
-
-    result = run_sensitivity_experiment(plans, master_seed=seed, jobs=args.jobs)
+    config = SensitivityConfig.from_dict(_settings(args, functions=args.functions))
+    result = run_sensitivity_experiment(config.plans(), master_seed=config.seed, jobs=args.jobs)
 
     out = Path(args.out)
     write_ad_summary_csv(result, out / "ad_summary.csv")
@@ -228,13 +185,7 @@ def cmd_sensitivity(args) -> int:
     for (fname, axis), mop in result.mops.items():
         write_mop_csv(mop, out / fname / axis / "mop.csv")
     write_traces(result.traces, out / "traces")
-    plan = plans[0]
-    snapshot = {
-        "functions": list(plan.functions), "reps": plan.repetitions,
-        "iterations": plan.iterations, "n_init": plan.n_init, "seed": seed,
-        "acquisition": plan.acquisition.to_dict(), "infill": plan.infill.to_dict(),
-    }
-    _write_json(out / "config.json", snapshot)
+    _write_json(out / "config.json", config.to_dict())
 
     print("sum of relative ADs per prior component:")
     for axis, total in result.axis_sums.items():

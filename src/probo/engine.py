@@ -18,15 +18,14 @@ import csv
 import json
 import logging
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
-from .errors import (ConfigError, ConfigObject, ProboError, check_bool, check_integer,
-                     check_keys)
+from .errors import ConfigError, ConfigObject, ProboError, check_bool, check_integer
 from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
 from .igp import ImpreciseGpSpec, mean_width_batch
 from .kernels import DUPLICATE_TOL, KernelSpec
@@ -81,7 +80,7 @@ class TargetFunction:
 class RunConfig(ConfigObject, section="run"):
     """Everything one optimization run needs besides the target itself."""
 
-    kernel: KernelSpec
+    kernel: KernelSpec = KernelSpec()
     mean: MeanSpec = MeanSpec()
     acquisition: AcquisitionSpec = AcquisitionSpec(kind="lcb", tau=1.0)
     infill: FocusSearchConfig = FocusSearchConfig()
@@ -105,19 +104,6 @@ class RunConfig(ConfigObject, section="run"):
             raise ConfigError(
                 f"budget ({self.budget}) must be at least n_init ({self.n_init})"
             )
-
-    @classmethod
-    def from_dict(cls, d) -> "RunConfig":
-        """Build from a config mapping; omitted keys take the field defaults,
-        and an omitted kernel those of KernelSpec.from_dict."""
-        check_keys(d, [f.name for f in fields(cls)], cls.section)
-        return super().from_dict({k: SECTIONS[k].from_dict(v) if k in SECTIONS else v
-                                  for k, v in {"kernel": {}, **d}.items()})
-
-
-#: the config sections of a run, by key
-SECTIONS = {"kernel": KernelSpec, "mean": MeanSpec, "acquisition": AcquisitionSpec,
-            "infill": FocusSearchConfig}
 
 
 @dataclass(frozen=True)
@@ -271,7 +257,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 def save_trace_csv(trace: OptimizationTrace, csv_path, config_path=None) -> None:
-    """Write the trace as CSV; optionally a JSON sidecar with the config snapshot."""
+    """Write the trace as CSV; optionally a JSON sidecar with the config
+    snapshot, the target's name beside the run config's keys."""
     dim = trace.records[0].point.shape[0]
     header = (["iter"] + [f"x_{j + 1}" for j in range(dim)]
               + ["psi", "incumbent", "acq_value", "igp_case", "clamped"])
@@ -283,5 +270,4 @@ def save_trace_csv(trace: OptimizationTrace, csv_path, config_path=None) -> None
                      r.clamped if r.igp_case else ""])
     _write_csv(csv_path, header, rows)
     if config_path is not None:
-        _write_json(config_path, {"config": trace.config.to_dict(),
-                                  "target": trace.target_name})
+        _write_json(config_path, {"target": trace.target_name, **trace.config.to_dict()})

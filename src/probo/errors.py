@@ -58,11 +58,12 @@ def check_bool(name: str, value) -> None:
         raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
-def check_real(name: str, value) -> None:
-    """Reject a config value that is not a finite real number (bools included)."""
+def check_real(name: str, value) -> float:
+    """A finite real number as a float; anything else (bools included) is rejected."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def check_reals(name: str, values) -> tuple[float, ...]:
@@ -71,9 +72,15 @@ def check_reals(name: str, values) -> tuple[float, ...]:
         values = values.tolist()
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{name} must be a list of finite real numbers, got {values!r}")
-    for value in values:
-        check_real(name, value)
-    return tuple(float(value) for value in values)
+    return tuple(check_real(name, value) for value in values)
+
+
+def check_list(name: str, values) -> tuple:
+    """A list or tuple as a tuple; a bare string is rejected, not split into
+    characters."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return tuple(values)
 
 
 class ConfigObject:
@@ -85,20 +92,30 @@ class ConfigObject:
         cls.section = section
 
     def to_dict(self) -> dict:
-        """Every field that is not None, a nested config object as its own
-        dict and a tuple as a list."""
+        """Every field that is not None, a config object as its own dict and
+        a tuple as a list."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.to_dict() if isinstance(v, ConfigObject) else
-                list(v) if isinstance(v, tuple) else v
-                for k, v in values.items() if v is not None}
+        return {k: _plain(v) for k, v in values.items() if v is not None}
 
     @classmethod
     def from_dict(cls, d):
         """Build from a mapping of field names to values; a field without a
-        default must be given."""
+        default must be given, and one whose default is a config object is
+        built from its own mapping by that object's class."""
         check_keys(d, [f.name for f in fields(cls)], cls.section)
         missing = [f.name for f in fields(cls) if f.name not in d
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ConfigError(f"{cls.section} config needs {', '.join(missing)}")
-        return cls(**d)
+        nested = {f.name: type(f.default) for f in fields(cls)
+                  if isinstance(f.default, ConfigObject)}
+        return cls(**{k: nested[k].from_dict(v) if k in nested else v for k, v in d.items()})
+
+
+def _plain(value):
+    """A config value as JSON data: a config object as its dict, a tuple as a list."""
+    if isinstance(value, ConfigObject):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value

@@ -65,15 +65,16 @@ _SCRATCH_BYTES = 1 << 16
 
 @dataclass(frozen=True)
 class KernelSpec(ConfigObject, section="kernel"):
-    """Kernel family plus hyperparameters.
+    """Kernel family plus hyperparameters; the default is the unit
+    squared-exponential kernel of one input dimension (see broadcast).
 
     lengthscales has one strictly positive entry per input dimension;
     power is required for the power-exponential family and must stay in
     (0, 2] (it is rejected for every other family).
     """
 
-    family: str
-    lengthscales: tuple[float, ...]
+    family: str = "squared-exponential"
+    lengthscales: tuple[float, ...] = (1.0,)
     signal_variance: float = 1.0
     power: float | None = None
 
@@ -88,16 +89,14 @@ class KernelSpec(ConfigObject, section="kernel"):
         if any(l <= 0.0 for l in ls):
             raise ValueError(f"lengthscales must be strictly positive, got {ls}")
         object.__setattr__(self, "lengthscales", ls)
-        check_real("signal_variance", self.signal_variance)
-        sv = float(self.signal_variance)
+        sv = check_real("signal_variance", self.signal_variance)
         if sv <= 0.0:
             raise ValueError(f"signal_variance must be strictly positive, got {sv}")
         object.__setattr__(self, "signal_variance", sv)
         if self.family == "power-exponential":
             if self.power is None:
                 raise ValueError("power-exponential requires a power exponent")
-            check_real("power", self.power)
-            p = float(self.power)
+            p = check_real("power", self.power)
             if not 0.0 < p <= 2.0:
                 raise ValueError(f"power exponent must lie in (0, 2], got {p}")
             object.__setattr__(self, "power", p)
@@ -116,16 +115,17 @@ class KernelSpec(ConfigObject, section="kernel"):
 
     @classmethod
     def from_dict(cls, d) -> "KernelSpec":
-        """Build from a config mapping.  family defaults to squared-exponential
-        and the lengthscales to 1; "lengthscale" is an alias of
+        """Build from a config mapping; "lengthscale" is an alias of
         "lengthscales", and a single value is a list of one."""
         check_keys(d, [f.name for f in fields(cls)] + ["lengthscale"], cls.section)
         if "lengthscale" in d and "lengthscales" in d:
             raise ConfigError("give kernel lengthscale or lengthscales, not both")
         kw = dict(d)
-        ls = kw.pop("lengthscale", kw.get("lengthscales", 1.0))
-        kw["lengthscales"] = list(ls) if isinstance(ls, (list, tuple)) else [ls]
-        return cls(**{"family": "squared-exponential", **kw})
+        if "lengthscale" in kw:
+            kw["lengthscales"] = kw.pop("lengthscale")
+        if not isinstance(kw.get("lengthscales", ()), (list, tuple)):
+            kw["lengthscales"] = [kw["lengthscales"]]
+        return cls(**kw)
 
 
 @dataclass(frozen=True)

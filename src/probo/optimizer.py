@@ -66,7 +66,7 @@ class FocusSearchConfig(ConfigObject, section="infill"):
     def __post_init__(self):
         for name in ("evals_per_round", "rounds", "restarts"):
             check_integer(name, getattr(self, name))
-        check_real("shrink_factor", self.shrink_factor)
+        object.__setattr__(self, "shrink_factor", check_real("shrink_factor", self.shrink_factor))
         if self.evals_per_round < 1 or self.rounds < 1 or self.restarts < 1:
             raise ValueError("evals_per_round, rounds, and restarts must be positive")
         if not 0.0 < self.shrink_factor < 1.0:

@@ -7,8 +7,10 @@ import probo.bench
 from probo.acquisition import AcquisitionSpec
 from probo.bench import (
     AXES,
+    CompareConfig,
     MopMatrix,
     PriorVariant,
+    SensitivityConfig,
     SensitivityPlan,
     accumulated_difference,
     default_sensitivity_plans,
@@ -304,68 +306,98 @@ def test_paired_initial_designs_across_variants():
 # -------------------------------------------------------------- comparison
 
 def test_comparison_reduction_has_zero_ad():
-    result = run_acquisition_comparison(
+    result = run_acquisition_comparison(CompareConfig(
         functions=["sphere-1d"],
         acquisitions=[AcquisitionSpec(kind="lcb", tau=1.0),
                       AcquisitionSpec(kind="glcb", tau=1.0, rho=0.0, c=100.0)],
-        repetitions=2, budget=8, n_init=5, master_seed=21, infill=FAST_INFILL)
+        reps=2, budget=8, n_init=5, seed=21, infill=FAST_INFILL))
     mop = result.mops["sphere-1d"]
     assert np.array_equal(mop.values[:, 0], mop.values[:, 1])
     assert accumulated_difference(mop.values) == 0.0
 
 
 def test_comparison_defaults_follow_the_protocol():
-    import inspect
+    config = CompareConfig(acquisitions=["ei", "lcb"])
+    assert (config.reps, config.budget, config.n_init, config.seed) == (60, 90, 10, 0)
+    assert config.kernel == KernelSpec(family="squared-exponential", lengthscales=(1.0,))
+    assert (config.mean, config.infill) == (MeanSpec(), FocusSearchConfig())
 
-    sig = inspect.signature(run_acquisition_comparison)
-    assert sig.parameters["repetitions"].default == 60
-    assert sig.parameters["budget"].default == 90
-    assert sig.parameters["n_init"].default == 10
+
+def test_sensitivity_config_builds_the_default_plans():
+    config = SensitivityConfig(functions=["sphere-1d"], reps=2, iterations=3, n_init=4,
+                               acquisition=AcquisitionSpec(kind="lcb"), infill=FAST_INFILL)
+    assert config.plans() == default_sensitivity_plans(
+        ["sphere-1d"], repetitions=2, iterations=3, n_init=4,
+        acquisition=AcquisitionSpec(kind="lcb"), infill=FAST_INFILL)
+    # settings left out take the SensitivityPlan defaults
+    assert SensitivityConfig(functions=["sphere-1d"]).plans() == default_sensitivity_plans(
+        ["sphere-1d"])
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: CompareConfig(functions="sphere-1d", acquisitions=["ei", "lcb"]), "functions"),
+    (lambda: CompareConfig(functions=["sphere-1d"], acquisitions="ei"), "acquisitions"),
+    (lambda: SensitivityConfig(functions="sphere-1d"), "functions"),
+    (lambda: default_sensitivity_plans("sphere-1d"), "functions"),
+])
+def test_a_string_for_a_list_is_rejected(make, named):
+    # a bare string would otherwise be read as a list of its characters
+    with pytest.raises(ConfigError, match=f"{named} must be a list"):
+        make()
+
+
+@pytest.mark.parametrize("config, settings", [
+    (CompareConfig, {"acquisitions": ["ei", "lcb"]}), (SensitivityConfig, {})])
+@pytest.mark.parametrize("reps", [0, -3])
+def test_protocol_reps_must_be_positive(config, settings, reps):
+    with pytest.raises(ConfigError, match="reps must be positive"):
+        config(functions=["sphere-1d"], reps=reps, **settings)
 
 
 def test_ci_half_width_shrinks_with_more_repetitions():
     acqs = [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")]
-    small = run_acquisition_comparison(["gramacy-lee"], acqs, repetitions=10,
-                                       budget=8, n_init=5, master_seed=2,
-                                       kernel=se(0.2), infill=FAST_INFILL)
+    small = CompareConfig(functions=["gramacy-lee"], acquisitions=acqs, reps=10, budget=8,
+                          n_init=5, seed=2, kernel=se(0.2), infill=FAST_INFILL)
     # seeds are derived per repetition index, so the first 10 runs coincide
-    big = run_acquisition_comparison(["gramacy-lee"], acqs, repetitions=40,
-                                     budget=8, n_init=5, master_seed=2,
-                                     kernel=se(0.2), infill=FAST_INFILL)
+    big = replace(small, reps=40)
+    small, big = run_acquisition_comparison(small), run_acquisition_comparison(big)
     assert big.ci_half_widths["gramacy-lee"].mean() < small.ci_half_widths["gramacy-lee"].mean()
 
 
 def test_comparison_requires_two_settings():
-    with pytest.raises(ConfigError):
-        run_acquisition_comparison(["sphere-1d"], [AcquisitionSpec(kind="ei")],
-                                   repetitions=2, budget=6, n_init=4)
+    with pytest.raises(ConfigError, match="at least two"):
+        CompareConfig(functions=["sphere-1d"], acquisitions=[AcquisitionSpec(kind="ei")],
+                      reps=2, budget=6, n_init=4)
 
 
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
 def test_comparison_repetitions_must_be_an_integer(value):
-    with pytest.raises(ConfigError, match="repetitions must be an integer"):
-        run_acquisition_comparison(
-            ["sphere-1d"], [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")],
-            repetitions=value, budget=6, n_init=4)
+    with pytest.raises(ConfigError, match="reps must be an integer"):
+        CompareConfig(functions=["sphere-1d"],
+                      acquisitions=[AcquisitionSpec(kind="lcb", tau=1.0),
+                                    AcquisitionSpec(kind="ei")],
+                      reps=value, budget=6, n_init=4)
 
 
 def test_comparison_rejects_duplicate_labels():
     with pytest.raises(ConfigError, match="distinct"):
-        run_acquisition_comparison(
-            ["sphere-1d"],
-            [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="lcb", tau=1.0)],
-            repetitions=2, budget=6, n_init=4)
+        CompareConfig(functions=["sphere-1d"],
+                      acquisitions=[AcquisitionSpec(kind="lcb", tau=1.0),
+                                    AcquisitionSpec(kind="lcb", tau=1.0)],
+                      reps=2, budget=6, n_init=4)
 
 
-def run_protocol(protocol, functions=("sphere-1d",), **kw):
-    """A small run of either protocol on functions."""
+def run_protocol(protocol, functions=("sphere-1d",), jobs=1, master_seed=0, **kw):
+    """A small run of either protocol on functions; kw are compare settings."""
     if protocol == "compare":
-        return run_acquisition_comparison(
-            functions, [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")],
-            repetitions=1, budget=6, n_init=4, infill=FAST_INFILL, **kw)
+        config = CompareConfig(
+            functions=functions,
+            acquisitions=[AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")],
+            reps=1, budget=6, n_init=4, seed=master_seed, infill=FAST_INFILL, **kw)
+        return run_acquisition_comparison(config, jobs=jobs)
     variants = (PriorVariant(name="a"), PriorVariant(name="b", kernel=se(2.0)))
     return run_sensitivity_experiment([replace(micro_plan(variants), functions=functions)],
-                                      **kw)
+                                      master_seed=master_seed, jobs=jobs)
 
 
 @pytest.fixture
@@ -388,9 +420,10 @@ def test_repeated_functions_are_rejected_before_any_run(runs, protocol):
                                          ("master_seed", True), ("jobs", 1.5),
                                          ("master_seed", -1), ("master_seed", 2**63)])
 def test_seed_and_jobs_must_be_integers_before_any_run(runs, protocol, name, value):
-    # a seed must also lie in [0, 2**63)
+    # a seed must also lie in [0, 2**63); compare's error names its config key
     problem = "must lie in" if value in (-1, 2**63) else "must be an integer"
-    with pytest.raises(ConfigError, match=f"{name} {problem}"):
+    key = "seed" if (protocol, name) == ("compare", "master_seed") else name
+    with pytest.raises(ConfigError, match=f"(?<!_){key} {problem}"):
         run_protocol(protocol, **{name: value})
     assert runs == []
 
@@ -425,10 +458,10 @@ def test_comparison_broadcasts_its_kernel():
 
 def test_process_pool_matches_serial_results():
     acqs = [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")]
-    kw = dict(functions=["sphere-1d"], acquisitions=acqs, repetitions=2,
-              budget=7, n_init=4, master_seed=13, infill=FAST_INFILL)
-    serial = run_acquisition_comparison(jobs=1, **kw)
-    pooled = run_acquisition_comparison(jobs=2, **kw)
+    config = CompareConfig(functions=["sphere-1d"], acquisitions=acqs, reps=2,
+                           budget=7, n_init=4, seed=13, infill=FAST_INFILL)
+    serial = run_acquisition_comparison(config, jobs=1)
+    pooled = run_acquisition_comparison(config, jobs=2)
     assert np.array_equal(serial.mops["sphere-1d"].values,
                           pooled.mops["sphere-1d"].values)
 

@@ -39,7 +39,7 @@ def test_run_override_recorded_in_snapshot(tmp_path):
             "--seed", "1", "--out", str(tmp_path / "g")]
     assert main(args) == 0
     snapshot = json.loads((tmp_path / "g" / "config.json").read_text())
-    assert snapshot["config"]["acquisition"] == {
+    assert snapshot["acquisition"] == {
         "kind": "glcb", "tau": 1.0, "rho": 1.0, "c": 100.0}
     rows = read_csv(tmp_path / "g" / "trace.csv")
     assert len(rows) == 11
@@ -65,8 +65,8 @@ def test_run_config_file_with_overrides(tmp_path):
     assert main(["run", "--config", str(cfg), "--override", "budget=12",
                  "--out", str(out)]) == 0
     snapshot = json.loads((out / "config.json").read_text())
-    assert snapshot["config"]["budget"] == 12
-    assert snapshot["config"]["seed"] == 3
+    assert snapshot["budget"] == 12
+    assert snapshot["seed"] == 3
 
 
 def test_run_prints_best_value_as_a_plain_float(tmp_path, capsys):
@@ -173,7 +173,7 @@ def test_bad_run_input_is_a_config_error(tmp_path, capsys, evaluated, override, 
 @pytest.mark.parametrize("command, args, named", [
     ("sensitivity", ["--override", "reps=1.5"], "reps"),
     ("compare", ["--override", "reps=1.5"], "reps"),
-    ("compare", ["--override", "reps=0"], "repetitions"),
+    ("compare", ["--override", "reps=0"], "reps"),
     ("sensitivity", ["--override", "iterations=2.5"], "iterations"),
     ("sensitivity", ["--override", "n_init=abc"], "n_init"),
     ("compare", ["--override", "budget=true"], "budget"),
@@ -263,6 +263,33 @@ def test_protocol_with_no_complete_group_exits_two(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", sorted(QUICK))
+def test_config_snapshot_reruns_its_command(tmp_path, command):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(QUICK[command] + ["--seed", "2", "--out", str(first)]) == 0
+    jobs = [] if command == "run" else ["--jobs", "1"]
+    assert main([command, "--config", str(first / "config.json"), *jobs,
+                 "--out", str(again)]) == 0
+    assert tree_bytes(again) == tree_bytes(first)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("compare", {"functions": "sphere-1d", "acquisitions": ["ei", "lcb"]}),
+    ("compare", {"functions": ["sphere-1d"], "acquisitions": "ei"}),
+    ("sensitivity", {"functions": "sphere-1d"}),
+])
+def test_a_string_for_a_list_is_a_config_error(tmp_path, capsys, evaluated, command, config):
+    # a bare string would otherwise be read as a list of its characters
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--jobs", "1", "--out", str(out)]) == 1
+    named = "acquisitions" if config["functions"] == ["sphere-1d"] else "functions"
+    assert f"error: {named} must be a list" in capsys.readouterr().err
+    assert evaluated == []
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- compare
 
 def test_compare_reduction_and_schema(tmp_path):
@@ -322,7 +349,21 @@ def test_compare_honours_kernel_lengthscales(tmp_path):
     assert outputs["plural"] == outputs["alias"]
     assert outputs["plural"] != outputs["default"]
     snapshot = json.loads((tmp_path / "plural" / "config.json").read_text())
-    assert snapshot["kernels"]["gramacy-lee"]["lengthscales"] == [0.1]
+    # the kernel is recorded as given, before its broadcast to each function
+    assert snapshot["kernel"]["lengthscales"] == [0.1]
+
+
+def test_an_integer_parameter_is_recorded_as_a_float(tmp_path):
+    base = ["compare", "--functions", "sphere-1d",
+            "--override", "reps=1", "--override", "budget=6", "--override", "n_init=5",
+            *FAST, "--jobs", "1"]
+    assert main(base + ["--override", 'acquisitions=["ei", "lcb:tau=2"]',
+                        "--out", str(tmp_path / "text")]) == 0
+    assert main(base + ["--override", 'acquisitions=["ei", {"kind": "lcb", "tau": 2}]',
+                        "--out", str(tmp_path / "mapping")]) == 0
+    assert tree_bytes(tmp_path / "mapping") == tree_bytes(tmp_path / "text")
+    snapshot = json.loads((tmp_path / "text" / "config.json").read_text())
+    assert snapshot["acquisitions"][1] == {"kind": "lcb", "tau": 2.0}
 
 
 def test_compare_rejects_a_function_the_config_does_not_fit(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import probo.engine as engine
 from probo.acquisition import AcquisitionSpec
+from probo.bench import CompareConfig, SensitivityConfig
 from probo.engine import (
     BoRunError,
     RunConfig,
@@ -126,6 +127,14 @@ def test_mean_must_fit_target_dimension():
               acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=2.0, c=100.0),
               infill=FAST_INFILL, n_init=3, budget=5, seed=2**63 - 1,
               hyperparameter_fit=True, hyperparameter_budget=7),
+    CompareConfig(functions=("sphere-1d", "gramacy-lee"),
+                  acquisitions=(AcquisitionSpec(kind="ei"), AcquisitionSpec(kind="lcb", tau=2.0)),
+                  reps=3, budget=12, n_init=4, seed=5,
+                  kernel=KernelSpec(family="matern-5/2", lengthscales=(0.3,)),
+                  mean=MeanSpec(form="constant-fixed", coefficients=(1.0,)), infill=FAST_INFILL),
+    SensitivityConfig(functions=("sphere-2d",), reps=2, iterations=3, n_init=4, seed=9,
+                      acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=0.5, c=10.0),
+                      infill=FAST_INFILL),
 ], ids=lambda obj: type(obj).__name__)
 def test_config_objects_round_trip_through_json(obj):
     assert type(obj).from_dict(json.loads(json.dumps(obj.to_dict()))) == obj
@@ -335,5 +344,5 @@ def test_trace_csv_and_snapshot(tmp_path):
     assert float(rows[3]["psi"]) == trace.records[3].psi
 
     snapshot = json.loads((tmp_path / "config.json").read_text())
-    assert snapshot["target"] == "sphere-2d"
-    assert RunConfig.from_dict(snapshot["config"]) == cfg
+    assert snapshot.pop("target") == "sphere-2d"
+    assert RunConfig.from_dict(snapshot) == cfg

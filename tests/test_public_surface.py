@@ -3,8 +3,8 @@ import probo
 #: every public name; adding or removing one is a deliberate edit here
 PUBLIC_NAMES = [
     "AcquisitionSpec",
-    "MopMatrix", "PriorVariant", "SensitivityPlan",
-    "accumulated_difference", "default_sensitivity_plans",
+    "CompareConfig", "MopMatrix", "PriorVariant", "SensitivityConfig", "SensitivityPlan",
+    "accumulated_difference",
     "mean_optimization_path", "relative_ad_summary",
     "run_acquisition_comparison", "run_sensitivity_experiment",
     "BoRunError", "IterationRecord", "OptimizationTrace", "RunConfig",
@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 37
     assert probo.__all__ == PUBLIC_NAMES
 
 
