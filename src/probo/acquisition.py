@@ -121,12 +121,28 @@ def lcb_values(mu, var, tau: float) -> np.ndarray:
 def ei_values(mu, var, psi_min: float) -> np.ndarray:
     """Negated expected improvement below the incumbent (lower is better).
 
-    Degenerate var = 0 entries reduce to -max(psi_min - mu, 0).
+    Degenerate var = 0 entries reduce to -max(psi_min - mu, 0).  A batch
+    whose every var is positive skips the masks and computes in place.
     """
     mu = np.asarray(mu, dtype=float)
     sd = np.sqrt(np.asarray(var, dtype=float))
     improve = psi_min - mu
     with np.errstate(divide="ignore", invalid="ignore"):
+        if sd.ndim and improve.shape == sd.shape and (sd > 0).all():
+            # the masked formula below in place, in its order of operations
+            z = improve / sd
+            cdf = np.divide(z, _SQRT2)
+            erf(cdf, out=cdf)
+            cdf += 1.0
+            cdf *= 0.5
+            pdf = np.multiply(z, -0.5)
+            pdf *= z
+            np.exp(pdf, out=pdf)
+            pdf *= _INV_SQRT_2PI
+            improve *= cdf
+            pdf *= sd
+            improve += pdf
+            return np.negative(improve, out=improve)
         z = np.where(sd > 0, improve / np.where(sd > 0, sd, 1.0), 0.0)
         ei = np.where(sd > 0,
                       improve * _norm_cdf(z) + sd * _norm_pdf(z),

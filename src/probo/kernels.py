@@ -68,9 +68,9 @@ class KernelSpec(ConfigObject, section="kernel"):
     """Kernel family plus hyperparameters; the default is the unit
     squared-exponential kernel of one input dimension (see broadcast).
 
-    lengthscales has one strictly positive entry per input dimension;
-    power is required for the power-exponential family and must stay in
-    (0, 2] (it is rejected for every other family).
+    lengthscales has one strictly positive entry, with a finite reciprocal,
+    per input dimension; power is required for the power-exponential family
+    and must stay in (0, 2] (it is rejected for every other family).
     """
 
     family: str = "squared-exponential"
@@ -88,6 +88,8 @@ class KernelSpec(ConfigObject, section="kernel"):
             raise ValueError("at least one lengthscale is required")
         if any(l <= 0.0 for l in ls):
             raise ValueError(f"lengthscales must be strictly positive, got {ls}")
+        if any(not math.isfinite(1.0 / l) for l in ls):
+            raise ConfigError(f"lengthscales too small to scale a point by, got {ls}")
         object.__setattr__(self, "lengthscales", ls)
         sv = check_real("signal_variance", self.signal_variance)
         if sv <= 0.0:

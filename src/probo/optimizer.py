@@ -32,6 +32,9 @@ class BoxBounds:
             raise ValueError(f"bounds must be finite, got {lower} / {upper}")
         if not np.all(lower < upper):
             raise ValueError(f"need lower < upper in every dimension, got {lower} / {upper}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(upper - lower).all():
+                raise ValueError(f"bounds span overflows a double, got {lower} / {upper}")
         lower.flags.writeable = False
         upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
@@ -46,7 +49,8 @@ class BoxBounds:
         return self.upper - self.lower
 
     def clip(self, X: np.ndarray) -> np.ndarray:
-        return np.clip(X, self.lower, self.upper)
+        # np.clip on finite input, without its Python wrapper
+        return np.minimum(np.maximum(X, self.lower), self.upper)
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,8 @@ def latin_hypercube(n: int, bounds: BoxBounds, seed=0) -> np.ndarray:
 def _best_of(scores: np.ndarray):
     """Index of the smallest finite score, or None if all are non-finite."""
     finite = np.isfinite(scores)
+    if finite.all():
+        return int(np.argmin(scores))
     if not finite.any():
         return None
     masked = np.where(finite, scores, np.inf)
@@ -106,11 +112,16 @@ def focus_search(objective, bounds: BoxBounds, config: FocusSearchConfig, seed=0
     restarts * rounds * evals_per_round.
     """
     rng = np.random.default_rng(seed)
+    size = (config.evals_per_round, bounds.dimension)
     best_point, best_score = None, np.inf
     for _ in range(config.restarts):
         lo, hi = bounds.lower.copy(), bounds.upper.copy()
         for _ in range(config.rounds):
-            pts = rng.uniform(lo, hi, size=(config.evals_per_round, bounds.dimension))
+            # rng.uniform(lo, hi, size) bit for bit, without its per-element
+            # broadcast of the bounds
+            pts = rng.random(size)
+            pts *= hi - lo
+            pts += lo
             scores = np.asarray(objective(pts), dtype=float)
             idx = _best_of(scores)
             if idx is not None and scores[idx] < best_score:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+import probo.acquisition
 from probo.acquisition import (
     AcquisitionSpec,
     ei_values,
@@ -66,6 +68,68 @@ def test_ei_nonnegative_and_monotone_in_mean():
         eis = -ei_values(mus, np.full(4, var), psi_min=psi_min)
         assert all(e >= 0 for e in eis)
         assert all(a >= b - 1e-12 for a, b in zip(eis, eis[1:]))
+
+
+def masked_ei(mu, var, psi_min):
+    """Negated EI with every entry masked on sd > 0: the reference for the
+    mask-free path of ei_values."""
+    mu = np.asarray(mu, dtype=float)
+    sd = np.sqrt(np.asarray(var, dtype=float))
+    improve = psi_min - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sd > 0, improve / np.where(sd > 0, sd, 1.0), 0.0)
+        cdf = 0.5 * (1.0 + erf(np.asarray(z) / math.sqrt(2.0)))
+        pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
+        ei = np.where(sd > 0, improve * cdf + sd * pdf, np.maximum(improve, 0.0))
+    return -ei
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit: signed zeros and NaNs included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def erf_outs(monkeypatch):
+    """Whether each erf call of ei_values wrote in place (the mask-free path)."""
+    outs = []
+
+    def recording(x, **kwargs):
+        outs.append("out" in kwargs)
+        return erf(x, **kwargs)
+
+    monkeypatch.setattr(probo.acquisition, "erf", recording)
+    return outs
+
+
+def test_ei_without_masks_matches_the_masked_formula(erf_outs):
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        m = int(rng.integers(1, 200))
+        scale = 10.0 ** rng.uniform(-8, 8)
+        mu = rng.normal(0.0, scale, size=m)
+        var = (scale * 10.0 ** rng.uniform(-6, 2, size=m)) ** 2
+        psi_min = float(rng.normal(0.0, scale))
+        got = ei_values(mu, var, psi_min)
+        assert same_bits(got, masked_ei(mu, var, psi_min))
+    assert all(erf_outs) and len(erf_outs) == 300
+
+
+def test_ei_far_tails_without_masks():
+    mu = np.array([-1e6, -40.0, 0.0, 40.0, 1e6, 1e-300, np.inf])
+    var = np.array([1e-6, 1.0, 1e300, 1.0, 1e-6, 1e-300, 1.0])
+    got = ei_values(mu, var, 0.0)
+    assert same_bits(got, masked_ei(mu, var, 0.0))
+
+
+def test_scalars_and_zero_variances_keep_the_masked_path(erf_outs):
+    got = ei_values(0.0, 1.0, psi_min=0.5)
+    assert np.ndim(got) == 0 and got == masked_ei(0.0, 1.0, 0.5)
+    mu, var = np.array([0.0, 2.0, -1.0]), np.array([1.0, 0.0, 0.0])
+    assert same_bits(ei_values(mu, var, 1.0), masked_ei(mu, var, 1.0))
+    assert np.array_equal(ei_values(mu, var, 1.0), [masked_ei(0.0, 1.0, 1.0), 0.0, -2.0])
+    assert erf_outs == [False, False, False]
 
 
 # -------------------------------------------------------------------- glcb

@@ -146,6 +146,7 @@ def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, evaluated, comman
     ("infill.restarts=2.0", "restarts"),
     ("kernel.lengthscales=[[1,2]]", "lengthscales"),
     ("kernel.lengthscales=[Infinity]", "lengthscales"),
+    ("kernel.lengthscale=1e-310", "lengthscales"),
     ("kernel.signal_variance=true", "signal_variance"),
     ('kernel={"family": "power-exponential", "power": true}', "power"),
     ('mean={"form": "constant-fixed", "coefficients": 5}', "coefficients"),
@@ -167,6 +168,19 @@ def test_bad_run_input_is_a_config_error(tmp_path, capsys, evaluated, override, 
     assert "Traceback" not in err
     assert any(line.startswith("error:") and named in line for line in err.splitlines())
     assert evaluated == []
+    assert not out.exists()
+
+
+def test_tabulated_domain_whose_span_overflows_is_a_config_error(tmp_path, capsys):
+    table = tmp_path / "wide.csv"
+    table.write_text("-1e308,1\n0,0\n1e308,2\n")
+    out = tmp_path / "x"
+    args = ["run", "--override", f'target={{"csv": "{table}"}}', *FAST, "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "outside the tabulated domain" not in err
+    assert any(line.startswith("error:") and "span overflows" in line
+               and "[-1.e+308] / [1.e+308]" in line for line in err.splitlines())
     assert not out.exists()
 
 

@@ -141,10 +141,16 @@ def test_spec_numbers_are_finite_reals(field, value):
     ({"lengthscales": [1, "x"]}, "lengthscales"),
     ({"signal_variance": True}, "signal_variance"),
     ({"family": "power-exponential", "power": True}, "power"),
+    ({"lengthscale": 1e-310}, "lengthscales"),
+    ({"lengthscales": [1.0, 5e-324]}, "lengthscales"),
 ])
 def test_spec_from_config_mapping_rejects_non_numbers(mapping, field):
     with pytest.raises(ConfigError, match=field):
         KernelSpec.from_dict(mapping)
+
+
+def test_smallest_lengthscale_with_a_finite_reciprocal_is_accepted():
+    assert KernelSpec(lengthscales=(1e-308,)).lengthscales == (1e-308,)
 
 
 def test_spec_dict_round_trip():

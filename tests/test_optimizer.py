@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from probo.errors import ProboError
-from probo.optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
+from probo.optimizer import (BoxBounds, FocusSearchConfig, _best_of, focus_search,
+                             latin_hypercube)
 
 UNIT = BoxBounds(lower=[0.0], upper=[1.0])
 UNIT2 = BoxBounds(lower=[0.0, 0.0], upper=[1.0, 1.0])
@@ -56,6 +57,28 @@ def test_bounds_validation():
     assert b.dimension == 2
     assert inside(b, [0.0, 1.0])
     assert not inside(b, [0.0, 3.0])
+
+
+@pytest.mark.parametrize("lower, upper", [([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1e308]),
+                                          ([-np.finfo(float).max], [np.finfo(float).max])])
+def test_bounds_whose_span_overflows_are_rejected(lower, upper):
+    with pytest.raises(ValueError, match="span overflows") as err:
+        BoxBounds(lower=lower, upper=upper)
+    assert f"{np.asarray(lower, dtype=float)} / {np.asarray(upper, dtype=float)}" in str(err.value)
+
+
+def test_widest_finite_span_is_accepted():
+    b = BoxBounds(lower=[-8e307], upper=[8e307])
+    assert np.isfinite(b.span).all()
+
+
+def test_clip_matches_np_clip():
+    b = BoxBounds(lower=[-1.0, 0.0, 2.0], upper=[1.0, 0.5, 3.0])
+    X = np.random.default_rng(0).normal(0.0, 3.0, size=(500, 3))
+    X[0] = b.lower
+    X[1] = b.upper
+    assert np.array_equal(b.clip(X), np.clip(X, b.lower, b.upper))
+    assert np.array_equal(b.clip(X[7]), np.clip(X[7], b.lower, b.upper))
 
 
 def test_focus_config_validation():
@@ -133,7 +156,100 @@ def test_random_search_ignores_partial_nonfinite():
     assert np.isfinite(score)
 
 
+# ------------------------------------------------------------- incumbents
+
+def masked_best_of(scores):
+    """Index of the smallest finite score through a mask, or None."""
+    finite = np.isfinite(scores)
+    if not finite.any():
+        return None
+    return int(np.argmin(np.where(finite, scores, np.inf)))
+
+
+@pytest.mark.parametrize("scores, expected", [
+    ([3.0, 1.0, 2.0], 1),
+    ([1.0, 0.0, 0.0, -0.0, 5.0], 1),  # ties and signed zeros: the first
+    ([2.0, 2.0, 2.0], 0),
+    ([np.nan, 4.0, 3.0, np.nan], 2),
+    ([np.inf, 4.0, -np.inf, 4.0], 1),
+    ([-np.inf, np.nan, 7.0], 2),
+    ([np.nan, np.inf, -np.inf], None),
+    ([np.nan], None),
+    ([-1e308, -np.inf], 0),
+])
+def test_best_of(scores, expected):
+    scores = np.asarray(scores)
+    assert _best_of(scores) == expected == masked_best_of(scores)
+
+
+def test_best_of_matches_the_masked_index():
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        scores = rng.integers(-3, 4, size=int(rng.integers(1, 40))).astype(float)
+        holes = rng.random(len(scores))
+        scores[holes < 0.1] = np.nan
+        scores[(holes >= 0.1) & (holes < 0.15)] = -np.inf
+        scores[(holes >= 0.15) & (holes < 0.2)] = np.inf
+        assert _best_of(scores) == masked_best_of(scores)
+
+
 # ------------------------------------------------------------- focus search
+
+def uniform_focus_search(objective, bounds, config, rng):
+    """The focus search loop with one rng.uniform draw per round and a
+    masked incumbent: the reference for focus_search's bits."""
+    best_point, best_score = None, np.inf
+    for _ in range(config.restarts):
+        lo, hi = bounds.lower.copy(), bounds.upper.copy()
+        for _ in range(config.rounds):
+            pts = rng.uniform(lo, hi, size=(config.evals_per_round, bounds.dimension))
+            scores = np.asarray(objective(pts), dtype=float)
+            idx = masked_best_of(scores)
+            if idx is not None and scores[idx] < best_score:
+                best_point, best_score = pts[idx].copy(), float(scores[idx])
+            if best_point is None:
+                continue
+            half = 0.5 * config.shrink_factor * (hi - lo)
+            lo = np.clip(best_point - half, bounds.lower, bounds.upper)
+            hi = np.clip(best_point + half, bounds.lower, bounds.upper)
+    return best_point, best_score
+
+
+def holey_objective(target, seen):
+    """Squared distance to target, recording every batch; the first batch is
+    all NaN, and the next three hold NaN and -inf holes."""
+    def objective(P):
+        seen.append(P.copy())
+        s = np.sum((P - target) ** 2, axis=1)
+        if len(seen) == 1:
+            return np.full(len(P), np.nan)
+        if len(seen) <= 4:
+            s[::3] = np.nan
+            s[1::7] = -np.inf
+        return s
+    return objective
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("shrink_factor", [0.5, 0.3])
+def test_focus_search_keeps_the_bits_of_the_uniform_draw(d, shrink_factor):
+    rng = np.random.default_rng(100 + d)
+    lower = rng.uniform(-50.0, 50.0, size=d)
+    bounds = BoxBounds(lower=lower, upper=lower + 10.0 ** rng.uniform(-3, 3, size=d))
+    target = rng.uniform(bounds.lower, bounds.upper)
+    cfg = FocusSearchConfig(evals_per_round=97, rounds=4, restarts=3,
+                            shrink_factor=shrink_factor)
+    seen, ref_seen = [], []
+    gen, ref_gen = np.random.default_rng(d), np.random.default_rng(d)
+    point, score = focus_search(holey_objective(target, seen), bounds, cfg, gen)
+    ref_point, ref_score = uniform_focus_search(holey_objective(target, ref_seen),
+                                                bounds, cfg, ref_gen)
+    assert len(seen) == len(ref_seen) == 12
+    assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
+    assert np.array_equal(point, ref_point) and score == ref_score
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
 
 def test_focus_search_finds_known_optimum():
     cfg = FocusSearchConfig()
