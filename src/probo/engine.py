@@ -110,8 +110,9 @@ class RunConfig(ConfigObject, section="run"):
 class IterationRecord:
     """One target evaluation: where, what came back, and the incumbent after it.
 
-    acq_value is NaN for initial-design rows; igp_case (1 or 2) and clamped
-    (clamp events during this iteration's infill) are set on GLCB runs only.
+    acq_value is NaN for initial-design rows; igp_case (1 or 2) is set on
+    GLCB runs only.  clamped is always 0; the field and its trace column
+    stay only while the benchmark reads them.
     """
 
     index: int
@@ -170,11 +171,20 @@ def _nudge_duplicate(point: np.ndarray, X: np.ndarray, bounds: BoxBounds,
 
 
 def _check_target(config: RunConfig, target: TargetFunction) -> None:
-    """Reject a kernel or mean that does not fit the target's dimension."""
+    """Reject a kernel or mean that does not fit the target's dimension, and
+    a lengthscale that scales a point of the target's box past overflow."""
     if target.dimension != config.kernel.dimension:
         raise ConfigError(
             f"target {target.name!r} has dimension {target.dimension} but the "
             f"kernel carries {config.kernel.dimension} lengthscales"
+        )
+    bound = np.maximum(np.abs(target.bounds.lower), np.abs(target.bounds.upper))
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(bound / np.array(config.kernel.lengthscales))
+    if overflow.any():
+        raise ConfigError(
+            f"target {target.name!r}: lengthscales {config.kernel.lengthscales} "
+            f"scale its bound {float(bound[overflow.argmax()])!r} past overflow"
         )
     try:
         config.mean.validate_for_dimension(target.dimension)
@@ -219,23 +229,19 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
                              partial_trace=trace) from exc
 
         igp = ImpreciseGpSpec(c=acq.c, model=model) if acq.kind == "glcb" else None
-        clamped = 0
 
         def objective(P: np.ndarray) -> np.ndarray:
-            nonlocal clamped
             mu, var = predict_batch(model, P)
             if acq.kind == "ei":
                 return ei_values(mu, var, records[-1].incumbent)
             if acq.kind == "lcb":
                 return lcb_values(mu, var, acq.tau)
-            width, n_clamped = mean_width_batch(igp, P)
-            clamped += n_clamped
-            return glcb_values(mu, var, width, acq.tau, acq.rho)
+            return glcb_values(mu, var, mean_width_batch(igp, P), acq.tau, acq.rho)
 
         point, score = focus_search(objective, bounds, config.infill,
                                     _stream(config.seed, "infill", t))
         point = _nudge_duplicate(point, X, bounds, _stream(config.seed, "dedup", t))
-        observe(point, acq_value=score, igp_case=igp.case if igp else 0, clamped=clamped)
+        observe(point, acq_value=score, igp_case=igp.case if igp else 0)
     return trace
 
 

@@ -1,38 +1,39 @@
 """Reference formulas that only the tests need.
 
-mean_bounds gives both near-ignorance posterior mean bounds, of which the
-library scores only the width; log_marginal_likelihood scores a fitted
-model with the arithmetic of the hyperparameter search (gp._evidence).
+set_bounds gives both bounds of the near-ignorance posterior mean set, of
+which the library scores only the width; log_marginal_likelihood scores a
+fitted model with the arithmetic of the hyperparameter search (gp._evidence).
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from probo.kernels import kernel_matrix
 
 
-def mean_bounds(spec, X):
-    """Lower and upper posterior mean at each row of X.
+def set_bounds(spec, X):
+    """Lower and upper posterior mean of the near-ignorance set at each row of X.
 
-    Where the case-2 formulas cross (upper < lower), both bounds collapse to
-    their midpoint, so upper - lower is the width mean_width_batch reports.
+    Brute force over the set: the Gram matrix (with the model's jitter) is
+    inverted densely, and each prior mean beta ~ N(M h, (1 + M) / c) is
+    conditioned on the targets in information form (prior precision
+    t = c / (1 + M)), for h = +/-1 and M in {0} U logspace(-6, 12) U {inf};
+    the M -> inf member is taken exactly, with t = 0 and M t = c.
     """
     m = spec.model
+    X = np.asarray(X, dtype=float).reshape(-1, m.dimension)
+    n = len(m.X)
+    Kinv = np.linalg.inv(kernel_matrix(m.kernel, m.X, m.X) + m.K.jitter * np.eye(n))
     Kx = kernel_matrix(m.kernel, m.X, X)
-    one_minus = 1.0 - m.s_k @ Kx
-    ky = cho_solve((m.K.cholesky, True), m.y) @ Kx  # k_x' K^-1 y
-    sy = float(m.s_k @ m.y)
-    if spec.case == 1:
-        central = ky + one_minus * sy / m.S_k
-        half = spec.c * np.abs(one_minus) / m.S_k
-        return central - half, central + half
-    upper = ky + one_minus * sy / m.S_k + spec.c * one_minus / m.S_k
-    lower = ky + one_minus * sy / (spec.c + m.S_k)
-    crossed = upper < lower
-    mid = 0.5 * (lower + upper)
-    return np.where(crossed, mid, lower), np.where(crossed, mid, upper)
+    ones = np.ones(n)
+    means = []
+    for M in (0.0, *np.logspace(-6, 12, 181), np.inf):
+        t, Mt = (0.0, spec.c) if M == np.inf else (spec.c / (1 + M), M * spec.c / (1 + M))
+        for h in (1.0, -1.0):
+            beta = (ones @ Kinv @ m.y + h * Mt) / (ones @ Kinv @ ones + t)
+            means.append(beta + Kx.T @ (Kinv @ (m.y - beta * ones)))
+    return np.min(means, axis=0), np.max(means, axis=0)
 
 
 def log_marginal_likelihood(model):

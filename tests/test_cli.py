@@ -147,6 +147,7 @@ def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, evaluated, comman
     ("kernel.lengthscales=[[1,2]]", "lengthscales"),
     ("kernel.lengthscales=[Infinity]", "lengthscales"),
     ("kernel.lengthscale=1e-310", "lengthscales"),
+    ("kernel.lengthscale=1e-308", "lengthscales (1e-308,) scale its bound 5.12"),
     ("kernel.signal_variance=true", "signal_variance"),
     ('kernel={"family": "power-exponential", "power": true}', "power"),
     ('mean={"form": "constant-fixed", "coefficients": 5}', "coefficients"),
@@ -206,6 +207,8 @@ def test_tabulated_domain_whose_span_overflows_is_a_config_error(tmp_path, capsy
     ("compare", ["--override", 'acquisitions="ei"'], "acquisitions"),
     ("compare", ["--functions", "sphere-1d"], "distinct"),
     ("sensitivity", ["--functions", "sphere-1d"], "distinct"),
+    ("compare", ["--override", "kernel.lengthscale=1e-308"],
+     "lengthscales (1e-308,) scale its bound 5.12"),
 ])
 def test_bad_protocol_input_is_a_config_error(tmp_path, capsys, command, args, named):
     out = tmp_path / "x"

@@ -109,6 +109,14 @@ def test_mean_must_fit_target_dimension():
     assert evaluated == []
 
 
+def test_lengthscale_must_scale_the_box_within_range():
+    tf = registry_lookup("sphere-2d")
+    # 5.12 / 1e-307 is finite, 5.12 / 1e-308 is not
+    engine._check_target(lcb_config(kernel=kernel_1d(1e-307).broadcast(2)), tf)
+    with pytest.raises(ConfigError, match=r"lengthscales .* scale its bound 5\.12"):
+        run(lcb_config(kernel=kernel_1d(1e-308).broadcast(2)), tf)
+
+
 @pytest.mark.parametrize("obj", [
     KernelSpec(family="squared-exponential", lengthscales=(0.5, 2.0), signal_variance=1.5),
     KernelSpec(family="power-exponential", lengthscales=(0.5,), power=1.2),
@@ -230,26 +238,27 @@ def test_probo_vanishing_imprecision_matches_lcb_proposals():
 
 
 def test_probo_records_case_and_clamps(monkeypatch):
-    counted = []
-    width_batch = engine.mean_width_batch
+    cases = []
+    fit = engine.ImpreciseGpSpec
 
-    def counting(igp, P):
-        width, clamped = width_batch(igp, P)
-        counted.append(clamped)
-        return width, clamped
+    def recording(c, model):
+        igp = fit(c=c, model=model)
+        cases.append(igp.case)
+        return igp
 
-    monkeypatch.setattr(engine, "mean_width_batch", counting)
+    monkeypatch.setattr(engine, "ImpreciseGpSpec", recording)
     tf = registry_lookup("gramacy-lee")
-    cfg = lcb_config(kernel=kernel_1d(0.2),
+    cfg = lcb_config(kernel=kernel_1d(1.0),
                      acquisition=AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=100.0),
                      seed=1)
     trace = run(cfg, tf)
     bo_records = trace.records[cfg.n_init:]
-    assert all(r.igp_case in (1, 2) for r in bo_records)
-    assert all(r.clamped >= 0 for r in bo_records)
+    # each record carries the case of its own iteration's fit (this run
+    # enters both); clamped is always 0
+    assert [r.igp_case for r in bo_records] == cases
+    assert set(cases) == {1, 2}
     assert all(r.igp_case == 0 for r in trace.records[:cfg.n_init])
-    # each record carries the clamps of its own iteration's scoring batches
-    assert sum(r.clamped for r in bo_records) == sum(counted)
+    assert all(r.clamped == 0 for r in trace.records)
 
 
 def test_glcb_beats_lcb_on_wiggly_target():
