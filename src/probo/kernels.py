@@ -166,27 +166,22 @@ def _row_blocks(n: int, m: int, itemsize: int = 8) -> tuple[list[slice], int]:
 def _scaled_sqdist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared scaled distances between the rows of A and B, shape (n, m).
 
-    Summed one input dimension at a time into the first dimension's squared
-    difference; the other dimensions' differences go through one scratch
-    block walked down the rows.  (a - b)^2 == (b - a)^2 exactly and the sum
-    runs in the same order either way, so swapping A and B transposes the
-    result exactly and every self-distance is exactly 0.
+    d = 1 is one outer subtraction, squared; d >= 2 is scipy's cdist
+    "sqeuclidean", which sums each pair's (a_k - b_k)^2 in input-dimension
+    order.  Either way swapping A and B transposes the result exactly and
+    every self-distance is exactly 0; a square past the double range is inf.
     """
+    if spec.dimension == 1:
+        l = spec.lengthscales[0]
+        a, b = A[:, 0] / l, B[:, 0] / l
+        with np.errstate(over="ignore"):
+            d2 = np.subtract.outer(a, b)
+            d2 *= d2
+        return d2
+    # imported here: scipy.spatial loads scipy.sparse, which 1-D runs never need
+    from scipy.spatial.distance import cdist
     ls = np.asarray(spec.lengthscales)
-    A, B = np.ascontiguousarray((A / ls).T), np.ascontiguousarray((B / ls).T)
-    d2 = np.subtract.outer(A[0], B[0])
-    d2 *= d2
-    if len(A) > 1:
-        blocks, height = _row_blocks(*d2.shape)
-        scratch = np.empty((height, d2.shape[1]))
-        for rows in blocks:
-            out = d2[rows]
-            diff = scratch[: len(out)]
-            for a, b in zip(A[1:], B[1:]):
-                np.subtract.outer(a[rows], b, out=diff)
-                diff *= diff
-                out += diff
-    return d2
+    return cdist(A / ls, B / ls, "sqeuclidean")
 
 
 def _zero_below(E: np.ndarray, limit: float, exp: bool) -> None:

@@ -185,6 +185,20 @@ def test_tabulated_domain_whose_span_overflows_is_a_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target, lengthscale", [
+    ("sphere-2d", "1e-307"), ("gramacy-lee", "1e-307"), ("sphere-1d", "3.4e-308")])
+def test_lengthscale_whose_distances_overflow_runs_without_warning(tmp_path, target,
+                                                                   lengthscale):
+    # scaled differences square past the double range (on sphere-1d's box
+    # [-5.12, 5.12] they pass it before squaring): those pairs are
+    # uncorrelated, and the suite's filter fails any overflow warning
+    out = tmp_path / "x"
+    assert main(["run", "--override", f"target={target}",
+                 "--override", f"kernel.lengthscale={lengthscale}", "--override", "budget=8",
+                 "--override", "n_init=5", *FAST, "--out", str(out)]) == 0
+    assert len(read_csv(out / "trace.csv")) == 8
+
+
 @pytest.mark.parametrize("command, args, named", [
     ("sensitivity", ["--override", "reps=1.5"], "reps"),
     ("compare", ["--override", "reps=1.5"], "reps"),

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+import probo
 from probo.errors import ConditioningError, ConfigError, DimensionMismatchError
 from probo.kernels import (
     FAMILIES,
@@ -271,6 +277,71 @@ def test_distances_match_difference_tensor(dim):
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+def loop_sqdist(spec, A, B):
+    """Scaled squared distances summed one input dimension at a time:
+    d2 = (a_0 - b_0)^2, then d2 += (a_k - b_k)^2 for each further k."""
+    ls = np.asarray(spec.lengthscales)
+    A, B = (A / ls).T, (B / ls).T
+    d2 = np.subtract.outer(A[0], B[0]) ** 2
+    for a, b in zip(A[1:], B[1:]):
+        d2 += np.subtract.outer(a, b) ** 2
+    return d2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7])
+def test_distances_match_per_dimension_loop_bit_for_bit(dim):
+    # the sum order is pinned: a library that sums the terms in another
+    # order fails here rather than shifting every seeded output silently
+    rng = np.random.default_rng(60 + dim)
+    for rows in (60, 1000):
+        A = rng.uniform(-3, 3, size=(rows, dim))
+        B = rng.uniform(-3, 3, size=(37, dim))
+        for _ in range(3):
+            spec = KernelSpec(lengthscales=tuple(10.0 ** rng.uniform(-2, 2, dim)))
+            for P, Q in ((A, B), (B, A), (A, A)):
+                assert np.array_equal(_scaled_sqdist(spec, P, Q), loop_sqdist(spec, P, Q))
+
+
+@pytest.mark.parametrize("edge, lengthscale", [(1.0, 1e-300), (1e308, 1.0)])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_distance_past_the_double_range_is_inf_without_warning(dim, edge, lengthscale):
+    # points at -edge and edge: scaled by 1e-300 their difference squares to
+    # 4e600; 2e308 overflows before it is squared
+    A = np.full((1, dim), -edge)
+    B = np.full((1, dim), edge)
+    ls = (lengthscale,) * dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scaled_sqdist(KernelSpec(lengthscales=ls), A, B)[0, 0] == math.inf
+        for family in FAMILIES:
+            K = kernel_matrix(spec_for(family, ls), A, B)
+            assert K[0, 0] == 0.0 and not np.signbit(K[0, 0])
+
+
+LAZY_IMPORT_SCRIPT = """
+import sys
+import probo
+infill = probo.FocusSearchConfig(evals_per_round=50, rounds=2, restarts=1)
+glcb = probo.AcquisitionSpec("glcb")
+for target in ("gramacy-lee", "sphere-2d"):
+    kernel = probo.KernelSpec().broadcast(2 if target == "sphere-2d" else 1)
+    probo.run(probo.RunConfig(kernel=kernel, acquisition=glcb, infill=infill, n_init=3,
+                              budget=5), probo.registry_lookup(target))
+    print(target, "scipy.spatial" in sys.modules)
+"""
+
+
+def test_scipy_spatial_is_imported_by_the_first_multi_dimensional_distance():
+    # a module-level import would cost every process, 1-D runs included,
+    # about 80 ms of start-up and 6 MB of memory
+    src = str(Path(probo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", LAZY_IMPORT_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split("\n") == ["gramacy-lee False", "sphere-2d True", ""]
+
+
 def out_of_place_kernel(spec, A, B):
     """kernel_matrix written as plain expressions, one new array per step."""
     ls = np.asarray(spec.lengthscales)
@@ -340,8 +411,7 @@ def test_far_points_give_exact_zeros(sv, lengthscale):
     A = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, -10.0]])
     B = A + 20.0
     for family in FAMILIES:
-        with np.errstate(over="ignore"):
-            K = kernel_matrix(spec_for(family, (lengthscale,) * 2, sv=sv), A, B)
+        K = kernel_matrix(spec_for(family, (lengthscale,) * 2, sv=sv), A, B)
         assert np.all(K == 0.0) and not np.signbit(K).any()
 
 
