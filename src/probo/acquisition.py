@@ -33,15 +33,6 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _norm_cdf(z):
-    return 0.5 * (1.0 + erf(np.asarray(z) / _SQRT2))
-
-
-def _norm_pdf(z):
-    z = np.asarray(z)
-    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-
-
 @dataclass(frozen=True)
 class AcquisitionSpec(ConfigObject, section="acquisition"):
     """Tagged choice of acquisition function and its parameters.
@@ -102,16 +93,18 @@ def _parse(text: str) -> dict:
             except ValueError:
                 pass
         raise ConfigError(f"cannot parse acquisition {text!r}")
-    d = {"kind": kind}
+    d = {}
     for item in params.split(",") if params else ():
         if "=" not in item:
             raise ConfigError(f"malformed acquisition parameter {item!r} in {text!r}")
-        key, value = item.split("=", 1)
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in d:
+            raise ConfigError(f"acquisition parameter {key!r} given twice in {text!r}")
         try:
             d[key] = float(value)
         except ValueError:
             raise ConfigError(f"non-numeric value for {key!r} in {text!r}") from None
-    return d
+    return {"kind": kind, **d}
 
 
 def lcb_values(mu, var, tau: float) -> np.ndarray:
@@ -119,35 +112,29 @@ def lcb_values(mu, var, tau: float) -> np.ndarray:
 
 
 def ei_values(mu, var, psi_min: float) -> np.ndarray:
-    """Negated expected improvement below the incumbent (lower is better).
+    """Negated expected improvement below the incumbent (lower is better),
+    one formula on mu and var broadcast to one shape, computed in place.
 
-    Degenerate var = 0 entries reduce to -max(psi_min - mu, 0).  A batch
-    whose every var is positive skips the masks and computes in place.
+    A var = 0 entry reduces to -max(psi_min - mu, 0): z = +-inf gives cdf 1
+    or 0 and pdf 0, and z = 0/0, at mu = psi_min, is taken as 0.
     """
-    mu = np.asarray(mu, dtype=float)
-    sd = np.sqrt(np.asarray(var, dtype=float))
-    improve = psi_min - mu
+    mu, sd = np.broadcast_arrays(np.asarray(mu, float), np.sqrt(np.asarray(var, float)))
+    improve = np.atleast_1d(psi_min - mu)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if sd.ndim and improve.shape == sd.shape and (sd > 0).all():
-            # the masked formula below in place, in its order of operations
-            z = improve / sd
-            cdf = np.divide(z, _SQRT2)
-            erf(cdf, out=cdf)
-            cdf += 1.0
-            cdf *= 0.5
-            pdf = np.multiply(z, -0.5)
-            pdf *= z
-            np.exp(pdf, out=pdf)
-            pdf *= _INV_SQRT_2PI
-            improve *= cdf
-            pdf *= sd
-            improve += pdf
-            return np.negative(improve, out=improve)
-        z = np.where(sd > 0, improve / np.where(sd > 0, sd, 1.0), 0.0)
-        ei = np.where(sd > 0,
-                      improve * _norm_cdf(z) + sd * _norm_pdf(z),
-                      np.maximum(improve, 0.0))
-    return -ei
+        z = improve / sd
+        z[np.isnan(z)] = 0.0
+        cdf = np.divide(z, _SQRT2)
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        pdf = np.multiply(z, -0.5)
+        pdf *= z
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT_2PI
+        improve *= cdf
+        pdf *= sd
+        improve += pdf
+        return np.negative(improve, out=improve).reshape(mu.shape)
 
 
 def glcb_values(mu, var, width, tau: float, rho: float) -> np.ndarray:

@@ -36,7 +36,7 @@ from .engine import (
     _check_target,
     _write_csv,
 )
-from .errors import ConfigError, ConfigObject, ProboError, check_integer, check_list
+from .errors import ConfigError, ConfigObject, ProboError, check_count, check_list
 from .functions import registry_lookup
 from .gp import MeanSpec
 from .kernels import KernelSpec
@@ -163,9 +163,7 @@ class SensitivityPlan:
         if not self.functions:
             raise ConfigError("a sensitivity plan needs at least one function")
         for name in ("repetitions", "iterations", "n_init"):
-            check_integer(name, getattr(self, name))
-        if self.repetitions < 1 or self.iterations < 1:
-            raise ConfigError("repetitions and iterations must be positive")
+            check_count(name, getattr(self, name))
 
 
 def default_sensitivity_plans(functions: Sequence[str], **settings) -> list[SensitivityPlan]:
@@ -226,9 +224,7 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
     a failed run.
     """
     _check_seed("master_seed", master_seed)
-    check_integer("jobs", jobs)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    check_count("jobs", jobs)
     for target, configs, _ in groups.values():
         for config in configs.values():
             _check_target(config, target)
@@ -288,19 +284,13 @@ class SensitivityConfig(ConfigObject, section="sensitivity"):
 
     def __post_init__(self):
         object.__setattr__(self, "functions", check_list("functions", self.functions))
-        _check_reps(self.reps)
+        check_count("reps", self.reps)
         _check_seed("seed", self.seed)
 
     def plans(self) -> list[SensitivityPlan]:
         return default_sensitivity_plans(
             self.functions, repetitions=self.reps, iterations=self.iterations,
             n_init=self.n_init, acquisition=self.acquisition, infill=self.infill)
-
-
-def _check_reps(reps) -> None:
-    check_integer("reps", reps)
-    if reps < 1:
-        raise ConfigError("reps must be positive")
 
 
 @dataclass
@@ -386,7 +376,7 @@ class CompareConfig(ConfigObject, section="compare"):
         labels = [a.label for a in acquisitions]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"acquisition settings must be distinct, got {labels}")
-        _check_reps(self.reps)
+        check_count("reps", self.reps)
         _check_seed("seed", self.seed)
 
 

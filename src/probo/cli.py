@@ -53,11 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    def _fail(self, message):
         print(f"error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SystemExit(EXIT_CONFIG)
 
 
 # ------------------------------------------------------------- config I/O
@@ -273,6 +270,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if hasattr(args, "out"):  # a file in the way would fail only after the job
+            blocker = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+            if not blocker.is_dir():
+                raise ConfigError(f"--out {args.out}: {blocker} exists and is not a directory")
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
-from .errors import ConfigError, ConfigObject, ProboError, check_bool, check_integer
+from .errors import ConfigError, ConfigObject, ProboError, check_bool, check_count, check_integer
 from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
 from .igp import ImpreciseGpSpec, mean_width_batch
 from .kernels import DUPLICATE_TOL, KernelSpec
@@ -92,13 +92,9 @@ class RunConfig(ConfigObject, section="run"):
 
     def __post_init__(self):
         for name in ("n_init", "budget", "hyperparameter_budget"):
-            check_integer(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         _check_seed("seed", self.seed)
         check_bool("hyperparameter_fit", self.hyperparameter_fit)
-        if self.n_init < 1:
-            raise ConfigError("n_init must be positive")
-        if self.hyperparameter_budget < 1:
-            raise ConfigError("hyperparameter_budget must be at least 1")
         # budget == n_init is the degenerate run: initial design only
         if self.budget < self.n_init:
             raise ConfigError(

@@ -52,6 +52,13 @@ def check_integer(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def check_count(name: str, value) -> None:
+    """Reject a config value that is not a positive integer (bools included)."""
+    check_integer(name, value)
+    if value < 1:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+
+
 def check_bool(name: str, value) -> None:
     """Reject a config value that is not true or false."""
     if not isinstance(value, bool):
@@ -86,10 +93,22 @@ def check_list(name: str, values) -> tuple:
 class ConfigObject:
     """Base of a frozen dataclass whose fields are its config keys; section,
     given at subclassing (class MeanSpec(ConfigObject, section="mean")),
-    names the config in error messages."""
+    names the config in error messages.  A field whose default is a config
+    object must hold an instance of that class."""
 
     def __init_subclass__(cls, section: str):
         cls.section = section
+        own_checks = getattr(cls, "__post_init__", lambda self: None)
+
+        def __post_init__(self):
+            for f in fields(self):
+                kind, value = type(f.default), getattr(self, f.name)
+                if issubclass(kind, ConfigObject) and not isinstance(value, kind):
+                    raise ConfigError(f"{section} config field {f.name} must be an "
+                                      f"instance of {kind.__name__}, got {value!r}")
+            own_checks(self)
+
+        cls.__post_init__ = __post_init__
 
     def to_dict(self) -> dict:
         """Every field that is not None, a config object as its own dict and

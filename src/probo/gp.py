@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrs, dtrtri
 
-from .errors import ConditioningError, ConfigObject, check_reals
+from .errors import ConditioningError, ConfigObject, check_count, check_reals
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
@@ -228,8 +228,7 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     jittered Cholesky factor and the solves of fit_gp, scored by _evidence on
     the terms fit_gp(candidate, mean, X, y) would cache.
     """
-    if budget < 1:
-        raise ValueError("search budget must be at least 1")
+    check_count("budget", budget)
     X, y = _training_data(kernel.dimension, mean, X, y)
     rng = np.random.default_rng(seed)
 

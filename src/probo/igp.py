@@ -25,11 +25,11 @@ GLCB scores only this width, which needs no k_x' K^-1 y term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, check_real
 from .gp import GpModel
 from .kernels import kernel_matrix, _as_points
 
@@ -49,9 +49,9 @@ class ImpreciseGpSpec:
     factor: float = field(init=False)
 
     def __post_init__(self):
-        c = float(self.c)
-        if not math.isfinite(c) or c <= 0.0:
-            raise ValueError(f"degree of imprecision must be positive, got {c}")
+        c = check_real("c", self.c)
+        if c <= 0.0:
+            raise ConfigError(f"degree of imprecision must be positive, got {c}")
         object.__setattr__(self, "c", c)
         m = self.model
         r = abs(float(m.s_k @ m.y)) / (m.S_k + c)

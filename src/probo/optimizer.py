@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigObject, ProboError, check_integer, check_real
+from .errors import ConfigObject, ProboError, check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,8 @@ class FocusSearchConfig(ConfigObject, section="infill"):
 
     def __post_init__(self):
         for name in ("evals_per_round", "rounds", "restarts"):
-            check_integer(name, getattr(self, name))
+            check_count(name, getattr(self, name))
         object.__setattr__(self, "shrink_factor", check_real("shrink_factor", self.shrink_factor))
-        if self.evals_per_round < 1 or self.rounds < 1 or self.restarts < 1:
-            raise ValueError("evals_per_round, rounds, and restarts must be positive")
         if not 0.0 < self.shrink_factor < 1.0:
             raise ValueError(f"shrink_factor must lie in (0, 1), got {self.shrink_factor}")
 
@@ -80,8 +78,7 @@ class FocusSearchConfig(ConfigObject, section="infill"):
 def latin_hypercube(n: int, bounds: BoxBounds, seed=0) -> np.ndarray:
     """n stratified points: per dimension, one uniform draw in each of the n
     equal strata, in independently permuted order."""
-    if n < 1:
-        raise ValueError("need at least one design point")
+    check_count("n", n)
     rng = np.random.default_rng(seed)
     d = bounds.dimension
     unit = np.empty((n, d))

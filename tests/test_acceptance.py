@@ -277,6 +277,7 @@ def test_criterion_09_mop_ad_arithmetic():
           f"normalization exact ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_10_acquisition_comparison_protocol(tmp_path):
     start = time.time()
     out = tmp_path / "cmp"
@@ -315,6 +316,7 @@ def _tree_digest(root: Path) -> dict:
     return digest
 
 
+@pytest.mark.slow
 def test_criterion_11_sensitivity_protocol(tmp_path):
     start = time.time()
     functions = ["gramacy-lee", "ackley-2d", "rosenbrock-3d", "schwefel-4d",

@@ -160,6 +160,7 @@ def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, evaluated, comman
     ("hyperparameter_fit=1", "hyperparameter_fit"),
     ("hyperparameter_budget=0", "hyperparameter_budget"),
     ('target={"csv": "x.csv", "negate": "no"}', "negate"),
+    ("acquisition=lcb:tau=1,tau=3", "'tau' given twice"),
 ])
 def test_bad_run_input_is_a_config_error(tmp_path, capsys, evaluated, override, named):
     out = tmp_path / "x"
@@ -319,6 +320,28 @@ def test_a_string_for_a_list_is_a_config_error(tmp_path, capsys, evaluated, comm
     assert f"error: {named} must be a list" in capsys.readouterr().err
     assert evaluated == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(QUICK))
+@pytest.mark.parametrize("below", [False, True])
+def test_out_blocked_by_a_file_fails_before_any_run(tmp_path, capsys, monkeypatch, command,
+                                                    below):
+    for job in ("run", "run_acquisition_comparison", "run_sensitivity_experiment"):
+        monkeypatch.setattr(probo.cli, job, lambda *args, **kwargs: pytest.fail("a job ran"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    out = blocker / "sub" if below else blocker
+    assert main(QUICK[command] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --out {out}: {blocker} exists and is not a directory" in err
+    assert blocker.read_text() == "kept"
+
+
+def test_out_may_be_an_existing_directory(tmp_path):
+    out = tmp_path / "again"
+    out.mkdir()
+    assert main(QUICK["run"] + ["--out", str(out)]) == 0
+    assert (out / "trace.csv").is_file()
 
 
 # ----------------------------------------------------------------- compare

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from probo.engine import (
     run,
     save_trace_csv,
 )
-from probo.errors import ConfigError
+from probo.errors import ConfigError, ConfigObject
 from probo.functions import registry_lookup
 from probo.gp import MeanSpec
 from probo.kernels import DUPLICATE_TOL, KernelSpec
@@ -146,6 +146,29 @@ def test_lengthscale_must_scale_the_box_within_range():
 ], ids=lambda obj: type(obj).__name__)
 def test_config_objects_round_trip_through_json(obj):
     assert type(obj).from_dict(json.loads(json.dumps(obj.to_dict()))) == obj
+
+
+CONFIGS = {RunConfig: {}, SensitivityConfig: {},
+           CompareConfig: {"acquisitions": ("ei", "lcb")}}
+NESTED = [(cls, f.name) for cls in CONFIGS for f in fields(cls)
+          if isinstance(f.default, ConfigObject)]
+
+
+def test_every_config_object_field_is_covered():
+    assert [(cls.__name__, name) for cls, name in NESTED] == [
+        ("RunConfig", "kernel"), ("RunConfig", "mean"), ("RunConfig", "acquisition"),
+        ("RunConfig", "infill"), ("SensitivityConfig", "acquisition"),
+        ("SensitivityConfig", "infill"), ("CompareConfig", "kernel"),
+        ("CompareConfig", "mean"), ("CompareConfig", "infill")]
+
+
+@pytest.mark.parametrize("cls, name", NESTED, ids=lambda x: getattr(x, "__name__", x))
+def test_config_object_field_must_hold_its_class(cls, name):
+    default = getattr(cls(**CONFIGS[cls]), name)
+    for bad in ("ei", default.to_dict(), None, MeanSpec() if name != "mean" else KernelSpec()):
+        with pytest.raises(ConfigError, match=f"{cls.section} config field {name} must be "
+                                              f"an instance of {type(default).__name__}"):
+            cls(**CONFIGS[cls], **{name: bad})
 
 
 def test_config_dict_round_trip():

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import LinAlgError, cho_solve, cholesky
 
 from probo import gp
-from probo.errors import ConditioningError, DimensionMismatchError
+from probo.errors import ConditioningError, ConfigError, DimensionMismatchError
 from probo.gp import (
     GpModel,
     MeanSpec,
@@ -405,6 +405,13 @@ def test_budget_must_be_positive():
     with pytest.raises(ValueError):
         fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), [[0.0]], [0.0],
                             budget=0)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "3", None])
+def test_budget_must_be_an_integer(budget):
+    with pytest.raises(ConfigError, match="budget must be an integer"):
+        fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), [[0.0]], [0.0],
+                            budget=budget)
 
 
 def test_recovers_known_lengthscale():

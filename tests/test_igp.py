@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from probo.errors import DimensionMismatchError
+from probo.errors import ConfigError, DimensionMismatchError
 from probo.gp import MeanSpec, fit_gp, predict_batch
 from probo.igp import ImpreciseGpSpec, mean_width_batch
 from probo.kernels import FAMILIES, KernelSpec, kernel_matrix
@@ -61,6 +61,13 @@ def test_imprecision_degree_must_be_positive():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             ImpreciseGpSpec(c=bad, model=model)
+
+
+@pytest.mark.parametrize("bad", ["1", True, None, [1.0], float("inf")])
+def test_imprecision_degree_must_be_a_finite_real(bad):
+    model = fitted([[0.0], [1.0]], [1.0, 2.0])
+    with pytest.raises(ConfigError, match="c must be a finite real number"):
+        ImpreciseGpSpec(c=bad, model=model)
 
 
 # ------------------------------------------------------------------ bounds

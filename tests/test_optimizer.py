@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from probo.errors import ProboError
+from probo.errors import ConfigError, ProboError
 from probo.optimizer import (BoxBounds, FocusSearchConfig, _best_of, focus_search,
                              latin_hypercube)
 
@@ -108,6 +108,14 @@ def test_lhs_stratification_every_dimension(n):
         unit = (pts[:, j] - b.lower[j]) / (b.upper[j] - b.lower[j])
         strata = np.floor(unit * n).astype(int)
         assert sorted(strata) == list(range(n))
+
+
+@pytest.mark.parametrize("n, named", [(1.5, "an integer"), (True, "an integer"),
+                                      ("3", "an integer"), (None, "an integer"),
+                                      (0, "positive"), (-2, "positive")])
+def test_lhs_size_must_be_a_positive_integer(n, named):
+    with pytest.raises(ConfigError, match=f"n must be {named}"):
+        latin_hypercube(n, UNIT2)
 
 
 def test_lhs_deterministic_under_seed():
