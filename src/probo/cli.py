@@ -271,9 +271,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if hasattr(args, "out"):  # a file in the way would fail only after the job
-            blocker = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+            out = Path(args.out)
+            blocker = next(p for p in (out, *out.parents) if p.exists())
             if not blocker.is_dir():
                 raise ConfigError(f"--out {args.out}: {blocker} exists and is not a directory")
+            # files of an earlier run would sit beside this one's, unnamed by its config
+            if blocker == out and any(out.iterdir()):
+                raise ConfigError(f"--out {args.out} is not empty; name a new or empty directory")
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
 from .errors import ConfigError, ConfigObject, ProboError, check_bool, check_count, check_integer
 from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
 from .igp import ImpreciseGpSpec, mean_width_batch
-from .kernels import DUPLICATE_TOL, KernelSpec
+from .kernels import DUPLICATE_TOL, KernelSpec, _near_duplicate, _sqdist
 from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
 log = logging.getLogger(__name__)
@@ -157,8 +157,7 @@ def _nudge_duplicate(point: np.ndarray, X: np.ndarray, bounds: BoxBounds,
     """Push a proposal off existing design points so the Gram matrix stays
     well conditioned; uniform within a NUDGE_RADIUS box, clipped to bounds."""
     for _ in range(100):
-        dists = np.sqrt(np.sum((X - point) ** 2, axis=1))
-        if dists.min() >= DUPLICATE_TOL:
+        if _near_duplicate(_sqdist(X, point[None])) is None:
             return point
         log.debug("proposal within %.0e of an existing point; nudging", DUPLICATE_TOL)
         point = bounds.clip(point + rng.uniform(-NUDGE_RADIUS, NUDGE_RADIUS,
@@ -234,9 +233,13 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
                 return lcb_values(mu, var, acq.tau)
             return glcb_values(mu, var, mean_width_batch(igp, P), acq.tau, acq.rho)
 
-        point, score = focus_search(objective, bounds, config.infill,
-                                    _stream(config.seed, "infill", t))
-        point = _nudge_duplicate(point, X, bounds, _stream(config.seed, "dedup", t))
+        try:
+            point, score = focus_search(objective, bounds, config.infill,
+                                        _stream(config.seed, "infill", t))
+            point = _nudge_duplicate(point, X, bounds, _stream(config.seed, "dedup", t))
+        except ProboError as exc:
+            raise BoRunError(f"proposal search failed at iteration {t}: {exc}",
+                             partial_trace=trace) from exc
         observe(point, acq_value=score, igp_case=igp.case if igp else 0)
     return trace
 

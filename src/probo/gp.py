@@ -20,12 +20,13 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrs, dtrtri
 
-from .errors import ConditioningError, ConfigObject, check_count, check_reals
+from .errors import ConfigObject, ProboError, check_count, check_reals
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
     build_base_kernel_matrix,
     kernel_matrix,
+    _TINY,
     _as_points,
     _check_training_points,
 )
@@ -155,17 +156,23 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _solve_terms(L: np.ndarray, mean: MeanSpec, X: np.ndarray, y: np.ndarray):
     """s_k, S_k, beta_hat, the residual y - trend and alpha = K^-1 residual,
-    from the Cholesky factor L of K."""
+    from the Cholesky factor L of K.  Raises ProboError when S_k, beta_hat or
+    alpha is not finite, as targets near the double range make them."""
     ones = np.ones(X.shape[0])
-    s_k = _cho_solve(L, ones)
-    S_k = float(ones @ s_k)
-    if mean.form == "constant-estimated":
-        beta_hat = float(s_k @ y) / S_k
-        residual = y - beta_hat
-    else:
-        beta_hat = 0.0
-        residual = y - mean.values(X)
-    return s_k, S_k, beta_hat, residual, _cho_solve(L, residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_k = _cho_solve(L, ones)
+        S_k = float(ones @ s_k)
+        if mean.form == "constant-estimated":
+            beta_hat = float(s_k @ y) / S_k
+            residual = y - beta_hat
+        else:
+            beta_hat = 0.0
+            residual = y - mean.values(X)
+        alpha = _cho_solve(L, residual)
+    if not (math.isfinite(S_k) and math.isfinite(beta_hat) and np.isfinite(alpha).all()):
+        raise ProboError("the GP's solves overflow: S_k, beta_hat or "
+                         "K^-1 (y - trend) is not finite")
+    return s_k, S_k, beta_hat, residual, alpha
 
 
 def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
@@ -177,6 +184,9 @@ def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
     # what bounds the error in L^-1 k_x
     L_inv, info = dtrtri(K.cholesky, lower=1)
     assert info == 0  # a successful Cholesky factor has a positive diagonal
+    # subnormal entries are exact zeros, as in kernel_matrix: a product with
+    # one takes the slow path through dtrmm, and none can reach the variance
+    L_inv[np.abs(L_inv) < _TINY] = 0.0
     return GpModel(kernel=kernel, mean=mean, X=X.copy(), y=y.copy(), K=K,
                    alpha=alpha, s_k=s_k, L_inv=L_inv, S_k=S_k, beta_hat=beta_hat)
 
@@ -205,7 +215,8 @@ def _evidence(L: np.ndarray, residual: np.ndarray, alpha: np.ndarray) -> float:
     """Gaussian log marginal likelihood of the targets under the (jittered)
     prior, from the Cholesky factor L of K, the residual y - trend and
     alpha = K^-1 residual."""
-    quad = float(residual @ alpha)
+    with np.errstate(over="ignore"):
+        quad = float(residual @ alpha)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return -0.5 * quad - 0.5 * logdet - 0.5 * L.shape[0] * math.log(2.0 * math.pi)
 
@@ -221,8 +232,8 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     likelihood.  Each candidate keeps the family, power and dimension of the
     template kernel and draws its lengthscales, then its signal variance, from
     SEARCH_RANGE.  Returns the best of `budget` candidates; deterministic for
-    a fixed seed.  Candidates that fail to factorize are skipped; if all fail,
-    the last ConditioningError propagates.
+    a fixed seed.  Candidates that fail to factorize, or whose solves or
+    likelihood are not finite, are skipped; if all are, a ProboError says so.
 
     The data are checked once; each candidate then costs one Gram matrix, its
     jittered Cholesky factor and the solves of fit_gp, scored by _evidence on
@@ -232,7 +243,7 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     X, y = _training_data(kernel.dimension, mean, X, y)
     rng = np.random.default_rng(seed)
 
-    best_spec, best_lml, last_error = None, -np.inf, None
+    best_spec, best_lml = None, -np.inf
     lo, hi = np.log(SEARCH_RANGE[0]), np.log(SEARCH_RANGE[1])
     for _ in range(budget):
         ls = tuple(np.exp(rng.uniform(lo, hi, size=kernel.dimension)))
@@ -240,13 +251,14 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
         spec = replace(kernel, lengthscales=ls, signal_variance=sv)
         try:
             L = build_base_kernel_matrix(spec, X).cholesky
-        except ConditioningError as exc:
-            last_error = exc
+            _, _, _, residual, alpha = _solve_terms(L, mean, X, y)
+        except ProboError:  # a conditioning failure or solves that overflow
             continue
-        _, _, _, residual, alpha = _solve_terms(L, mean, X, y)
         lml = _evidence(L, residual, alpha)
-        if lml > best_lml:
+        if math.isfinite(lml) and lml > best_lml:
             best_spec, best_lml = spec, lml
     if best_spec is None:
-        raise last_error
+        raise ProboError(f"no usable candidate among {budget} hyperparameter draws: each "
+                         "failed to factorize, overflowed its solves or had a non-finite "
+                         "likelihood")
     return best_spec

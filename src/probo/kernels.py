@@ -163,25 +163,29 @@ def _row_blocks(n: int, m: int, itemsize: int = 8) -> tuple[list[slice], int]:
     return [slice(r, r + step) for r in range(0, n, step)], min(step, n)
 
 
-def _scaled_sqdist(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared scaled distances between the rows of A and B, shape (n, m).
+def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and B, shape (n, m).
 
     d = 1 is one outer subtraction, squared; d >= 2 is scipy's cdist
     "sqeuclidean", which sums each pair's (a_k - b_k)^2 in input-dimension
     order.  Either way swapping A and B transposes the result exactly and
     every self-distance is exactly 0; a square past the double range is inf.
     """
-    if spec.dimension == 1:
-        l = spec.lengthscales[0]
-        a, b = A[:, 0] / l, B[:, 0] / l
+    if A.shape[1] == 1:
         with np.errstate(over="ignore"):
-            d2 = np.subtract.outer(a, b)
+            d2 = np.subtract.outer(A[:, 0], B[:, 0])
             d2 *= d2
         return d2
     # imported here: scipy.spatial loads scipy.sparse, which 1-D runs never need
     from scipy.spatial.distance import cdist
-    ls = np.asarray(spec.lengthscales)
-    return cdist(A / ls, B / ls, "sqeuclidean")
+    return cdist(A, B, "sqeuclidean")
+
+
+def _near_duplicate(d2: np.ndarray) -> float | None:
+    """Distance of the closest pair among the squared distances d2 if that
+    pair is a near-duplicate (closer than DUPLICATE_TOL), else None."""
+    closest = math.sqrt(d2.min())
+    return closest if closest < DUPLICATE_TOL else None
 
 
 def _zero_below(E: np.ndarray, limit: float, exp: bool) -> None:
@@ -225,7 +229,8 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     order, so the result matches those formulas bit for bit, apart from the
     entries that the module docstring's policy returns as 0.
     """
-    K = _scaled_sqdist(spec, A, B)
+    ls = np.asarray(spec.lengthscales)
+    K = _sqdist(A / ls, B / ls)
     sv = spec.signal_variance
     # every entry stays normal while each exp factor is at least
     # _TINY / min(sv, 1); the largest distance gives the smallest factor, and
@@ -282,13 +287,10 @@ def _check_training_points(X: np.ndarray) -> None:
     """At least one row, and no two rows closer than DUPLICATE_TOL."""
     if X.shape[0] < 1:
         raise ValueError("at least one training point is required")
-    if X.shape[0] < 2:
-        return
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    iu = np.triu_indices(X.shape[0], k=1)
-    closest = dist[iu].min()
-    if closest < DUPLICATE_TOL:
+    d2 = _sqdist(X, X)
+    np.fill_diagonal(d2, math.inf)  # a row is no duplicate of itself
+    closest = _near_duplicate(d2)
+    if closest is not None:
         raise ValueError(
             f"training inputs contain near-duplicate rows "
             f"(min pairwise distance {closest:.3e} < {DUPLICATE_TOL:.0e})"

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import probo.cli
+import probo.engine
 from probo.cli import main
+from probo.errors import ProboError
 
 FAST = [
     "--override", "infill.evals_per_round=150",
@@ -281,6 +283,39 @@ def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "y" / "config.json").is_file()
 
 
+def test_search_failure_exits_two_with_the_partial_trace(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ProboError("forced search failure")
+
+    monkeypatch.setattr(probo.engine, "focus_search", fail)
+    out = tmp_path / "y"
+    assert main(QUICK["run"] + ["--out", str(out)]) == 2
+    assert ("error: proposal search failed at iteration 1: forced search failure"
+            in capsys.readouterr().err)
+    assert len(read_csv(out / "trace.csv")) == 5  # the initial design
+    assert (out / "config.json").is_file()
+
+
+@pytest.mark.parametrize("hyperparameter_fit, reason", [
+    ("false", "solves overflow"), ("true", "no usable candidate among 50")])
+def test_target_too_large_for_the_fit_exits_two_with_the_partial_trace(
+        tmp_path, capsys, hyperparameter_fit, reason):
+    # finite values near the double range overflow the GP's solves; the
+    # suite's filter fails any overflow warning on the way
+    xs = np.linspace(0.0, 1.0, 201)
+    table = tmp_path / "huge.csv"
+    table.write_text("".join(f"{x!r},{y!r}\n" for x, y in
+                             zip(xs.tolist(), (1e306 * np.sin(20.0 * xs)).tolist())))
+    out = tmp_path / "y"
+    assert main(["run", "--override", f'target={{"csv": "{table}"}}',
+                 "--override", f"hyperparameter_fit={hyperparameter_fit}",
+                 "--override", "budget=12", *FAST, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: surrogate fit failed at iteration 1: " in err and reason in err
+    assert len(read_csv(out / "trace.csv")) == 10  # the initial design
+    assert (out / "config.json").is_file()
+
+
 @pytest.mark.parametrize("command", ["compare", "sensitivity"])
 def test_protocol_with_no_complete_group_exits_two(tmp_path, capsys, monkeypatch, command):
     lookup = probo.bench.registry_lookup
@@ -335,6 +370,20 @@ def test_out_blocked_by_a_file_fails_before_any_run(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert f"error: --out {out}: {blocker} exists and is not a directory" in err
     assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", sorted(QUICK))
+def test_out_that_is_not_empty_fails_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # an earlier run's files would sit beside this run's, unnamed by its config
+    for job in ("run", "run_acquisition_comparison", "run_sensitivity_experiment"):
+        monkeypatch.setattr(probo.cli, job, lambda *args, **kwargs: pytest.fail("a job ran"))
+    out = tmp_path / "used"
+    out.mkdir()
+    (out / "rep1.csv").write_text("kept")
+    assert main(QUICK[command] + ["--out", str(out)]) == 1
+    assert f"error: --out {out} is not empty" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["rep1.csv"]
+    assert (out / "rep1.csv").read_text() == "kept"
 
 
 def test_out_may_be_an_existing_directory(tmp_path):

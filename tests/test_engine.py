@@ -17,10 +17,10 @@ from probo.engine import (
     run,
     save_trace_csv,
 )
-from probo.errors import ConfigError, ConfigObject
+from probo.errors import ConfigError, ConfigObject, ProboError
 from probo.functions import registry_lookup
 from probo.gp import MeanSpec
-from probo.kernels import DUPLICATE_TOL, KernelSpec
+from probo.kernels import DUPLICATE_TOL, KernelSpec, _check_training_points
 from probo.optimizer import BoxBounds, FocusSearchConfig
 
 FAST_INFILL = FocusSearchConfig(evals_per_round=200, rounds=3, restarts=2)
@@ -319,6 +319,24 @@ def test_fit_failure_carries_partial_trace(monkeypatch):
     assert all(math.isnan(r.acq_value) for r in partial.records)
 
 
+@pytest.mark.parametrize("stage", ["focus_search", "_nudge_duplicate"])
+def test_search_failure_carries_partial_trace(monkeypatch, stage):
+    tf = registry_lookup("sphere-1d")
+    real = getattr(engine, stage)
+    calls = {"n": 0}
+
+    def fail_second_call(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise ProboError("forced search failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, stage, fail_second_call)
+    with pytest.raises(BoRunError, match="proposal search failed at iteration 2: forced") as err:
+        run(lcb_config(n_init=5, budget=9, seed=0), tf)
+    assert err.value.partial_trace.budget == 6  # the design and the first proposal
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("hyperparameter_fit, at", [
     # evaluation 7 is mid-run, 3 is in the design and 12 is the last
@@ -353,6 +371,39 @@ def test_nudge_moves_duplicates_inside_bounds():
     assert abs(moved[0] - 0.5) <= engine.NUDGE_RADIUS
     untouched = _nudge_duplicate(np.array([0.2]), X, bounds, rng)
     assert untouched[0] == 0.2
+
+
+def closest_gap(P, Q):
+    """Smallest Euclidean distance between a row of P and a row of Q, through
+    the (n, m, d) difference tensor."""
+    diff = P[:, None, :] - Q[None, :, :]
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+def test_duplicate_decisions_follow_the_euclidean_rule(dim):
+    # the training-point check and the nudge call a point a duplicate
+    # exactly when its brute-force distance to the design is below the
+    # tolerance; X[3] = 0 puts gaps of exactly DUPLICATE_TOL on the boundary
+    rng = np.random.default_rng(40 + dim)
+    X = rng.uniform(0.0, 1.0, size=(6, dim))
+    X[3] = 0.0
+    bounds = BoxBounds(lower=[-1.0] * dim, upper=[2.0] * dim)
+    decisions = []
+    for k in (2, 3):
+        for scale in (0.0, 0.5, 1.0 - 1e-14, 1.0, 1.0 + 1e-14, 2.0):
+            for u in (np.eye(dim)[0], rng.normal(size=dim)):
+                point = X[k] + scale * DUPLICATE_TOL * u / np.linalg.norm(u)
+                duplicate = closest_gap(point[None], X) < DUPLICATE_TOL
+                decisions.append(duplicate)
+                if duplicate:
+                    with pytest.raises(ValueError, match="near-duplicate"):
+                        _check_training_points(np.vstack([X, point]))
+                else:
+                    _check_training_points(np.vstack([X, point]))
+                moved = _nudge_duplicate(point, X, bounds, np.random.default_rng(0))
+                assert np.array_equal(moved, point) != duplicate
+    assert any(decisions) and not all(decisions)
 
 
 # ---------------------------------------------------------------- trace I/O

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg.lapack import dtrtri
 
 from probo import gp
-from probo.errors import ConditioningError, ConfigError, DimensionMismatchError
+from probo.errors import ConditioningError, ConfigError, DimensionMismatchError, ProboError
 from probo.gp import (
     GpModel,
     MeanSpec,
@@ -292,6 +294,33 @@ def test_cached_inverse_factor(lengthscale):
     assert np.abs(residual).max() <= 1e-10
 
 
+def test_cached_inverse_factor_holds_no_subnormal_entry():
+    # points 26.7 lengthscales apart: neighbours correlate at about 1e-155
+    # and the pairs between them not at all, so L^-1 picks up ~1e-310 products
+    X = 26.7 * np.arange(6.0)[:, None]
+    model = fit_gp(spec_for("squared-exponential"), MeanSpec(), X, np.cos(X[:, 0]))
+    raw, _ = dtrtri(model.K.cholesky, lower=1)
+    subnormal = (raw != 0.0) & (np.abs(raw) < np.finfo(float).tiny)
+    assert subnormal.any()
+    assert np.all(model.L_inv[subnormal] == 0.0)
+    assert np.array_equal(model.L_inv[~subnormal], raw[~subnormal])
+    # the dropped products reach no variance
+    P = np.linspace(-1.0, 140.0, 4001)[:, None]
+    assert np.array_equal(predict_batch(model, P)[1],
+                          predict_batch(replace(model, L_inv=raw), P)[1])
+
+
+@pytest.mark.parametrize("mean", [MeanSpec(), MeanSpec("constant-fixed", (-1e308,))])
+@pytest.mark.parametrize("lengthscale", [0.1, 1.0])
+def test_targets_that_overflow_the_solves_fail_the_fit(mean, lengthscale):
+    # finite targets near the double range overflow s_k'y or the residual;
+    # the suite's filter fails any overflow warning on the way
+    X = np.linspace(0.0, 1.0, 30)[:, None]
+    y = 1e306 * np.sin(20.0 * X[:, 0])
+    with pytest.raises(ProboError, match="not finite"):
+        fit_gp(spec_for("squared-exponential", (lengthscale,)), mean, X, y)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_rejected(bad):
     rng = np.random.default_rng(23)
@@ -529,3 +558,35 @@ def test_search_propagates_errors_other_than_conditioning(monkeypatch):
         fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), [[0.0], [1.0]],
                             [0.0, 1.0], budget=10)
     assert calls["n"] == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_search_skips_a_candidate_whose_evidence_is_not_finite(monkeypatch, bad):
+    rng = np.random.default_rng(19)
+    X = rng.uniform(-2, 2, size=(8, 1))
+    y = np.cos(X[:, 0])
+    real = gp._evidence
+    calls = {"n": 0}
+
+    def bad_first_candidate(*args):
+        calls["n"] += 1
+        return bad if calls["n"] == 1 else real(*args)
+
+    monkeypatch.setattr(gp, "_evidence", bad_first_candidate)
+    got = fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), X, y,
+                              budget=10, seed=7)
+    monkeypatch.undo()
+    assert got == brute_force_search("squared-exponential", MeanSpec(), X, y,
+                                     budget=10, seed=7, skip=1)
+
+
+@pytest.mark.parametrize("scale", [
+    1e200,  # y'K^-1 y overflows, so every likelihood is -inf
+    1e306,  # s_k'y overflows, so every candidate's solves do
+])
+def test_search_with_no_usable_candidate_says_so(scale):
+    X = np.linspace(0.0, 1.0, 12)[:, None]
+    y = scale * np.sin(20.0 * X[:, 0])
+    with pytest.raises(ProboError, match="no usable candidate among 5 hyperparameter draws"):
+        fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), X, y,
+                            budget=5, seed=1)
