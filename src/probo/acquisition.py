@@ -120,7 +120,8 @@ def ei_values(mu, var, psi_min: float) -> np.ndarray:
     """
     mu, sd = np.broadcast_arrays(np.asarray(mu, float), np.sqrt(np.asarray(var, float)))
     improve = np.atleast_1d(psi_min - mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # past |z| ~ 1.3e154, -z^2/2 overflows to -inf, whose exp is the right 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = improve / sd
         z[np.isnan(z)] = 0.0
         cdf = np.divide(z, _SQRT2)

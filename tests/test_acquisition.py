@@ -108,6 +108,16 @@ def test_ei_far_tails_without_masks():
     assert same_bits(got, masked_ei(mu, var, 0.0))
 
 
+def test_ei_past_the_overflow_of_z_squared_matches_without_warning():
+    # |z| past about 1.3e154 overflows -z^2/2 to -inf, whose exp is the
+    # right 0; the suite's filters turn a RuntimeWarning into an error
+    for mu, var in ((np.array([-1.0]), np.array([1e-320])),
+                    (np.array([-2e154]), np.array([1.0]))):
+        with np.errstate(over="ignore"):
+            want = masked_ei(mu, var, 0.0)
+        assert same_bits(ei_values(mu, var, 0.0), want)
+
+
 def test_ei_zero_variances_scalars_and_broadcasts_match_the_masked_formula():
     rng = np.random.default_rng(34)
     for _ in range(1000):

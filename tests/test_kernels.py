@@ -292,16 +292,28 @@ def loop_sqdist(spec, A, B):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7])
 def test_distances_match_per_dimension_loop_bit_for_bit(dim):
     # the sum order is pinned: a library that sums the terms in another
-    # order fails here rather than shifting every seeded output silently
+    # order fails here rather than shifting every seeded output silently.
+    # At d = 1 the BLAS product must give the subtraction's bits for every
+    # shape: one row or one column (the nudge's) may go to a matrix-vector
+    # routine, and 300 x 1,000, run without a thread pin, is large enough
+    # for a threaded BLAS to split across cores
     rng = np.random.default_rng(60 + dim)
-    for rows in (60, 1000):
+    shapes = [(1, 37), (60, 37), (1000, 37)] + ([(300, 1000)] if dim == 1 else [])
+    for rows, cols in shapes:
         A = rng.uniform(-3, 3, size=(rows, dim))
-        B = rng.uniform(-3, 3, size=(37, dim))
+        B = rng.uniform(-3, 3, size=(cols, dim))
+        A[0] = -0.0  # against the 0.0 of B's row 3
+        B[:3] = A[[0, -1, -1]]  # exact duplicates, across and within the sets
+        B[3] = 0.0
+        if rows > 1:
+            A[1] = A[0]
         for _ in range(3):
             ls = 10.0 ** rng.uniform(-2, 2, dim)
-            spec = KernelSpec(lengthscales=tuple(ls))
-            for P, Q in ((A, B), (B, A), (A, A)):
-                assert np.array_equal(_sqdist(P / ls, Q / ls), loop_sqdist(spec, P, Q))
+            spec = KernelSpec(lengthscales=tuple(ls), signal_variance=rng.uniform(0.5, 4.0))
+            for P, Q in ((A, B), (B, A), (A, A), (A, B[:1]), (B[:1], A)):
+                got, want = _sqdist(P / ls, Q / ls), loop_sqdist(spec, P, Q)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.all(np.diag(kernel_matrix(spec, A, A)) == spec.signal_variance)
 
 
 @pytest.mark.parametrize("edge, lengthscale", [(1.0, 1e-300), (1e308, 1.0)])
