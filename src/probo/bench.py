@@ -120,22 +120,14 @@ def relative_ad_summary(
 
 @dataclass(frozen=True)
 class PriorVariant:
-    """One GP prior in a sensitivity plan, written for one input dimension
-    and broadcast to each function's; the defaults are the baseline prior
-    of default_sensitivity_plans."""
+    """One GP prior in a sensitivity plan; each run repeats a single
+    lengthscale, and a mean written for one dimension, to its function's
+    dimension (see RunConfig).  The defaults are the baseline prior of
+    default_sensitivity_plans."""
 
     name: str
     kernel: KernelSpec = KernelSpec()
     mean: MeanSpec = MeanSpec()
-
-    def __post_init__(self):
-        try:
-            if self.kernel.dimension != 1:
-                raise ValueError(f"its kernel has {self.kernel.dimension} lengthscales")
-            self.mean.validate_for_dimension(1)
-        except ValueError as exc:
-            raise ConfigError(f"prior variant {self.name!r} must be written for one "
-                              f"input dimension: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -217,17 +209,24 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
     every setting in a group runs on derive_seed(master_seed, target name, r),
     so compared settings face identical initial designs.  Runs go through a
     process pool when jobs > 1; results are keyed, so they do not depend on
-    the pool.  Every setting is checked against its target before the first
-    run.  Returns the traces keyed group + (label, r), and per group the
+    the pool.  Before the first run, every setting is checked against its
+    target and for an adaptive iteration; an error names group and label.
+    Returns the traces keyed group + (label, r), and per group the
     MopMatrix with each setting's R x T paths, or None (with a warning) if
     any of the group's runs failed; raises ProboError if every group has
     a failed run.
     """
     _check_seed("master_seed", master_seed)
     check_count("jobs", jobs)
-    for target, configs, _ in groups.values():
-        for config in configs.values():
-            _check_target(config, target)
+    for group, (target, configs, _) in groups.items():
+        for label, config in configs.items():
+            try:
+                _check_target(config, target)
+                if config.budget == config.n_init:
+                    raise ConfigError(f"budget equals n_init ({config.n_init}); a protocol "
+                                      "needs at least one adaptive iteration")
+            except ConfigError as exc:
+                raise ConfigError(f"{'/'.join(group + (label,))}: {exc}") from None
     cells = [(group + (label, rep),
               replace(config, seed=derive_seed(master_seed, target.name, rep)), target)
              for group, (target, configs, reps) in groups.items()
@@ -313,23 +312,26 @@ def run_sensitivity_experiment(
     Repetition r of every (function, variant) cell across all plans shares
     one derived seed, so compared settings face identical initial designs.
     A failed run voids its function for the affected axis with a warning.
-    Two plans that vary one axis on one function raise ConfigError.
+    Two plans that vary one axis on one function, or that differ on it in
+    any run setting but the prior, raise ConfigError.
     """
     if not plans:
         raise ConfigError("need at least one sensitivity plan")
 
     groups = {}
+    shared: dict[str, tuple] = {}
     for plan in plans:
+        configs = {v.name: RunConfig(kernel=v.kernel, mean=v.mean,
+                                     acquisition=plan.acquisition, infill=plan.infill,
+                                     n_init=plan.n_init, budget=plan.n_init + plan.iterations)
+                   for v in plan.variants}
+        settings = (plan.repetitions, plan.iterations, plan.n_init, plan.acquisition, plan.infill)
         for target in _resolve(plan.functions):
-            dim = target.dimension
-            configs = {v.name: RunConfig(kernel=v.kernel.broadcast(dim),
-                                         mean=v.mean.broadcast(dim),
-                                         acquisition=plan.acquisition, infill=plan.infill,
-                                         n_init=plan.n_init,
-                                         budget=plan.n_init + plan.iterations)
-                       for v in plan.variants}
             if (plan.axis, target.name) in groups:
                 raise ConfigError(f"two plans vary {plan.axis} on {target.name}")
+            if shared.setdefault(target.name, settings) != settings:
+                raise ConfigError(f"plans on {target.name} differ in repetitions, "
+                                  "iterations, n_init, acquisition or infill")
             groups[(plan.axis, target.name)] = (target, configs, plan.repetitions)
     traces, built = _run_grid(groups, master_seed, jobs)
 
@@ -352,9 +354,9 @@ class CompareConfig(ConfigObject, section="compare"):
     """The settings of the acquisition comparison: every acquisition on
     every function, reps paired repetitions with seeds derived from seed.
     An acquisition may be given as a spec, its mapping or its string
-    (AcquisitionSpec.from_dict); kernel is broadcast to each function's
-    dimension (KernelSpec.broadcast).  Every setting but the three lists
-    defaults to that of RunConfig."""
+    (AcquisitionSpec.from_dict); kernel and mean are broadcast to each
+    function's dimension as in every run (RunConfig).  Every setting but
+    the three lists defaults to that of RunConfig."""
 
     functions: tuple = ()
     acquisitions: tuple[AcquisitionSpec, ...] = ()
@@ -394,14 +396,12 @@ def run_acquisition_comparison(config: CompareConfig, jobs: int = 1) -> Comparis
     its initial design.  Alongside each mean optimization path the pointwise
     0.95 normal-approximation half-width 1.96 * sd / sqrt(R) is reported.
     """
-    groups = {}
-    for target in _resolve(config.functions):
-        configs = {acq.label: RunConfig(kernel=config.kernel.broadcast(target.dimension),
-                                        mean=config.mean, acquisition=acq,
-                                        infill=config.infill, n_init=config.n_init,
-                                        budget=config.budget)
-                   for acq in config.acquisitions}
-        groups[(target.name,)] = (target, configs, config.reps)
+    configs = {acq.label: RunConfig(kernel=config.kernel, mean=config.mean, acquisition=acq,
+                                    infill=config.infill, n_init=config.n_init,
+                                    budget=config.budget)
+               for acq in config.acquisitions}
+    groups = {(target.name,): (target, configs, config.reps)
+              for target in _resolve(config.functions)}
     traces, built = _run_grid(groups, config.seed, jobs)
 
     reps = config.reps

@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -131,13 +130,11 @@ def cmd_run(args) -> int:
     given_target = settings.pop("target")
     target = _target_from_config(given_target)
     run_config = RunConfig.from_dict(settings)
-    run_config = replace(run_config, kernel=run_config.kernel.broadcast(target.dimension))
-    snapshot = {"target": given_target, **run_config.to_dict()}
     out = Path(args.out)
 
     def save(trace):
         save_trace_csv(trace, out / "trace.csv")
-        _write_json(out / "config.json", snapshot)
+        _write_json(out / "config.json", {"target": given_target, **trace.config.to_dict()})
 
     try:
         trace = run(run_config, target)

@@ -18,7 +18,7 @@ import csv
 import json
 import logging
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -78,7 +78,8 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class RunConfig(ConfigObject, section="run"):
-    """Everything one optimization run needs besides the target itself."""
+    """Everything one optimization run needs besides the target itself; run
+    repeats a single lengthscale and a 1-D mean to the target's dimension."""
 
     kernel: KernelSpec = KernelSpec()
     mean: MeanSpec = MeanSpec()
@@ -165,12 +166,16 @@ def _nudge_duplicate(point: np.ndarray, X: np.ndarray, bounds: BoxBounds,
     raise ProboError("could not nudge a duplicate proposal away from the design")
 
 
-def _check_target(config: RunConfig, target: TargetFunction) -> None:
-    """Reject a kernel or mean that does not fit the target's dimension, and
-    a lengthscale that scales a point of the target's box past overflow."""
-    if target.dimension != config.kernel.dimension:
+def _check_target(config: RunConfig, target: TargetFunction) -> RunConfig:
+    """The config with its kernel and mean broadcast to the target's dimension
+    (KernelSpec.broadcast, MeanSpec.broadcast).  Reject a kernel or mean that
+    still does not fit it, and a lengthscale that scales a point of the
+    target's box past overflow."""
+    dim = target.dimension
+    config = replace(config, kernel=config.kernel.broadcast(dim), mean=config.mean.broadcast(dim))
+    if dim != config.kernel.dimension:
         raise ConfigError(
-            f"target {target.name!r} has dimension {target.dimension} but the "
+            f"target {target.name!r} has dimension {dim} but the "
             f"kernel carries {config.kernel.dimension} lengthscales"
         )
     bound = np.maximum(np.abs(target.bounds.lower), np.abs(target.bounds.upper))
@@ -182,16 +187,17 @@ def _check_target(config: RunConfig, target: TargetFunction) -> None:
             f"scale its bound {float(bound[overflow.argmax()])!r} past overflow"
         )
     try:
-        config.mean.validate_for_dimension(target.dimension)
+        config.mean.validate_for_dimension(dim)
     except ValueError as exc:
         raise ConfigError(f"target {target.name!r}: {exc}") from None
+    return config
 
 
 def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
     """Minimize the target with the configured acquisition.  GLCB proposals
     also carry the imprecision bonus from the near-ignorance mean-bound width
-    of the fitted model."""
-    _check_target(config, target)
+    of the fitted model.  The trace records the config as broadcast."""
+    config = _check_target(config, target)
     acq = config.acquisition
     bounds = target.bounds
     records: list[IterationRecord] = []

@@ -66,7 +66,8 @@ _SCRATCH_BYTES = 1 << 16
 @dataclass(frozen=True)
 class KernelSpec(ConfigObject, section="kernel"):
     """Kernel family plus hyperparameters; the default is the unit
-    squared-exponential kernel of one input dimension (see broadcast).
+    squared-exponential kernel of one input dimension, which a run repeats
+    to its target's dimension (see broadcast and engine.run).
 
     lengthscales has one strictly positive entry, with a finite reciprocal,
     per input dimension; power is required for the power-exponential family

@@ -56,6 +56,13 @@ CASES = {
         "--acq", "ei", "--acq", "lcb:tau=2", "--acq", "glcb-1-100",
         "--override", "kernel.lengthscale=0.3", "--override", "reps=2",
         "--override", "budget=8", "--override", "n_init=5", *TINY, "--seed", "11"],
+    # a mean written for one dimension, repeated to sphere-2d's
+    "compare-broadcast-mean": [
+        "compare", "--functions", "gramacy-lee", "--functions", "sphere-2d",
+        "--acq", "ei", "--acq", "lcb:tau=1",
+        "--override", 'mean={"form": "linear-fixed", "coefficients": [0, 0.1]}',
+        "--override", "reps=2", "--override", "budget=8", "--override", "n_init=5", *TINY,
+        "--seed", "11"],
     "sensitivity": [
         "sensitivity", "--functions", "sphere-1d", "--functions", "gramacy-lee",
         "--override", "reps=1", "--override", "iterations=2", "--override", "n_init=4",
@@ -63,7 +70,8 @@ CASES = {
 }
 
 #: the protocols take worker processes; their output must not depend on them
-JOBS = {"compare": ("1", "2"), "sensitivity": ("1", "2")}
+JOBS = {"compare": ("1", "2"), "compare-broadcast-mean": ("1", "2"),
+        "sensitivity": ("1", "2")}
 
 
 def versions() -> dict:

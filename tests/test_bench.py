@@ -208,9 +208,12 @@ def test_variant_broadcasts_to_dimension():
     {"kernel": KernelSpec(family="squared-exponential", lengthscales=(1.0, 1.0))},
     {"mean": MeanSpec("linear-fixed", (0.0, 1.0, 2.0))},
 ])
-def test_variant_must_be_written_for_one_dimension(spec):
-    with pytest.raises(ConfigError, match="prior variant 'wide' .* one input dimension"):
-        PriorVariant(name="wide", **spec)
+def test_variant_must_be_written_for_one_dimension(runs, spec):
+    # on a one-dimensional function; the plan names the axis and the function
+    plan = micro_plan((PriorVariant(name="narrow"), PriorVariant(name="wide", **spec)))
+    with pytest.raises(ConfigError, match="^kernel-parameters/sphere-1d/wide: target 'sphere-1d'"):
+        run_sensitivity_experiment([plan])
+    assert runs == []
 
 
 # ------------------------------------------------------------- sensitivity
@@ -425,6 +428,32 @@ def test_seed_and_jobs_must_be_integers_before_any_run(runs, protocol, name, val
     key = "seed" if (protocol, name) == ("compare", "master_seed") else name
     with pytest.raises(ConfigError, match=f"(?<!_){key} {problem}"):
         run_protocol(protocol, **{name: value})
+    assert runs == []
+
+
+def test_plans_on_one_function_must_share_their_run_settings(runs):
+    first = micro_plan((PriorVariant(name="a"), PriorVariant(name="b", kernel=se(2.0))))
+    second = replace(micro_plan((PriorVariant(name="c"),
+                                 PriorVariant(name="d", mean=MeanSpec("constant-fixed", (1.0,))))),
+                     axis="mean-parameters", repetitions=5, iterations=12, n_init=8,
+                     acquisition=AcquisitionSpec(kind="lcb", tau=3.0))
+    with pytest.raises(ConfigError, match="plans on sphere-1d differ"):
+        run_sensitivity_experiment([first, second])
+    assert runs == []
+    # one differing setting is enough
+    with pytest.raises(ConfigError, match="plans on sphere-1d differ"):
+        run_sensitivity_experiment([first, replace(second, repetitions=2, iterations=3,
+                                                   n_init=4, acquisition=first.acquisition,
+                                                   infill=FocusSearchConfig())])
+    assert runs == []
+
+
+def test_a_comparison_with_no_adaptive_iteration_is_rejected_before_any_run(runs):
+    # a sensitivity plan cannot get here: its iterations are at least 1
+    with pytest.raises(ConfigError, match="^sphere-1d/lcb_tau1: budget equals n_init"):
+        run_acquisition_comparison(CompareConfig(
+            functions=["sphere-1d"], acquisitions=["lcb:tau=1", "ei"], reps=2, budget=4,
+            n_init=4, infill=FAST_INFILL))
     assert runs == []
 
 

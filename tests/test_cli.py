@@ -240,7 +240,7 @@ def test_mean_that_does_not_fit_the_target_fails_before_the_design(
         tmp_path, capsys, evaluated):
     out = tmp_path / "x"
     code = main(["run", "--override", "target=sphere-2d",
-                 "--override", 'mean={"form": "linear-fixed", "coefficients": [0, 1]}',
+                 "--override", 'mean={"form": "linear-fixed", "coefficients": [0, 1, 2, 3]}',
                  "--out", str(out)])
     assert code == 1
     assert evaluated == []
@@ -248,6 +248,19 @@ def test_mean_that_does_not_fit_the_target_fails_before_the_design(
     assert any(line.startswith("error:") and "sphere-2d" in line and "coefficients" in line
                for line in err.splitlines())
     assert not out.exists()
+
+
+def test_run_records_the_mean_broadcast_to_the_target(tmp_path):
+    base = ["run", "--override", "target=sphere-2d", "--override", "n_init=5",
+            "--override", "budget=8", *FAST, "--seed", "2"]
+    for name, coefficients in (("one", "[0, 0.1]"), ("two", "[0, 0.1, 0.1]")):
+        assert main(base + ["--override", 'mean.form="linear-fixed"',
+                            "--override", f"mean.coefficients={coefficients}",
+                            "--out", str(tmp_path / name)]) == 0
+    assert tree_bytes(tmp_path / "one") == tree_bytes(tmp_path / "two")
+    snapshot = json.loads((tmp_path / "one" / "config.json").read_text())
+    assert snapshot["mean"]["coefficients"] == [0.0, 0.1, 0.1]
+    assert snapshot["kernel"]["lengthscales"] == [1.0, 1.0]
 
 
 def test_unknown_override_key_rejected(tmp_path):
@@ -479,6 +492,38 @@ def test_compare_rejects_a_function_the_config_does_not_fit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert any(line.startswith("error:") and "sphere-1d" in line for line in err.splitlines())
     assert not out.exists()
+
+
+def test_compare_with_no_adaptive_iteration_fails_before_any_output(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["compare", "--functions", "sphere-1d", "--acq", "ei", "--acq", "lcb",
+                 "--override", "reps=2", "--override", "budget=4", "--override", "n_init=4",
+                 *FAST, "--jobs", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("error: sphere-1d/ei: budget equals n_init (4)")
+               for line in err.splitlines())
+    assert not out.exists()
+
+
+def test_compare_broadcasts_a_mean_written_for_one_dimension(tmp_path):
+    base = ["compare", "--acq", "ei", "--acq", "lcb:tau=1", "--override", "reps=2",
+            "--override", "budget=7", "--override", "n_init=5", *FAST, "--seed", "4",
+            "--jobs", "1", "--override", 'mean.form="linear-fixed"']
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    assert main(base + ["--functions", "gramacy-lee", "--functions", "sphere-2d",
+                        "--override", "mean.coefficients=[0, 0.1]", "--out", str(both)]) == 0
+    assert main(base + ["--functions", "sphere-2d",
+                        "--override", "mean.coefficients=[0, 0.1, 0.1]",
+                        "--out", str(alone)]) == 0
+    # seeds derive from (master seed, function name, rep)
+    for part in ("traces/sphere-2d", "sphere-2d"):
+        assert tree_bytes(both / part) == tree_bytes(alone / part)
+    assert len(tree_bytes(both / "traces" / "sphere-2d")) == 4
+    # the config is recorded as given, before its broadcast to each function
+    snapshot = json.loads((both / "config.json").read_text())
+    assert snapshot["mean"]["coefficients"] == [0.0, 0.1]
 
 
 def test_compare_needs_two_acquisitions(tmp_path):

@@ -18,7 +18,7 @@ from probo.engine import (
     save_trace_csv,
 )
 from probo.errors import ConfigError, ConfigObject, ProboError
-from probo.functions import registry_lookup
+from probo.functions import registry_lookup, registry_names
 from probo.gp import MeanSpec
 from probo.kernels import DUPLICATE_TOL, KernelSpec, _check_training_points
 from probo.optimizer import BoxBounds, FocusSearchConfig
@@ -94,19 +94,43 @@ def test_target_dimension_follows_bounds():
 
 def test_kernel_dimension_must_match_target():
     tf = registry_lookup("sphere-2d")
-    with pytest.raises(ConfigError, match="dimension"):
-        run(lcb_config(), tf)
+    kernel = KernelSpec(family="squared-exponential", lengthscales=(1.0, 1.0, 1.0))
+    with pytest.raises(ConfigError, match="dimension 2 but the kernel carries 3 lengthscales"):
+        run(lcb_config(kernel=kernel), tf)
 
 
 def test_mean_must_fit_target_dimension():
     evaluated = []
     base = registry_lookup("sphere-2d")
     tf = replace(base, evaluate=lambda x: evaluated.append(x) or base.evaluate(x))
-    cfg = lcb_config(kernel=KernelSpec(family="squared-exponential", lengthscales=(1.0, 1.0)),
-                     mean=MeanSpec(form="linear-fixed", coefficients=(0.0, 1.0)))
-    with pytest.raises(ConfigError, match="sphere-2d"):
+    cfg = lcb_config(mean=MeanSpec(form="linear-fixed", coefficients=(0.0, 1.0, 2.0, 3.0)))
+    with pytest.raises(ConfigError, match="sphere-2d.* needs 3 coefficients, got 4"):
         run(cfg, tf)
     assert evaluated == []
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_default_config_runs_on_every_registry_target(name):
+    target = registry_lookup(name)
+    config = RunConfig(infill=FocusSearchConfig(evals_per_round=20, rounds=2, restarts=1),
+                       n_init=3, budget=4)
+    trace = run(config, target)
+    assert trace.budget == 4
+    assert trace.config.kernel.lengthscales == (1.0,) * target.dimension
+    assert trace.config.mean == MeanSpec()
+
+
+def test_run_records_the_config_broadcast_to_the_target():
+    target = registry_lookup("sphere-2d")
+    one_d = lcb_config(kernel=kernel_1d(0.5), mean=MeanSpec("linear-fixed", (0.0, 0.1)),
+                       budget=9)
+    written = lcb_config(kernel=KernelSpec(lengthscales=(0.5, 0.5)),
+                         mean=MeanSpec("linear-fixed", (0.0, 0.1, 0.1)), budget=9)
+    broadcast, given = run(one_d, target), run(written, target)
+    assert broadcast.config == given.config == written
+    assert traces_equal(broadcast, given)
+    # on a one-dimensional target the config comes back equal
+    assert run(one_d, registry_lookup("sphere-1d")).config == one_d
 
 
 def test_lengthscale_must_scale_the_box_within_range():
