@@ -26,6 +26,7 @@ from .kernels import (
     KernelSpec,
     build_base_kernel_matrix,
     kernel_matrix,
+    _FLOOR,
     _TINY,
     _as_points,
     _check_training_points,
@@ -184,9 +185,12 @@ def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
     # what bounds the error in L^-1 k_x
     L_inv, info = dtrtri(K.cholesky, lower=1)
     assert info == 0  # a successful Cholesky factor has a positive diagonal
-    # subnormal entries are exact zeros, as in kernel_matrix: a product with
-    # one takes the slow path through dtrmm, and none can reach the variance
-    L_inv[np.abs(L_inv) < _TINY] = 0.0
+    # entries below 2^-511 on the scale 1 / sqrt(sv) of L^-1, and subnormal
+    # ones, are exact zeros: with the correlation floor of kernel_matrix, each
+    # product in dtrmm is then at least sqrt(sv) * tiny, so none takes the
+    # slow subnormal path at sv >= 1, and none of the dropped products can
+    # reach the variance
+    L_inv[np.abs(L_inv) < max(_TINY, _FLOOR / math.sqrt(kernel.signal_variance))] = 0.0
     return GpModel(kernel=kernel, mean=mean, X=X.copy(), y=y.copy(), K=K,
                    alpha=alpha, s_k=s_k, L_inv=L_inv, S_k=S_k, beta_hat=beta_hat)
 

@@ -15,13 +15,18 @@ power-exponential with p = 2 is exactly the squared-exponential.  Targets are
 treated as noiseless, so the Gram matrix carries no nugget term; a small
 diagonal jitter is added for numerical factorization only.
 
-Entries too small for a normal double are exact zeros.  exp is evaluated
-only where its result is at least numpy.finfo(float).tiny and is taken as 0
-elsewhere, and an entry whose value falls below tiny is returned as 0; every
-other entry matches the formulas above bit for bit.  Short lengthscales put
-many scaled distances past that point, and subnormal lanes take a slow path
-through exp and every product that follows.  Only batches whose largest
-distance can reach it pay for the check.
+Correlations below 2^-511 are exact zeros.  exp is evaluated only where
+its result, the correlation factor, is at least 2^-511 = sqrt(tiny), with
+tiny = numpy.finfo(float).tiny the smallest normal double, and is taken as 0
+elsewhere; an entry below tiny is also returned as 0.  Every other entry
+matches the formulas above bit for bit.  Subnormal lanes take a slow path
+through exp and through every product that follows, and short lengthscales
+put many scaled distances past the floor.  The floor is sqrt(tiny) because
+a product of two values at or above it stays normal: gp.fit_gp floors the
+inverse Cholesky factor the same way on its scale 1 / sqrt(sv), so at
+sv >= 1 no product of the two underflows.  The floor is on correlations,
+not on entries, so a GP with a small sv keeps its correlations.  Only
+batches whose largest distance can reach the floor pay for the check.
 """
 
 from __future__ import annotations
@@ -52,10 +57,13 @@ JITTER_MAX = 1e-6
 #: the optimization loop nudges proposals that come this close to the design.
 DUPLICATE_TOL = 1e-10
 
-#: Smallest positive normal double; exp(x) >= _TINY exactly when
-#: x >= _LOG_TINY.
+#: Smallest positive normal double, and the correlation floor
+#: sqrt(_TINY) = 2^-511 of the module docstring; exp(x) >= _FLOOR exactly
+#: when x >= _LOG_FLOOR.
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = float(np.log(_TINY))
+_FLOOR = math.sqrt(_TINY)
+_LOG_FLOOR = math.log(_FLOOR)
 
 #: Size of a scratch block walked down a kernel matrix, well under glibc's
 #: mmap and heap-trim thresholds, so no batch returns pages to the system
@@ -70,8 +78,11 @@ class KernelSpec(ConfigObject, section="kernel"):
     to its target's dimension (see broadcast and engine.run).
 
     lengthscales has one strictly positive entry, with a finite reciprocal,
-    per input dimension; power is required for the power-exponential family
-    and must stay in (0, 2] (it is rejected for every other family).
+    per input dimension; signal_variance is at least numpy.finfo(float).tiny
+    / JITTER_INITIAL (about 2.2e-298), so that the initial jitter of
+    build_base_kernel_matrix is a normal double; power is required for the
+    power-exponential family and must stay in (0, 2] (it is rejected for
+    every other family).
     """
 
     family: str = "squared-exponential"
@@ -95,6 +106,10 @@ class KernelSpec(ConfigObject, section="kernel"):
         sv = check_real("signal_variance", self.signal_variance)
         if sv <= 0.0:
             raise ValueError(f"signal_variance must be strictly positive, got {sv}")
+        if JITTER_INITIAL * sv < _TINY:
+            raise ConfigError(f"signal_variance {sv} is below {_TINY / JITTER_INITIAL:.3g}, "
+                              f"where its jitter {JITTER_INITIAL:g} * signal_variance "
+                              f"is subnormal")
         object.__setattr__(self, "signal_variance", sv)
         if self.family == "power-exponential":
             if self.power is None:
@@ -244,11 +259,12 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     ls = np.asarray(spec.lengthscales)
     K = _sqdist(A / ls, B / ls)
     sv = spec.signal_variance
-    # every entry stays normal while each exp factor is at least
-    # _TINY / min(sv, 1); the largest distance gives the smallest factor, and
-    # the margin of 1 covers its rounding
+    # nothing is zeroed while each exp factor is at least _FLOOR and each
+    # entry at least _TINY, which holds for factors of at least
+    # max(_FLOOR, _TINY / sv); the largest distance gives the smallest factor,
+    # and the margin of 1 covers its rounding
     d2max = float(K.max()) if K.size else 0.0
-    guard = _smallest_exponent(spec, d2max) < _LOG_TINY - min(math.log(sv), 0.0) + 1.0
+    guard = _smallest_exponent(spec, d2max) < max(_LOG_FLOOR, _LOG_TINY - math.log(sv)) + 1.0
     if d2max == math.inf:
         # a distance past overflow still has an exp factor of 0; clamped, its
         # exp argument stays finite, so the masks of _zero_below hold
@@ -259,7 +275,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
             K **= spec.power
         K *= -0.5
         if guard:
-            _zero_below(K, _LOG_TINY, exp=True)
+            _zero_below(K, _LOG_FLOOR, exp=True)
         else:
             np.exp(K, out=K)
         if sv != 1.0:  # a product with 1 is exact
@@ -276,7 +292,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
             e = decay[: len(a)]
             np.negative(a, out=e)
             if guard:
-                _zero_below(e, _LOG_TINY, exp=True)
+                _zero_below(e, _LOG_FLOOR, exp=True)
             else:
                 np.exp(e, out=e)
             if spec.family == "matern-3/2":
@@ -290,7 +306,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
             if sv != 1.0:
                 a *= sv
             a *= e
-    if guard and sv < 1.0:
+    if guard and sv * _FLOOR < _TINY:  # only then can a kept factor give a subnormal
         _zero_below(K, _TINY, exp=False)
     return K
 

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
+from scipy.spatial.distance import cdist
 
 from probo import gp
 from probo.errors import ConditioningError, ConfigError, DimensionMismatchError, ProboError
@@ -16,6 +18,7 @@ from probo.gp import (
     predict_batch,
     _solve_terms,
 )
+from probo.functions import registry_lookup
 from probo.kernels import FAMILIES, KernelSpec, kernel_matrix, _cholesky
 
 from oracles import log_marginal_likelihood
@@ -295,19 +298,123 @@ def test_cached_inverse_factor(lengthscale):
 
 
 def test_cached_inverse_factor_holds_no_subnormal_entry():
-    # points 26.7 lengthscales apart: neighbours correlate at about 1e-155
-    # and the pairs between them not at all, so L^-1 picks up ~1e-310 products
-    X = 26.7 * np.arange(6.0)[:, None]
-    model = fit_gp(spec_for("squared-exponential"), MeanSpec(), X, np.cos(X[:, 0]))
+    # points 22 lengthscales apart: neighbours correlate at about 1e-105,
+    # above the floor 2^-511, and the pairs between them not at all, so L^-1
+    # picks up products of about 1e-210 and below, under the floor
+    tiny, floor = np.finfo(float).tiny, 2.0**-511
+    X = 22.0 * np.arange(6.0)[:, None]
+    P = np.linspace(-1.0, 120.0, 4001)[:, None]
+    for sv in (0.01, 1.0, 100.0):
+        model = fit_gp(spec_for("squared-exponential", sv=sv), MeanSpec(), X, np.cos(X[:, 0]))
+        raw, _ = dtrtri(model.K.cholesky, lower=1)
+        dropped = (raw != 0.0) & (np.abs(raw) < floor / math.sqrt(sv))
+        assert np.any(dropped & (np.abs(raw) >= tiny))
+        assert np.any(dropped & (np.abs(raw) < tiny))
+        assert np.all(model.L_inv[dropped] == 0.0)
+        assert np.array_equal(model.L_inv[~dropped], raw[~dropped])
+        # the dropped products reach no variance
+        assert np.array_equal(predict_batch(model, P)[1],
+                              predict_batch(replace(model, L_inv=raw), P)[1])
+
+
+def tiny_floor_kernel(spec, A, B):
+    """The squared-exponential kernel with only the subnormal floor: exp
+    factors and entries below the smallest normal double are 0."""
+    tiny = np.finfo(float).tiny
+    ls = np.asarray(spec.lengthscales)
+    with np.errstate(under="ignore"):
+        factor = np.exp(-0.5 * cdist(A / ls, B / ls, "sqeuclidean"))
+        factor[factor < tiny] = 0.0
+        K = spec.signal_variance * factor
+    K[K < tiny] = 0.0
+    return K
+
+
+def tiny_floor_scoring(model, P):
+    """predict_batch's arithmetic on the tiny-floor kernel and the raw
+    inverse factor, which no floor has touched."""
+    Kx = tiny_floor_kernel(model.kernel, model.X, P)
+    L_inv, _ = dtrtri(model.K.cholesky, lower=1)
+    estimated = model.mean.form == "constant-estimated"
+    mu = (model.beta_hat if estimated else model.mean.values(P)) + Kx.T @ model.alpha
+    kriging = (1.0 - Kx.T @ model.s_k) ** 2 / model.S_k if estimated else 0.0
+    with np.errstate(under="ignore"):
+        v = dtrmm(1.0, L_inv, Kx.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+        var = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v) + kriging
+    return mu, np.maximum(var, 0.0)
+
+
+def rosenbrock_model(lengthscales, sv, mean=MeanSpec()):
+    """A GP on 30 random rosenbrock-3d points, and 3,000 random box points
+    plus one beside each datum to score."""
+    target = registry_lookup("rosenbrock-3d")
+    lo, hi = target.bounds.lower, target.bounds.upper
+    rng = np.random.default_rng(0)
+    X = rng.uniform(lo, hi, size=(30, 3))
+    y = np.array([target(x) for x in X])
+    P = np.concatenate([rng.uniform(lo, hi, size=(3000, 3)), X + rng.normal(0.0, 0.01, X.shape)])
+    spec = KernelSpec(lengthscales=lengthscales, signal_variance=sv)
+    return fit_gp(spec, mean, X, y), P
+
+
+# the short end of SEARCH_RANGE, where a likelihood search on rosenbrock-3d
+# picks its lengthscales
+SHORT_LENGTHSCALES = [(0.05, 0.1, 0.2), (0.1, 0.1, 0.1), (0.2, 0.15, 0.1)]
+
+
+@pytest.mark.parametrize("sv", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("lengthscales", SHORT_LENGTHSCALES)
+def test_scoring_path_does_no_underflowing_products(lengthscales, sv):
+    # every nonzero factor of the dtrmm product of predict_batch is at least
+    # 2^-511 on its scale, sv for the kernel and 1 / sqrt(sv) for L^-1, so
+    # no product underflows at sv >= 1; dropping the smaller ones moves no
+    # bit of mu or var
+    floor, eps = 2.0**-511, np.finfo(float).eps
+    model, P = rosenbrock_model(lengthscales, sv)
+    for K in (kernel_matrix(model.kernel, model.X, P), kernel_matrix(model.kernel, P, P[:300])):
+        assert np.all(np.abs(K[K != 0.0]) / sv >= floor * (1.0 - 4.0 * eps))
+    scaled = math.sqrt(sv) * np.abs(model.L_inv[model.L_inv != 0.0])
+    assert np.all(scaled >= floor * (1.0 - 4.0 * eps))
+    # the models reach the band between tiny and the floor in both factors
+    Kx = tiny_floor_kernel(model.kernel, model.X, P)
+    assert np.any((Kx != 0.0) & (Kx / sv < floor))
     raw, _ = dtrtri(model.K.cholesky, lower=1)
-    subnormal = (raw != 0.0) & (np.abs(raw) < np.finfo(float).tiny)
-    assert subnormal.any()
-    assert np.all(model.L_inv[subnormal] == 0.0)
-    assert np.array_equal(model.L_inv[~subnormal], raw[~subnormal])
-    # the dropped products reach no variance
-    P = np.linspace(-1.0, 140.0, 4001)[:, None]
-    assert np.array_equal(predict_batch(model, P)[1],
-                          predict_batch(replace(model, L_inv=raw), P)[1])
+    assert np.any((raw != 0.0) & (math.sqrt(sv) * np.abs(raw) < floor))
+    mu, var = predict_batch(model, P)
+    want_mu, want_var = tiny_floor_scoring(model, P)
+    assert np.array_equal(mu, want_mu)
+    assert np.array_equal(var, want_var)
+
+
+def test_a_point_past_the_floor_of_every_datum_gets_the_fixed_mean_exactly():
+    # the one difference from the tiny floor: where every correlation with
+    # the data is below 2^-511, mu is the trend itself, to which the tiny
+    # floor added products of about 1e-159
+    floor = 2.0**-511
+    model, P = rosenbrock_model(SHORT_LENGTHSCALES[0], 1.0, MeanSpec("constant-fixed", (0.0,)))
+    Kx = tiny_floor_kernel(model.kernel, model.X, P)
+    far = np.all(Kx < floor, axis=0) & np.any(Kx > 0.0, axis=0)
+    assert far.any()
+    mu, _ = predict_batch(model, P)
+    want_mu, _ = tiny_floor_scoring(model, P)
+    assert np.all(mu[far] == 0.0) and not np.signbit(mu[far]).any()
+    assert np.all(want_mu[far] != 0.0) and np.abs(want_mu[far]).max() < 1e-150
+    # elsewhere mu moves only where the data barely reach it
+    assert np.all(np.abs(want_mu[mu != want_mu]) < 1e-140)
+
+
+def test_a_small_signal_variance_keeps_its_correlations():
+    # the floor is on correlations, not on covariances: at sv = 1e-200 the
+    # GP predicts what it does at sv = 1, where a floor of 2^-511 on the
+    # entries themselves would zero every one and leave a constant mu
+    for lengthscales in (SHORT_LENGTHSCALES[0], SHORT_LENGTHSCALES[2]):
+        small, P = rosenbrock_model(lengthscales, 1e-200)
+        unit, _ = rosenbrock_model(lengthscales, 1.0)
+        # away from the data, where var does not cancel
+        mu, var = predict_batch(small, P[:3000])
+        want_mu, want_var = predict_batch(unit, P[:3000])
+        np.testing.assert_allclose(mu, want_mu, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(var / 1e-200, want_var, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("mean", [MeanSpec(), MeanSpec("constant-fixed", (-1e308,))])

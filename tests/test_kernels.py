@@ -155,6 +155,19 @@ def test_spec_from_config_mapping_rejects_non_numbers(mapping, field):
         KernelSpec.from_dict(mapping)
 
 
+def test_signal_variance_whose_jitter_is_subnormal_is_rejected():
+    # the initial jitter JITTER_INITIAL * sv must be a normal double
+    smallest = np.finfo(float).tiny / JITTER_INITIAL
+    while JITTER_INITIAL * smallest < np.finfo(float).tiny:
+        smallest = np.nextafter(smallest, math.inf)
+    spec = KernelSpec(signal_variance=smallest)
+    X = np.array([[0.0], [1.0], [2.5]])
+    assert build_base_kernel_matrix(spec, X).jitter == JITTER_INITIAL * smallest
+    for sv in (np.nextafter(smallest, 0.0), 2.5e-308, 1e-320):
+        with pytest.raises(ConfigError, match="signal_variance .* subnormal"):
+            KernelSpec(signal_variance=sv)
+
+
 def test_smallest_lengthscale_with_a_finite_reciprocal_is_accepted():
     assert KernelSpec(lengthscales=(1e-308,)).lengthscales == (1e-308,)
 
@@ -429,24 +442,33 @@ def test_far_points_give_exact_zeros(sv, lengthscale):
         assert np.all(K == 0.0) and not np.signbit(K).any()
 
 
-@pytest.mark.parametrize("sv", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("sv", [1e-200, 0.01, 1.0, 100.0])
 def test_no_subnormal_entries_and_normal_ones_unchanged(sv):
-    # distances swept through the band where each family's exp factor, or
-    # the entry itself, leaves the normal range
+    # distances swept through the bands where each family's exp factor falls
+    # below the floor 2^-511 and below tiny, and where the entry itself
+    # leaves the normal range: an exp factor below the floor, or an entry
+    # below tiny, is an exact 0, and every other entry is the formula's
     tiny = np.finfo(float).tiny
-    A = np.concatenate([np.linspace(0.0, 40.0, 4001), np.linspace(120.0, 130.0, 2001),
-                        np.linspace(300.0, 420.0, 12001)])[:, None]
+    floor = 2.0**-511
+    A = np.linspace(0.0, 420.0, 42001)[:, None]
     B = np.array([[0.0], [0.013]])
     for family in FAMILIES:
         spec = spec_for(family, sv=sv)
         got = kernel_matrix(spec, A, B)
         with np.errstate(under="ignore"):
             want = out_of_place_kernel(spec, A, B)
-            normal = (exp_factor(spec, A, B) >= tiny) & (want >= tiny)
-        assert np.any((want > 0.0) & (want < tiny))  # the sweep reaches the band
-        assert not np.any((got > 0.0) & (got < tiny))
-        assert np.array_equal(got[normal], want[normal])
-        assert np.all(got[~normal] == 0.0)
+            factor = exp_factor(spec, A, B)
+        kept = (factor >= floor) & (want >= tiny)
+        # the sweep reaches the subnormal band and the band that only the
+        # floor zeroes: normal entries whose factor is below the floor or,
+        # where sv * floor < tiny, subnormal ones whose factor is not
+        assert np.any((want > 0.0) & (want < tiny))
+        if sv * floor >= tiny:
+            assert np.any((factor < floor) & (want >= tiny))
+        else:
+            assert np.any((factor >= floor) & (want > 0.0) & (want < tiny))
+        assert np.array_equal(got[kept], want[kept])
+        assert np.all(got[~kept] == 0.0) and not np.signbit(got).any()
         assert np.array_equal(got.T, kernel_matrix(spec, B, A))
 
 
