@@ -30,6 +30,9 @@ from .kernels import (
     _TINY,
     _as_points,
     _check_training_points,
+    _covariance,
+    _jittered_cholesky,
+    _sqdist,
 )
 
 MEAN_FORMS = (
@@ -229,6 +232,28 @@ def _evidence(L: np.ndarray, residual: np.ndarray, alpha: np.ndarray) -> float:
 #: for the signal variance
 SEARCH_RANGE = (1e-2, 1e2)
 
+#: candidates drawn at once by the hyperparameter search, so that its memory
+#: does not grow with the budget
+_SEARCH_CHUNK = 64
+
+
+def _candidate_evidence(kernel: KernelSpec, mean: MeanSpec, X: np.ndarray, y: np.ndarray,
+                        ls: np.ndarray, sv: float) -> float:
+    """The log marginal likelihood of fit_gp(replace(kernel, lengthscales=ls,
+    signal_variance=sv), mean, X, y), bit for bit, or -inf where that fit
+    fails to factorize or its solves overflow.  X and y are checked, as
+    fit_gp checks them.  It takes the path of fit_gp without a KernelSpec or
+    a BaseKernelMatrix: the kernels' covariance and factor routines, then
+    fit_gp's solves, scored by _evidence."""
+    scaled = X / ls
+    K = _covariance(_sqdist(scaled, scaled), kernel.family, kernel.power, sv)
+    try:
+        L, _ = _jittered_cholesky(K, sv, ls)
+        _, _, _, residual, alpha = _solve_terms(L, mean, X, y)
+    except ProboError:  # a conditioning failure or solves that overflow
+        return -math.inf
+    return _evidence(L, residual, alpha)
+
 
 def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
                         seed=0) -> KernelSpec:
@@ -239,30 +264,26 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     a fixed seed.  Candidates that fail to factorize, or whose solves or
     likelihood are not finite, are skipped; if all are, a ProboError says so.
 
-    The data are checked once; each candidate then costs one Gram matrix, its
-    jittered Cholesky factor and the solves of fit_gp, scored by _evidence on
-    the terms fit_gp(candidate, mean, X, y) would cache.
+    The data are checked once.  The draws come in chunks of _SEARCH_CHUNK
+    candidates, one generator call each, with the bits of one call per
+    lengthscale vector and one per signal variance.  Each candidate then
+    costs only its _candidate_evidence; the winner alone becomes a KernelSpec.
     """
     check_count("budget", budget)
     X, y = _training_data(kernel.dimension, mean, X, y)
     rng = np.random.default_rng(seed)
 
-    best_spec, best_lml = None, -np.inf
+    best, best_lml = None, -np.inf
     lo, hi = np.log(SEARCH_RANGE[0]), np.log(SEARCH_RANGE[1])
-    for _ in range(budget):
-        ls = tuple(np.exp(rng.uniform(lo, hi, size=kernel.dimension)))
-        sv = float(np.exp(rng.uniform(lo, hi)))
-        spec = replace(kernel, lengthscales=ls, signal_variance=sv)
-        try:
-            L = build_base_kernel_matrix(spec, X).cholesky
-            _, _, _, residual, alpha = _solve_terms(L, mean, X, y)
-        except ProboError:  # a conditioning failure or solves that overflow
-            continue
-        lml = _evidence(L, residual, alpha)
-        if math.isfinite(lml) and lml > best_lml:
-            best_spec, best_lml = spec, lml
-    if best_spec is None:
+    d = kernel.dimension
+    for start in range(0, budget, _SEARCH_CHUNK):
+        draws = np.exp(rng.uniform(lo, hi, size=(min(_SEARCH_CHUNK, budget - start), d + 1)))
+        for row, sv in zip(draws[:, :d], draws[:, d].tolist()):
+            lml = _candidate_evidence(kernel, mean, X, y, row, sv)
+            if math.isfinite(lml) and lml > best_lml:
+                best, best_lml = (row, sv), lml
+    if best is None:
         raise ProboError(f"no usable candidate among {budget} hyperparameter draws: each "
                          "failed to factorize, overflowed its solves or had a non-finite "
                          "likelihood")
-    return best_spec
+    return replace(kernel, lengthscales=tuple(best[0].tolist()), signal_variance=best[1])

@@ -236,43 +236,51 @@ def _zero_below(E: np.ndarray, limit: float, exp: bool) -> None:
         np.multiply(e, k, out=e)
 
 
-def _smallest_exponent(spec: KernelSpec, d2max: float) -> float:
+def _smallest_exponent(family: str, power: float | None, d2max: float) -> float:
     """The most negative exp argument of a batch whose largest squared
     scaled distance is d2max."""
-    if spec.family == "squared-exponential":
+    if family == "squared-exponential":
         return -0.5 * d2max
     d = math.sqrt(d2max)
-    if spec.family == "power-exponential":
-        return -0.5 * d**spec.power
-    return -(math.sqrt(3.0) if spec.family == "matern-3/2" else math.sqrt(5.0)) * d
+    if family == "power-exponential":
+        return -0.5 * d**power
+    return -(math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)) * d
 
 
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Covariance matrix k(a_i, b_j) for two point sets, shape (len(A), len(B)).
 
     A and B are finite float arrays of shape (n, d) and (m, d), checked by
-    the caller.  Every family is evaluated in place on the distance buffer,
-    with the operations of the formulas in the module docstring in their
-    order, so the result matches those formulas bit for bit, apart from the
-    entries that the module docstring's policy returns as 0.
+    the caller.  The result matches the formulas in the module docstring bit
+    for bit, apart from the entries that its policy returns as 0.
     """
     ls = np.asarray(spec.lengthscales)
-    K = _sqdist(A / ls, B / ls)
-    sv = spec.signal_variance
+    return _covariance(_sqdist(A / ls, B / ls), spec.family, spec.power,
+                       spec.signal_variance)
+
+
+def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> np.ndarray:
+    """The covariances of a kernel of this family, power and signal variance
+    sv at the squared scaled distances K, written over K and returned.
+
+    Every family is evaluated in place on the distance buffer, with the
+    operations of the formulas in the module docstring in their order.
+    """
     # nothing is zeroed while each exp factor is at least _FLOOR and each
     # entry at least _TINY, which holds for factors of at least
     # max(_FLOOR, _TINY / sv); the largest distance gives the smallest factor,
     # and the margin of 1 covers its rounding
     d2max = float(K.max()) if K.size else 0.0
-    guard = _smallest_exponent(spec, d2max) < max(_LOG_FLOOR, _LOG_TINY - math.log(sv)) + 1.0
+    guard = (_smallest_exponent(family, power, d2max)
+             < max(_LOG_FLOOR, _LOG_TINY - math.log(sv)) + 1.0)
     if d2max == math.inf:
         # a distance past overflow still has an exp factor of 0; clamped, its
         # exp argument stays finite, so the masks of _zero_below hold
         np.minimum(K, 1e300, out=K)
-    if spec.family in ("squared-exponential", "power-exponential"):
-        if spec.family == "power-exponential":
+    if family in ("squared-exponential", "power-exponential"):
+        if family == "power-exponential":
             np.sqrt(K, out=K)
-            K **= spec.power
+            K **= power
         K *= -0.5
         if guard:
             _zero_below(K, _LOG_FLOOR, exp=True)
@@ -284,7 +292,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
         # Matern-nu: a = sqrt(2 nu) d; the exp factor (and for 5/2 the
         # quadratic term) of each block of rows goes through scratch rows
         np.sqrt(K, out=K)
-        K *= math.sqrt(3.0) if spec.family == "matern-3/2" else math.sqrt(5.0)
+        K *= math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)
         blocks, height = _row_blocks(*K.shape)
         decay, quad = np.empty((2, height, K.shape[1]))
         for rows in blocks:
@@ -295,7 +303,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
                 _zero_below(e, _LOG_FLOOR, exp=True)
             else:
                 np.exp(e, out=e)
-            if spec.family == "matern-3/2":
+            if family == "matern-3/2":
                 a += 1.0
             else:
                 q = quad[: len(a)]
@@ -341,28 +349,41 @@ def _cholesky(K: np.ndarray, lower: bool) -> np.ndarray:
 def build_base_kernel_matrix(spec: KernelSpec, X: np.ndarray) -> BaseKernelMatrix:
     """Gram matrix over the training inputs, jittered until it factorizes.
 
-    X is a checked (n, d) float array, as kernel_matrix takes it.  Jitter
-    escalates tenfold from 1e-10 * sv to 1e-6 * sv; if the Cholesky
-    factorization still fails the conditioning problem is reported.
+    X is a checked (n, d) float array, as kernel_matrix takes it; the
+    factor and its jitter are those of _jittered_cholesky.
     """
-    K = kernel_matrix(spec, X, X)
-    # construction is exactly symmetric; guard against regressions anyway
-    assert np.max(np.abs(K - K.T)) <= 1e-12
-    jitter = JITTER_INITIAL * spec.signal_variance
-    jitter_cap = JITTER_MAX * spec.signal_variance
+    L, jitter = _jittered_cholesky(kernel_matrix(spec, X, X), spec.signal_variance,
+                                   spec.lengthscales)
+    return BaseKernelMatrix(jitter=jitter, cholesky=L)
+
+
+def _jittered_cholesky(K: np.ndarray, sv: float, lengthscales) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of the Gram matrix K + jitter * I of a kernel
+    with signal variance sv and these lengthscales, and the jitter that it
+    took.
+
+    Jitter escalates tenfold from JITTER_INITIAL * sv to JITTER_MAX * sv; if
+    the factorization still fails the conditioning problem is reported.
+    Every Gram matrix is factored here: build_base_kernel_matrix's and each
+    candidate's of gp.fit_hyperparameters.
+    """
+    # construction is exactly symmetric at every scale; guard against
+    # regressions anyway
+    assert (K == K.T).all()
+    jitter = JITTER_INITIAL * sv
+    jitter_cap = JITTER_MAX * sv
     while True:
         # the Fortran-ordered copy that LAPACK factors in place
         jittered = np.array(K, order="F")
         jittered.ravel(order="F")[:: K.shape[0] + 1] += jitter  # a view
         try:
-            L = _cholesky(jittered, lower=True)
-            return BaseKernelMatrix(jitter=jitter, cholesky=L)
+            return _cholesky(jittered, lower=True), jitter
         except LinAlgError:
             if jitter >= jitter_cap:
                 raise ConditioningError(
                     f"kernel matrix is not positive definite even with jitter "
                     f"{jitter:.3e}; inputs are too close relative to the "
-                    f"lengthscales {spec.lengthscales}",
+                    f"lengthscales {lengthscales}",
                     jitter=jitter,
                 ) from None
             jitter *= 10.0

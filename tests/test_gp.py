@@ -563,15 +563,22 @@ def test_recovers_known_lengthscale():
     assert 0.5 <= spec.lengthscales[0] <= 2.0
 
 
+def search_draws(dim, budget, seed):
+    """The (lengthscales, signal variance) of each of the search's candidates,
+    drawn one generator call per lengthscale vector and one per signal
+    variance."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.log(1e-2), np.log(1e2)
+    for _ in range(budget):
+        ls = tuple(np.exp(rng.uniform(lo, hi, size=dim)))
+        yield ls, float(np.exp(rng.uniform(lo, hi)))
+
+
 def brute_force_search(family, mean, X, y, budget, seed, skip=0, power=None):
     """Argmax of log_marginal_likelihood(fit_gp(...)) over the search's draws,
     leaving out the first `skip` candidates."""
-    rng = np.random.default_rng(seed)
-    lo, hi = np.log(1e-2), np.log(1e2)
     best, best_lml = None, -np.inf
-    for i in range(budget):
-        ls = tuple(np.exp(rng.uniform(lo, hi, size=X.shape[1])))
-        sv = float(np.exp(rng.uniform(lo, hi)))
+    for i, (ls, sv) in enumerate(search_draws(X.shape[1], budget, seed)):
         spec = KernelSpec(family=family, lengthscales=ls, signal_variance=sv, power=power)
         if i < skip:
             continue
@@ -582,6 +589,21 @@ def brute_force_search(family, mean, X, y, budget, seed, skip=0, power=None):
         if lml > best_lml:
             best, best_lml = spec, lml
     return best
+
+
+def scored_candidates(monkeypatch, template, mean, X, y, budget, seed):
+    """The search's result and the (spec, log marginal likelihood) of each
+    candidate it scored, in order."""
+    real = gp._candidate_evidence
+    seen = []
+
+    def record(kernel, mean, X, y, ls, sv):
+        lml = real(kernel, mean, X, y, ls, sv)
+        seen.append((replace(kernel, lengthscales=tuple(ls), signal_variance=sv), lml))
+        return lml
+
+    monkeypatch.setattr(gp, "_candidate_evidence", record)
+    return fit_hyperparameters(template, mean, X, y, budget=budget, seed=seed), seen
 
 
 @pytest.mark.parametrize("mean", [
@@ -614,22 +636,80 @@ def test_search_keeps_the_template_family_power_and_dimension():
 
 
 @pytest.mark.parametrize("budget", [1, 7])
-def test_search_factors_each_candidate_through_the_base_kernel_matrix(monkeypatch, budget):
+def test_search_factors_each_candidate_once_through_the_shared_factor_routine(
+        monkeypatch, budget):
     rng = np.random.default_rng(20)
     X = rng.uniform(-2, 2, size=(8, 2))
     y = np.sin(X[:, 0])
-    real = gp.build_base_kernel_matrix
-    specs = []
+    real = gp._jittered_cholesky
+    grams = []
 
-    def counted(spec, points):
-        specs.append(spec)
-        return real(spec, points)
+    def counted(K, sv, lengthscales):
+        grams.append((K.copy(), sv))
+        return real(K, sv, lengthscales)
 
-    monkeypatch.setattr("probo.gp.build_base_kernel_matrix", counted)
+    monkeypatch.setattr("probo.gp._jittered_cholesky", counted)
     got = fit_hyperparameters(spec_for("matern-3/2", (1.0, 1.0)), MeanSpec(), X, y,
                               budget=budget, seed=8)
-    assert len(specs) == budget
-    assert got in specs
+    assert len(grams) == budget
+    want = kernel_matrix(got, X, X)
+    assert any(np.array_equal(K, want) and sv == got.signal_variance for K, sv in grams)
+
+
+def strict_cholesky(K, lower):
+    """LAPACK's factor, refused, as a LinAlgError, for any matrix whose
+    smallest eigenvalue is below 1.5e-6 of its largest diagonal entry: a
+    stricter factorization that decides on the matrix alone.  Gram matrices
+    at long lengthscales then escalate the jitter, or fail even at its cap
+    of 1e-6 of the signal variance."""
+    if np.linalg.eigvalsh(K).min() < 1.5e-6 * K.diagonal().max():
+        raise LinAlgError("refused")
+    return cholesky(K, lower=lower)
+
+
+@pytest.mark.parametrize("mean", [
+    MeanSpec(), MeanSpec(form="linear-fixed", coefficients=(0.5, -1.0, 2.0))])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_search_scores_every_candidate_as_fit_gp_would(monkeypatch, family, mean):
+    rng = np.random.default_rng(21)
+    X = rng.uniform(-2, 2, size=(25, 2))
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2
+    monkeypatch.setattr("probo.kernels._cholesky", strict_cholesky)
+    template = KernelSpec(family=family, lengthscales=(1.0, 1.0),
+                          power=1.9 if family == "power-exponential" else None)
+    got, seen = scored_candidates(monkeypatch, template, mean, X, y, budget=40, seed=9)
+    assert len(seen) == 40
+    zeroed = escalated = failed = 0
+    for spec, lml in seen:
+        assert (spec.family, spec.power) == (template.family, template.power)
+        try:
+            model = fit_gp(spec, mean, X, y)
+        except ProboError:
+            failed += 1
+            assert lml == -math.inf
+            continue
+        # bit for bit, nan included
+        assert np.array_equal(lml, log_marginal_likelihood(model), equal_nan=True)
+        escalated += model.K.jitter > 1e-10 * spec.signal_variance
+        zeroed += bool((kernel_matrix(spec, X, X) == 0.0).any())
+    # short lengthscales zero correlations below 2^-511, and long ones
+    # escalate the jitter or fail to factorize
+    assert zeroed and escalated and failed
+    assert got == max((c for c in seen if math.isfinite(c[1])), key=lambda c: c[1])[0]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_search_draws_each_candidate_as_one_call_per_vector(monkeypatch, dim):
+    # the draws come in chunks, whose bits match one generator call per
+    # lengthscale vector and one per signal variance, across chunk ends
+    budget = 2 * gp._SEARCH_CHUNK + 3
+    rng = np.random.default_rng(22)
+    X = rng.uniform(-2, 2, size=(5, dim))
+    y = X.sum(axis=1)
+    _, seen = scored_candidates(monkeypatch, spec_for("squared-exponential", (1.0,) * dim),
+                                MeanSpec(), X, y, budget=budget, seed=dim)
+    assert ([(s.lengthscales, s.signal_variance) for s, _ in seen]
+            == list(search_draws(dim, budget, dim)))
 
 
 def test_search_skips_a_candidate_that_fails_to_factorize(monkeypatch):

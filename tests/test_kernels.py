@@ -20,6 +20,7 @@ from probo.kernels import (
     kernel_matrix,
     _as_points,
     _check_training_points,
+    _jittered_cholesky,
     _sqdist,
 )
 
@@ -513,3 +514,20 @@ def test_jitter_stops_escalating_on_success(monkeypatch):
     monkeypatch.setattr("probo.kernels._cholesky", flaky)
     K = build_base_kernel_matrix(spec, np.array([[0.0], [1.0]]))
     assert K.jitter == pytest.approx(JITTER_INITIAL * 100)
+
+
+@pytest.mark.parametrize("sv", [1.0, 1e-200])
+def test_an_asymmetric_gram_matrix_trips_the_symmetry_check(sv):
+    # the check is exact, so it holds at every scale: at sv = 1e-200 every
+    # covariance, and so every asymmetry, is far below an absolute tolerance
+    # such as 1e-12
+    spec = spec_for("matern-5/2", sv=sv)
+    X = np.array([[0.0], [0.7], [1.5]])
+    K = kernel_matrix(spec, X, X)
+    L, jitter = _jittered_cholesky(K.copy(), sv, spec.lengthscales)
+    assert np.array_equal(L, build_base_kernel_matrix(spec, X).cholesky)
+    assert jitter == JITTER_INITIAL * sv
+    K[0, 1] *= 1.0 + 2.0**-52
+    with pytest.raises(AssertionError):
+        _jittered_cholesky(K, sv, spec.lengthscales)
+
