@@ -15,13 +15,13 @@ power-exponential with p = 2 is exactly the squared-exponential.  Targets are
 treated as noiseless, so the Gram matrix carries no nugget term; a small
 diagonal jitter is added for numerical factorization only.
 
-Correlations below 2^-511 are exact zeros.  exp is evaluated only where
-its result, the correlation factor, is at least 2^-511 = sqrt(tiny), with
-tiny = numpy.finfo(float).tiny the smallest normal double, and is taken as 0
-elsewhere; an entry below tiny is also returned as 0.  Every other entry
-matches the formulas above bit for bit.  Subnormal lanes take a slow path
-through exp and through every product that follows, and short lengthscales
-put many scaled distances past the floor.  The floor is sqrt(tiny) because
+Correlations below 2^-511 are exact zeros.  exp is evaluated on arguments
+clamped just below log(2^-511), and a result, the correlation factor, below
+2^-511 = sqrt(tiny) is taken as 0, with tiny = numpy.finfo(float).tiny the
+smallest normal double; an entry below tiny is also returned as 0.  Every
+other entry matches the formulas above bit for bit.  Subnormal lanes take a
+slow path through exp and through every product that follows, and short
+lengthscales put many scaled distances past the floor.  The floor is sqrt(tiny) because
 a product of two values at or above it stays normal: gp.fit_gp floors the
 inverse Cholesky factor the same way on its scale 1 / sqrt(sv), so at
 sv >= 1 no product of the two underflows.  The floor is on correlations,
@@ -59,11 +59,12 @@ DUPLICATE_TOL = 1e-10
 
 #: Smallest positive normal double, and the correlation floor
 #: sqrt(_TINY) = 2^-511 of the module docstring; exp(x) >= _FLOOR exactly
-#: when x >= _LOG_FLOOR.
+#: when x >= _LOG_FLOOR, so exp(_BELOW_LOG_FLOOR) < _FLOOR.
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = float(np.log(_TINY))
 _FLOOR = math.sqrt(_TINY)
 _LOG_FLOOR = math.log(_FLOOR)
+_BELOW_LOG_FLOOR = float(np.nextafter(_LOG_FLOOR, -math.inf))
 
 #: Size of a scratch block walked down a kernel matrix, well under glibc's
 #: mmap and heap-trim thresholds, so no batch returns pages to the system
@@ -216,23 +217,24 @@ def _near_duplicate(d2: np.ndarray) -> float | None:
 
 
 def _zero_below(E: np.ndarray, limit: float, exp: bool) -> None:
-    """Set every entry of E below limit to exactly 0, in place; with exp, take
-    exp of the other entries without evaluating it on the zeroed ones.
+    """Set every entry of E below limit to exactly 0, in place; with exp,
+    first take exp of E, its arguments clamped at _BELOW_LOG_FLOOR.
 
-    The mask is applied by products with 0/1, since masked assignment and
-    exp(..., where=) run several times slower on scattered masks.  A zeroed
-    argument gives exp(0) = 1, a fast lane, and the second product turns it
-    back into 0.
+    With exp, limit is at least _FLOOR.  A clamped argument was below
+    _LOG_FLOOR, so its exp is zeroed either way, and it is a normal double,
+    so exp takes no slow subnormal lane.  The mask is applied by a product
+    with 0/1, since masked assignment runs several times slower on scattered
+    masks.
     """
     blocks, height = _row_blocks(*E.shape, itemsize=1)
     keep = np.empty((height, E.shape[1]), dtype=bool)
     for rows in blocks:
         e = E[rows]
         k = keep[: len(e)]
-        np.greater_equal(e, limit, out=k)
         if exp:
-            np.multiply(e, k, out=e)
+            np.maximum(e, _BELOW_LOG_FLOOR, out=e)
             np.exp(e, out=e)
+        np.greater_equal(e, limit, out=k)
         np.multiply(e, k, out=e)
 
 
@@ -274,8 +276,8 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
     guard = (_smallest_exponent(family, power, d2max)
              < max(_LOG_FLOOR, _LOG_TINY - math.log(sv)) + 1.0)
     if d2max == math.inf:
-        # a distance past overflow still has an exp factor of 0; clamped, its
-        # exp argument stays finite, so the masks of _zero_below hold
+        # a distance past overflow still has an exp factor of 0; clamped, it
+        # keeps Matern's polynomial factor finite, so their product is 0, not nan
         np.minimum(K, 1e300, out=K)
     if family in ("squared-exponential", "power-exponential"):
         if family == "power-exponential":
@@ -283,7 +285,7 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
             K **= power
         K *= -0.5
         if guard:
-            _zero_below(K, _LOG_FLOOR, exp=True)
+            _zero_below(K, _FLOOR, exp=True)
         else:
             np.exp(K, out=K)
         if sv != 1.0:  # a product with 1 is exact
@@ -300,7 +302,7 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
             e = decay[: len(a)]
             np.negative(a, out=e)
             if guard:
-                _zero_below(e, _LOG_FLOOR, exp=True)
+                _zero_below(e, _FLOOR, exp=True)
             else:
                 np.exp(e, out=e)
             if family == "matern-3/2":

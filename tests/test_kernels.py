@@ -18,10 +18,15 @@ from probo.kernels import (
     KernelSpec,
     build_base_kernel_matrix,
     kernel_matrix,
+    _BELOW_LOG_FLOOR,
+    _FLOOR,
+    _LOG_FLOOR,
     _as_points,
     _check_training_points,
+    _covariance,
     _jittered_cholesky,
     _sqdist,
+    _zero_below,
 )
 
 
@@ -471,6 +476,56 @@ def test_no_subnormal_entries_and_normal_ones_unchanged(sv):
         assert np.array_equal(got[kept], want[kept])
         assert np.all(got[~kept] == 0.0) and not np.signbit(got).any()
         assert np.array_equal(got.T, kernel_matrix(spec, B, A))
+
+
+def masked_zero_below(E, limit, exp):
+    """The floor as a masked formula: with exp, limit bounds the arguments,
+    which are masked, zeroed, taken through exp and zeroed again."""
+    keep = E >= limit
+    if exp:
+        E *= keep
+        np.exp(E, out=E)
+    E *= keep
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_clamped_floor_keeps_the_bits_of_the_masked_formula():
+    # the floor argument, the double below it, a clamped overflowed distance
+    # (-0.5 * 1e300), and a sweep across the floor and the subnormal range
+    rng = np.random.default_rng(5)
+    E = np.concatenate([[_LOG_FLOOR, _BELOW_LOG_FLOOR, np.nextafter(_LOG_FLOOR, 0.0),
+                         -5e299, 0.0, -0.0], np.linspace(-760.0, 0.0, 7601),
+                        rng.uniform(-400.0, -300.0, 4001)]).reshape(-1, 2)
+    got, want = E.copy(), E.copy()
+    _zero_below(got, _FLOOR, exp=True)
+    masked_zero_below(want, _LOG_FLOOR, exp=True)
+    assert same_bits(got, want)
+    assert got[0, 0] >= _FLOOR and got[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("family", ["squared-exponential", "matern-3/2"])
+@pytest.mark.parametrize("sv", [1e-200, 1.0, 100.0])
+def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
+    # squared distances whose exp arguments land on _LOG_FLOOR and on the
+    # double below it, their neighbours, a distance past overflow, and a sweep
+    x = np.array([_LOG_FLOOR, _BELOW_LOG_FLOOR])
+    edge = -2.0 * x if family == "squared-exponential" else x**2 / 3.0
+    near = (edge[:, None] + np.arange(-40, 41) * np.spacing(edge)[:, None]).ravel()
+    d2 = np.concatenate([near, [math.inf, 0.0], np.linspace(0.0, 1e5, 2001)]).reshape(-1, 5)
+    if family == "squared-exponential":
+        args = -0.5 * d2
+    else:
+        args = -(np.sqrt(d2) * math.sqrt(3.0))
+    assert np.any(args == _LOG_FLOOR) and np.any(args == _BELOW_LOG_FLOOR)
+    got = _covariance(d2.copy(), family, None, sv)
+    monkeypatch.setattr("probo.kernels._zero_below",
+                        lambda E, limit, exp: masked_zero_below(
+                            E, _LOG_FLOOR if exp else limit, exp))
+    want = _covariance(d2.copy(), family, None, sv)
+    assert same_bits(got, want)
 
 
 def test_cross_covariance_at_training_point_is_signal_variance():
