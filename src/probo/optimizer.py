@@ -2,7 +2,7 @@
 
 Objectives are batch callables: given an (m, d) array of points they return
 an (m,) array of scores, lower is better.  The search is deterministic for a
-fixed seed and breaks ties by first encounter under a fixed iteration
+fixed seed and breaks ties by first encounter in (round, restart, point)
 order.  Non-finite scores are ignored unless every evaluated point is
 non-finite, which is an error.
 """
@@ -55,11 +55,12 @@ class BoxBounds:
 
 @dataclass(frozen=True)
 class FocusSearchConfig(ConfigObject, section="infill"):
-    """Shrinking random search: per restart, `rounds` rounds of
-    `evals_per_round` uniform samples, halving (by default) the box around
-    the incumbent between rounds.  Defaults follow the benchmark protocol
-    (1000 evaluations per round, 5 restarts); six rounds with shrink 0.5
-    leave a final box near 3% of the original range per side.
+    """Shrinking random search: `restarts` independent boxes, each sampled
+    with `evals_per_round` uniform points in each of `rounds` rounds and
+    halved (by default) around its own round's best point between rounds.
+    Defaults follow the benchmark protocol (1000 evaluations per round, 5
+    restarts); six rounds with shrink 0.5 leave a final box near 3% of the
+    original range per side.
     """
 
     evals_per_round: int = 1000
@@ -88,47 +89,42 @@ def latin_hypercube(n: int, bounds: BoxBounds, seed=0) -> np.ndarray:
     return bounds.lower + unit * bounds.span
 
 
-def _best_of(scores: np.ndarray):
-    """Index of the smallest finite score, or None if all are non-finite."""
-    finite = np.isfinite(scores)
-    if finite.all():
-        return int(np.argmin(scores))
-    if not finite.any():
-        return None
-    masked = np.where(finite, scores, np.inf)
-    return int(np.argmin(masked))
-
-
 def focus_search(objective, bounds: BoxBounds, config: FocusSearchConfig, seed=0):
-    """Iteratively shrink the sampling box around the incumbent.
+    """Shrink one sampling box per restart around that restart's own best.
 
-    Each restart begins from the full box; after each round the box sides
-    scale by shrink_factor, recentered on the overall incumbent and clipped
-    back into the original bounds.  Returns the best (point, score) across
-    all restarts and rounds; total evaluations are
-    restarts * rounds * evals_per_round.
+    Every restart begins from the full box.  Each round draws all restarts'
+    points with one rng.random((restarts, evals_per_round, d)), scales each
+    restart's slice to its box, and scores them in one objective call, in
+    restart order.  After the round each restart's box sides scale by
+    shrink_factor, recentred on the best finite point of its own round and
+    clipped back into the original bounds; a restart whose round has no
+    finite score keeps its box.  So no restart depends on another.  Returns
+    the (point, score) of the smallest finite score seen, the first in
+    (round, restart, point) order; rounds objective calls score
+    restarts * evals_per_round points each.
     """
     rng = np.random.default_rng(seed)
-    size = (config.evals_per_round, bounds.dimension)
+    R, m, d = config.restarts, config.evals_per_round, bounds.dimension
+    lo = np.broadcast_to(bounds.lower, (R, 1, d))
+    hi = np.broadcast_to(bounds.upper, (R, 1, d))
+    restarts = np.arange(R)
     best_point, best_score = None, np.inf
-    for _ in range(config.restarts):
-        lo, hi = bounds.lower.copy(), bounds.upper.copy()
-        for _ in range(config.rounds):
-            # rng.uniform(lo, hi, size) bit for bit, without its per-element
-            # broadcast of the bounds
-            pts = rng.random(size)
-            pts *= hi - lo
-            pts += lo
-            scores = np.asarray(objective(pts), dtype=float)
-            idx = _best_of(scores)
-            if idx is not None and scores[idx] < best_score:
-                best_point, best_score = pts[idx].copy(), float(scores[idx])
-            if best_point is None:
-                continue  # nothing finite yet; keep sampling the same box
-            half = 0.5 * config.shrink_factor * (hi - lo)
-            lo = bounds.clip(best_point - half)
-            hi = bounds.clip(best_point + half)
+    for _ in range(config.rounds):
+        pts = rng.random((R, m, d))
+        pts *= hi - lo
+        pts += lo
+        scores = np.asarray(objective(pts.reshape(R * m, d)), dtype=float).reshape(R, m)
+        scores = np.where(np.isfinite(scores), scores, np.inf)
+        idx = scores.argmin(axis=1)
+        round_best = scores[restarts, idx]
+        r = int(round_best.argmin())
+        if round_best[r] < best_score:
+            best_point, best_score = pts[r, idx[r]].copy(), float(round_best[r])
+        centre = pts[restarts, idx][:, None]
+        half = 0.5 * config.shrink_factor * (hi - lo)
+        found = (round_best < np.inf)[:, None, None]
+        lo = np.where(found, bounds.clip(centre - half), lo)
+        hi = np.where(found, bounds.clip(centre + half), hi)
     if best_point is None:
         raise ProboError("objective returned non-finite scores at every point")
     return best_point, best_score
-

@@ -1,21 +1,26 @@
 """Golden outputs: the sha256 of every file that a fixed set of small
 `probo run`, `compare` and `sensitivity` commands writes, recorded in
-golden.json with the numpy and scipy versions that produced them.
+golden.json with the numpy and scipy versions and the OpenBLAS kernel of
+scipy's LAPACK that produced them.  The Cholesky factor, and every output
+after it, can differ in its last bits under another kernel.
 
 tests/test_golden.py reruns the commands and names each file whose bytes
-moved.  Rewrite golden.json with
+moved, and any version or kernel that differs from the recorded one.
+Rewrite golden.json with
 
     PYTHONPATH=src python tests/golden.py
 
 only in a change that means to alter output bytes (a new column, a new
 config key, a different snapshot shape, a change in floating-point
 arithmetic) or that moves to other numpy or scipy versions, and list in
-that change's notes every file that moved and why.  A change that should
-keep the outputs must leave golden.json as it is.
+that change's notes every file that moved and why; the rewrite prints how
+many files of each case moved.  A change that should keep the outputs must
+leave golden.json as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -74,8 +79,24 @@ JOBS = {"compare": ("1", "2"), "compare-broadcast-mean": ("1", "2"),
         "sensitivity": ("1", "2")}
 
 
+def blas_core() -> str | None:
+    """The kernel that scipy's bundled OpenBLAS picked for this CPU, as
+    OpenBLAS names it ("SkylakeX", "Haswell", ...), or None where it cannot
+    be read."""
+    libs = Path(scipy.__file__).parent.with_name("scipy.libs")
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas_core": blas_core()}
 
 
 def tree_digests(root: Path) -> dict[str, str]:
@@ -94,7 +115,14 @@ def case_digests(case: str, out: Path, jobs: str | None = None) -> dict[str, str
     return tree_digests(out)
 
 
+def moved(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The files whose digest differs between two digest maps, or that only
+    one of them has."""
+    return sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+
+
 def rewrite() -> None:
+    previous = json.loads(GOLDEN.read_text())["outputs"] if GOLDEN.exists() else {}
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
@@ -103,6 +131,8 @@ def rewrite() -> None:
             if any(digests != runs[0] for digests in runs):
                 raise RuntimeError(f"{case}: output depends on --jobs")
             outputs[case] = runs[0]
+            print(f"{case}: {len(moved(previous.get(case, {}), runs[0]))} of "
+                  f"{len(runs[0])} files moved", file=sys.stderr)
     GOLDEN.write_text(json.dumps({**versions(), "outputs": outputs},
                                  indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}: {sum(map(len, outputs.values()))} files in {len(outputs)} cases",

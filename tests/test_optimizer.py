@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from probo.errors import ConfigError, ProboError
-from probo.optimizer import (BoxBounds, FocusSearchConfig, _best_of, focus_search,
-                             latin_hypercube)
+from probo.optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
 
 UNIT = BoxBounds(lower=[0.0], upper=[1.0])
 UNIT2 = BoxBounds(lower=[0.0, 0.0], upper=[1.0, 1.0])
@@ -174,6 +173,12 @@ def masked_best_of(scores):
     return int(np.argmin(np.where(finite, scores, np.inf)))
 
 
+def scripted(scores):
+    """An objective that returns these scores, whatever the points."""
+    scores = np.asarray(scores, dtype=float)
+    return lambda P: scores.copy()
+
+
 @pytest.mark.parametrize("scores, expected", [
     ([3.0, 1.0, 2.0], 1),
     ([1.0, 0.0, 0.0, -0.0, 5.0], 1),  # ties and signed zeros: the first
@@ -186,40 +191,65 @@ def masked_best_of(scores):
     ([-1e308, -np.inf], 0),
 ])
 def test_best_of(scores, expected):
-    scores = np.asarray(scores)
-    assert _best_of(scores) == expected == masked_best_of(scores)
+    # one round of two restarts, the first all NaN: the search returns the
+    # second restart's point of the smallest finite score, the first of ties
+    m = len(scores)
+    cfg = FocusSearchConfig(evals_per_round=m, rounds=1, restarts=2)
+    objective = scripted([np.nan] * m + scores)
+    assert masked_best_of(np.asarray(scores)) == expected
+    if expected is None:
+        with pytest.raises(ProboError, match="non-finite scores at every point"):
+            focus_search(objective, UNIT, cfg, seed=0)
+        return
+    point, score = focus_search(objective, UNIT, cfg, seed=0)
+    drawn = np.random.default_rng(0).random((2, m, 1))
+    assert np.array_equal(point, drawn[1, expected]) and score == scores[expected]
 
 
 def test_best_of_matches_the_masked_index():
+    # over one round, the pick is the masked index in (restart, point) order
     rng = np.random.default_rng(13)
-    for _ in range(500):
-        scores = rng.integers(-3, 4, size=int(rng.integers(1, 40))).astype(float)
+    for seed in range(300):
+        restarts, m = int(rng.integers(1, 4)), int(rng.integers(1, 15))
+        scores = rng.integers(-3, 4, size=restarts * m).astype(float)
         holes = rng.random(len(scores))
         scores[holes < 0.1] = np.nan
         scores[(holes >= 0.1) & (holes < 0.15)] = -np.inf
         scores[(holes >= 0.15) & (holes < 0.2)] = np.inf
-        assert _best_of(scores) == masked_best_of(scores)
+        expected = masked_best_of(scores)
+        if expected is None:
+            continue
+        cfg = FocusSearchConfig(evals_per_round=m, rounds=1, restarts=restarts)
+        point, score = focus_search(scripted(scores), UNIT2, cfg, seed=seed)
+        drawn = np.random.default_rng(seed).random((restarts * m, 2))
+        assert np.array_equal(point, drawn[expected]) and score == scores[expected]
 
 
 # ------------------------------------------------------------- focus search
 
-def uniform_focus_search(objective, bounds, config, rng):
-    """The focus search loop with one rng.uniform draw per round and a
-    masked incumbent: the reference for focus_search's bits."""
+def looped_focus_search(objective, bounds, config, rng):
+    """The focus search rule as a loop over restarts: per round one
+    rng.random((restarts, evals_per_round, d)) draw scaled to each restart's
+    box, one objective call on all the points in restart order, and each
+    restart recentred on its own round's best finite point, or left as it is
+    if it has none.  The reference for focus_search's bits."""
+    R, m, d = config.restarts, config.evals_per_round, bounds.dimension
+    boxes = [(bounds.lower, bounds.upper)] * R
     best_point, best_score = None, np.inf
-    for _ in range(config.restarts):
-        lo, hi = bounds.lower.copy(), bounds.upper.copy()
-        for _ in range(config.rounds):
-            pts = rng.uniform(lo, hi, size=(config.evals_per_round, bounds.dimension))
-            scores = np.asarray(objective(pts), dtype=float)
-            idx = masked_best_of(scores)
-            if idx is not None and scores[idx] < best_score:
-                best_point, best_score = pts[idx].copy(), float(scores[idx])
-            if best_point is None:
+    for _ in range(config.rounds):
+        draw = rng.random((R, m, d))
+        pts = [lo + (hi - lo) * draw[r] for r, (lo, hi) in enumerate(boxes)]
+        scores = np.asarray(objective(np.concatenate(pts)), dtype=float).reshape(R, m)
+        for r, (lo, hi) in enumerate(boxes):
+            idx = masked_best_of(scores[r])
+            if idx is None:
                 continue
+            best = pts[r][idx]
+            if scores[r, idx] < best_score:
+                best_point, best_score = best.copy(), float(scores[r, idx])
             half = 0.5 * config.shrink_factor * (hi - lo)
-            lo = np.clip(best_point - half, bounds.lower, bounds.upper)
-            hi = np.clip(best_point + half, bounds.lower, bounds.upper)
+            boxes[r] = (np.clip(best - half, bounds.lower, bounds.upper),
+                        np.clip(best + half, bounds.lower, bounds.upper))
     return best_point, best_score
 
 
@@ -245,18 +275,118 @@ def test_focus_search_keeps_the_bits_of_the_uniform_draw(d, shrink_factor):
     lower = rng.uniform(-50.0, 50.0, size=d)
     bounds = BoxBounds(lower=lower, upper=lower + 10.0 ** rng.uniform(-3, 3, size=d))
     target = rng.uniform(bounds.lower, bounds.upper)
-    cfg = FocusSearchConfig(evals_per_round=97, rounds=4, restarts=3,
+    cfg = FocusSearchConfig(evals_per_round=97, rounds=5, restarts=3,
                             shrink_factor=shrink_factor)
     seen, ref_seen = [], []
     gen, ref_gen = np.random.default_rng(d), np.random.default_rng(d)
     point, score = focus_search(holey_objective(target, seen), bounds, cfg, gen)
-    ref_point, ref_score = uniform_focus_search(holey_objective(target, ref_seen),
-                                                bounds, cfg, ref_gen)
-    assert len(seen) == len(ref_seen) == 12
+    ref_point, ref_score = looped_focus_search(holey_objective(target, ref_seen),
+                                               bounds, cfg, ref_gen)
+    assert len(seen) == len(ref_seen) == 5
     assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
     assert np.array_equal(point, ref_point) and score == ref_score
     assert gen.bit_generator.state == ref_gen.bit_generator.state
 
+
+def test_focus_search_scores_one_batch_per_round():
+    shapes = []
+
+    def recording(P):
+        shapes.append(P.shape)
+        return np.sum(P**2, axis=1)
+
+    cfg = FocusSearchConfig(evals_per_round=30, rounds=4, restarts=3)
+    focus_search(recording, UNIT2, cfg, seed=0)
+    assert shapes == [(cfg.restarts * cfg.evals_per_round, 2)] * cfg.rounds
+
+
+def test_focus_search_restarts_are_independent():
+    # each restart searched alone, from its slice of every round's draw and a
+    # pointwise objective with holes, draws the points the search drew for it
+    bounds = BoxBounds(lower=[-2.0, 1.0], upper=[3.0, 1.5])
+    target = np.array([0.7, 1.2])
+
+    def pointwise(P):
+        s = np.sum((P - target) ** 2, axis=1)
+        return np.where(np.sin(40.0 * P[:, 0]) > 0.7, np.nan, s)
+
+    seen = []
+    cfg = FocusSearchConfig(evals_per_round=25, rounds=5, restarts=4, shrink_factor=0.4)
+    focus_search(lambda P: seen.append(P.copy()) or pointwise(P), bounds, cfg, seed=21)
+    rng = np.random.default_rng(21)
+    draws = [rng.random((cfg.restarts, cfg.evals_per_round, 2)) for _ in range(cfg.rounds)]
+    m = cfg.evals_per_round
+    finals = set()
+    for r in range(cfg.restarts):
+        lo, hi = bounds.lower, bounds.upper
+        for batch, draw in zip(seen, draws):
+            pts = lo + (hi - lo) * draw[r]
+            assert np.array_equal(batch[r * m:(r + 1) * m], pts)
+            best = pts[masked_best_of(pointwise(pts))]
+            half = 0.5 * cfg.shrink_factor * (hi - lo)
+            lo = np.clip(best - half, bounds.lower, bounds.upper)
+            hi = np.clip(best + half, bounds.lower, bounds.upper)
+        finals.add((tuple(lo), tuple(hi)))
+    assert len(finals) == cfg.restarts  # the restarts end in boxes of their own
+
+
+def test_focus_search_keeps_the_box_of_a_restart_without_finite_scores():
+    # round 1: restart 0 all NaN, restart 1 has -inf and NaN holes; round 2
+    # draws restart 0 from the full box again and restart 1 from a shrunk one
+    seen = []
+    m = 20
+
+    def objective(P):
+        seen.append(P.copy())
+        s = np.sum((P - 0.3) ** 2, axis=1)
+        if len(seen) == 1:
+            s[:m] = np.nan
+            s[m::2] = -np.inf
+            s[m + 1::4] = np.nan
+        return s
+
+    cfg = FocusSearchConfig(evals_per_round=m, rounds=2, restarts=2)
+    focus_search(objective, UNIT, cfg, seed=3)
+    rng = np.random.default_rng(3)
+    first, second = rng.random((2, m, 1)), rng.random((2, m, 1))
+    assert np.array_equal(seen[1][:m], second[0])
+    scores = np.sum((first[1] - 0.3) ** 2, axis=1)
+    scores[::2] = -np.inf
+    scores[1::4] = np.nan
+    best = first[1][masked_best_of(scores)]
+    lo, hi = np.clip(best - 0.25, 0.0, 1.0), np.clip(best + 0.25, 0.0, 1.0)
+    assert np.array_equal(seen[1][m:], lo + (hi - lo) * second[1])
+
+
+def test_focus_search_needs_one_finite_score_in_any_restart():
+    cfg = FocusSearchConfig(evals_per_round=10, rounds=3, restarts=3)
+    with pytest.raises(ProboError, match="non-finite scores at every point"):
+        focus_search(lambda P: np.full(len(P), -np.inf), UNIT2, cfg, seed=1)
+    # one finite score, in the last restart of the last round, is the result
+    calls = []
+
+    def last_only(P):
+        calls.append(None)
+        s = np.full(len(P), np.nan)
+        if len(calls) == cfg.rounds:
+            s[-1] = 2.5
+        return s
+
+    point, score = focus_search(last_only, UNIT2, cfg, seed=1)
+    rng = np.random.default_rng(1)
+    for _ in range(cfg.rounds):
+        drawn = rng.random((cfg.restarts, cfg.evals_per_round, 2))
+    assert score == 2.5 and np.array_equal(point, drawn[-1, -1])
+
+
+def test_focus_search_ties_go_to_the_first_point_drawn():
+    # a constant objective ties everywhere: the first round's first restart's
+    # first point wins over every later round, restart and point
+    b = BoxBounds(lower=[-1.0, 2.0], upper=[1.0, 5.0])
+    cfg = FocusSearchConfig(evals_per_round=15, rounds=3, restarts=4)
+    point, score = focus_search(lambda P: np.full(len(P), 4.2), b, cfg, seed=6)
+    first = np.random.default_rng(6).random((cfg.restarts, cfg.evals_per_round, 2))[0, 0]
+    assert np.array_equal(point, b.lower + (b.upper - b.lower) * first) and score == 4.2
 
 
 def test_focus_search_finds_known_optimum():
@@ -286,8 +416,8 @@ def test_focus_search_returns_best_evaluated_point():
 
     cfg = FocusSearchConfig(evals_per_round=50, rounds=3, restarts=2)
     _, score = focus_search(recording, UNIT, cfg, seed=8)
-    assert score <= min(seen)
-    assert len(seen) == cfg.rounds * cfg.restarts
+    assert score == min(seen)
+    assert len(seen) == cfg.rounds
 
 
 def test_focus_search_not_worse_than_first_round():
