@@ -21,12 +21,13 @@ clamped just below log(2^-511), and a result, the correlation factor, below
 smallest normal double; an entry below tiny is also returned as 0.  Every
 other entry matches the formulas above bit for bit.  Subnormal lanes take a
 slow path through exp and through every product that follows, and short
-lengthscales put many scaled distances past the floor.  The floor is sqrt(tiny) because
-a product of two values at or above it stays normal: gp.fit_gp floors the
-inverse Cholesky factor the same way on its scale 1 / sqrt(sv), so at
-sv >= 1 no product of the two underflows.  The floor is on correlations,
-not on entries, so a GP with a small sv keeps its correlations.  Only
-batches whose largest distance can reach the floor pay for the check.
+lengthscales put many scaled distances past the floor.  The floor is
+sqrt(tiny) because a product of two values at or above it stays normal:
+gp.fit_gp floors the inverse Cholesky factor the same way on its scale
+1 / sqrt(sv), so at sv >= 1 no product of the two underflows.  The floor is
+on correlations, not on entries, so a GP with a small sv keeps its
+correlations.  Only batches whose largest distance can reach the floor pay
+for the check.
 """
 
 from __future__ import annotations
