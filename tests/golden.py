@@ -56,6 +56,10 @@ CASES = {
         "--override", "kernel.family=matern-5/2",
         "--override", 'mean={"form": "linear-fixed", "coefficients": [0, 0.1, 0.1]}',
         "--override", "n_init=6", "--override", "budget=12", *TINY, "--seed", "4"],
+    # EI where erf saturates: nearly every z / sqrt(2) lies past +-5.92
+    "run-ei-rosenbrock": [
+        "run", "--override", "target=rosenbrock-3d", "--override", "acquisition=ei",
+        "--override", "n_init=6", "--override", "budget=12", *TINY, "--seed", "5"],
     "compare": [
         "compare", "--functions", "gramacy-lee", "--functions", "sphere-2d",
         "--acq", "ei", "--acq", "lcb:tau=2", "--acq", "glcb-1-100",
