@@ -31,6 +31,8 @@ _SHORTHAND = re.compile(r"glcb-(.+?)(?<!e)-(.+)")
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: the smallest double at which scipy's erf is exactly 1.0; erf(-x) = -erf(x)
+_ERF_ONE = 5.921587195794508
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,10 @@ def ei_values(mu, var, psi_min: float) -> np.ndarray:
     one formula on mu and var broadcast to one shape, computed in place.
 
     A var = 0 entry reduces to -max(psi_min - mu, 0): z = +-inf gives cdf 1
-    or 0 and pdf 0, and z = 0/0, at mu = psi_min, is taken as 0.
+    or 0 and pdf 0, and z = 0/0, at mu = psi_min, is taken as 0.  erf runs
+    only where |z| / sqrt(2) < _ERF_ONE; past it, +-inf included, erf is
+    exactly +-1 and is set as such, so every score keeps the bits of erf on
+    the whole batch.
     """
     mu, sd = np.broadcast_arrays(np.asarray(mu, float), np.sqrt(np.asarray(var, float)))
     improve = np.atleast_1d(psi_min - mu)
@@ -125,7 +130,10 @@ def ei_values(mu, var, psi_min: float) -> np.ndarray:
         z = improve / sd
         z[np.isnan(z)] = 0.0
         cdf = np.divide(z, _SQRT2)
-        erf(cdf, out=cdf)
+        band = np.abs(cdf) < _ERF_ONE
+        inside = erf(cdf[band])
+        np.copysign(1.0, cdf, out=cdf)
+        cdf[band] = inside
         cdf += 1.0
         cdf *= 0.5
         pdf = np.multiply(z, -0.5)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from probo import acquisition
 from probo.acquisition import (
+    _ERF_ONE,
     AcquisitionSpec,
     ei_values,
     glcb_values,
@@ -146,6 +148,77 @@ def test_ei_leaves_its_arguments_alone():
     mu, var = np.array([0.0, 2.0, 1.0]), np.array([1.0, 0.0, 0.0])
     ei_values(mu, var, 1.0)
     assert np.array_equal(mu, [0.0, 2.0, 1.0]) and np.array_equal(var, [1.0, 0.0, 0.0])
+
+
+def test_scipy_erf_saturates_exactly_at_erf_one():
+    # ei_values sets erf to +-1 from _ERF_ONE on without calling it; an erf
+    # that reaches 1 later would move EI scores, and must fail here instead
+    below = np.nextafter(_ERF_ONE, 0.0)
+    assert erf(_ERF_ONE) == 1.0 and erf(-_ERF_ONE) == -1.0
+    assert erf(below) < 1.0 and erf(-below) > -1.0
+    grid = np.append(np.linspace(_ERF_ONE, 40.0, 200_001), np.nextafter(_ERF_ONE, np.inf))
+    assert np.all(erf(grid) == 1.0) and np.all(erf(-grid) == -1.0)
+    assert erf(np.inf) == 1.0 and erf(-np.inf) == -1.0
+
+
+#: the z whose z / sqrt(2) is _ERF_ONE, the first z past the band where erf runs
+Z_EDGE = 8.374388923067459
+#: z / sqrt(2) at Z_EDGE's neighbours: the last point inside the band, and
+#: the first two past it (the double right above _ERF_ONE is z / sqrt(2) of
+#: no double z, so the second point past the band is two doubles above it)
+EDGES = {np.nextafter(Z_EDGE, 0.0): np.nextafter(_ERF_ONE, 0.0), Z_EDGE: _ERF_ONE,
+         np.nextafter(Z_EDGE, np.inf): np.nextafter(np.nextafter(_ERF_ONE, np.inf), np.inf)}
+
+
+@pytest.mark.parametrize("z", [sign * z for z in EDGES for sign in (1.0, -1.0)])
+def test_ei_at_the_edges_of_the_erf_band_matches_the_masked_formula(z):
+    # mu = -z at sd 1 and psi_min 0: in a batch with a 0/0 and another
+    # variance, as scalars, and broadcast against variances or means
+    assert z / math.sqrt(2.0) == math.copysign(EDGES[abs(z)], z)
+    mu = -z
+    mus, vars_ = np.array([mu, 0.0, mu, 1.0]), np.array([1.0, 0.0, 4.0, 1.0])
+    assert same_bits(ei_values(mus, vars_, 0.0), masked_ei(mus, vars_, 0.0))
+    assert same_bits(ei_values(mu, 1.0, 0.0), masked_ei(mu, 1.0, 0.0))
+    assert same_bits(ei_values(mu, vars_, 0.0), masked_ei(mu, vars_, 0.0))
+    assert same_bits(ei_values(mus, 1.0, 0.0), masked_ei(mus, 1.0, 0.0))
+    assert same_bits(ei_values(0.0, 0.0, 0.0), masked_ei(0.0, 0.0, 0.0))
+
+
+def test_ei_at_infinite_z_matches_the_masked_formula():
+    # a zero variance gives z = +inf below the incumbent and -inf above it
+    mu, var = np.array([-1.0, 1.0, 0.0, -1.0]), np.array([0.0, 0.0, 0.0, 1.0])
+    want = np.array([-1.0, -0.0, -0.0, masked_ei(-1.0, 1.0, 0.0)])
+    assert same_bits(ei_values(mu, var, 0.0), want)
+    assert same_bits(ei_values(mu, var, 0.0), masked_ei(mu, var, 0.0))
+    for m in (-1.0, 1.0):
+        assert same_bits(ei_values(m, 0.0, 0.0), masked_ei(m, 0.0, 0.0))
+        assert same_bits(ei_values(m, var, 0.0), masked_ei(m, var, 0.0))
+
+
+def test_ei_calls_erf_only_inside_the_band(monkeypatch):
+    seen = []
+
+    def recording_erf(x):
+        seen.append(x.copy())
+        return erf(x)
+
+    monkeypatch.setattr(acquisition, "erf", recording_erf)
+    rng = np.random.default_rng(35)
+    mu, var = rng.normal(0.0, 10.0, size=500), rng.uniform(0.0, 4.0, size=500)
+    var[::7] = 0.0
+    assert same_bits(ei_values(mu, var, 0.5), masked_ei(mu, var, 0.5))
+    received = np.concatenate(seen)
+    assert 0 < received.size < mu.size and np.all(np.abs(received) < _ERF_ONE)
+    # a batch wholly past the band, both sides and both infinities, with the
+    # band's edges on both sides
+    seen.clear()
+    mu = np.array([-1e6, 1e6, -1.0, 1.0, -9.0, 9.0, -Z_EDGE, Z_EDGE])
+    var = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    assert same_bits(ei_values(mu, var, 0.0), masked_ei(mu, var, 0.0))
+    assert sum(x.size for x in seen) == 0
+    inside = np.nextafter(Z_EDGE, 0.0)
+    ei_values(np.array([-inside, inside]), 1.0, 0.0)
+    assert same_bits(np.concatenate(seen), np.array([1.0, -1.0]) * np.nextafter(_ERF_ONE, 0.0))
 
 
 # -------------------------------------------------------------------- glcb
