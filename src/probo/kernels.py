@@ -278,8 +278,9 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
              < max(_LOG_FLOOR, _LOG_TINY - math.log(sv)) + 1.0)
     if d2max == math.inf:
         # a distance past overflow still has an exp factor of 0; clamped, it
-        # keeps Matern's polynomial factor finite, so their product is 0, not nan
-        np.minimum(K, 1e300, out=K)
+        # keeps Matern's a and a * a finite
+        d2max = 1e300
+        np.minimum(K, d2max, out=K)
     if family in ("squared-exponential", "power-exponential"):
         if family == "power-exponential":
             np.sqrt(K, out=K)
@@ -294,8 +295,13 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
     else:
         # Matern-nu: a = sqrt(2 nu) d; the exp factor (and for 5/2 the
         # quadratic term) of each block of rows goes through scratch rows
+        scale = math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)
         np.sqrt(K, out=K)
-        K *= math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)
+        K *= scale
+        # where sv times the polynomial, at most sv (1 + a)^2, can overflow,
+        # a is zeroed with its exp factor, so the entry is 0 and not inf * 0
+        amax = scale * math.sqrt(d2max)
+        overflow = sv * (1.0 + amax) * (1.0 + amax) > 1e300
         blocks, height = _row_blocks(*K.shape)
         decay, quad = np.empty((2, height, K.shape[1]))
         for rows in blocks:
@@ -306,6 +312,8 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
                 _zero_below(e, _FLOOR, exp=True)
             else:
                 np.exp(e, out=e)
+            if overflow:
+                np.multiply(a, e > 0.0, out=a)
             if family == "matern-3/2":
                 a += 1.0
             else:

@@ -448,6 +448,37 @@ def test_far_points_give_exact_zeros(sv, lengthscale):
         assert np.all(K == 0.0) and not np.signbit(K).any()
 
 
+@pytest.mark.parametrize("family, lengthscale, sv", [
+    ("matern-5/2", 1e-200, 1e10),  # distances past overflow, clamped
+    ("matern-5/2", 2.8e-148, 1e10),  # squared distances of about 1e298
+    ("matern-3/2", 1e-150, 1e160),
+])
+def test_matern_past_the_floor_is_zero_where_sv_times_the_polynomial_overflows(
+        family, lengthscale, sv):
+    # sv times the polynomial is inf here, and inf times the zero exp
+    # factor would be nan
+    A = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = kernel_matrix(spec_for(family, (lengthscale,) * 2, sv=sv), A, A + 20.0)
+    assert np.all(K == 0.0) and not np.signbit(K).any()
+
+
+def test_matern_short_of_the_floor_keeps_its_bits_where_the_polynomial_overflows():
+    # the far pairs overflow sv times the polynomial; a pair 5 lengthscales
+    # apart, and each point with itself, is the formula's
+    spec = spec_for("matern-5/2", (2.8e-148,) * 2, sv=1e10)
+    A = np.array([[0.0, 0.0], [1.0, 1.0]])
+    B = np.vstack([A + 20.0, A, A + 1e-147])
+    got = kernel_matrix(spec, A, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = out_of_place_kernel(spec, A, B)
+    near = want > 0.0
+    assert np.isnan(want).any() and near.sum() == 4
+    assert np.array_equal(got[near], want[near])
+    assert np.all(got[~near] == 0.0) and not np.signbit(got).any()
+
+
 @pytest.mark.parametrize("sv", [1e-200, 0.01, 1.0, 100.0])
 def test_no_subnormal_entries_and_normal_ones_unchanged(sv):
     # distances swept through the bands where each family's exp factor falls
