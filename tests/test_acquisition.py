@@ -181,16 +181,16 @@ def test_ei_at_the_edges_of_the_erf_band_matches_the_masked_formula(z):
     assert same_bits(ei_values(mu, 1.0, 0.0), masked_ei(mu, 1.0, 0.0))
     assert same_bits(ei_values(mu, vars_, 0.0), masked_ei(mu, vars_, 0.0))
     assert same_bits(ei_values(mus, 1.0, 0.0), masked_ei(mus, 1.0, 0.0))
-    assert same_bits(ei_values(0.0, 0.0, 0.0), masked_ei(0.0, 0.0, 0.0))
 
 
 def test_ei_at_infinite_z_matches_the_masked_formula():
-    # a zero variance gives z = +inf below the incumbent and -inf above it
+    # a zero variance gives z = +inf below the incumbent, -inf above it and
+    # 0/0 at it
     mu, var = np.array([-1.0, 1.0, 0.0, -1.0]), np.array([0.0, 0.0, 0.0, 1.0])
     want = np.array([-1.0, -0.0, -0.0, masked_ei(-1.0, 1.0, 0.0)])
     assert same_bits(ei_values(mu, var, 0.0), want)
     assert same_bits(ei_values(mu, var, 0.0), masked_ei(mu, var, 0.0))
-    for m in (-1.0, 1.0):
+    for m in (-1.0, 0.0, 1.0):
         assert same_bits(ei_values(m, 0.0, 0.0), masked_ei(m, 0.0, 0.0))
         assert same_bits(ei_values(m, var, 0.0), masked_ei(m, var, 0.0))
 
