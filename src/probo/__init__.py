@@ -12,46 +12,30 @@ targets.
 from .acquisition import AcquisitionSpec
 from .bench import (
     CompareConfig,
-    MopMatrix,
     PriorVariant,
     SensitivityConfig,
     SensitivityPlan,
-    accumulated_difference,
-    mean_optimization_path,
-    relative_ad_summary,
     run_acquisition_comparison,
     run_sensitivity_experiment,
 )
-from .engine import (
-    BoRunError,
-    IterationRecord,
-    OptimizationTrace,
-    RunConfig,
-    TargetFunction,
-    run,
-    save_trace_csv,
-)
-from .errors import ConditioningError, ConfigError, DimensionMismatchError, ProboError
+from .engine import BoRunError, OptimizationTrace, RunConfig, TargetFunction, run, save_trace_csv
+from .errors import ConditioningError, ConfigError, ProboError
 from .functions import load_tabulated_target, registry_lookup, registry_names
-from .gp import GpModel, MeanSpec, fit_gp, fit_hyperparameters, predict_batch
-from .igp import ImpreciseGpSpec, mean_width_batch
+from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
 from .kernels import KernelSpec
-from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
+from .optimizer import BoxBounds, FocusSearchConfig, focus_search
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AcquisitionSpec",
-    "CompareConfig", "MopMatrix", "PriorVariant", "SensitivityConfig", "SensitivityPlan",
-    "accumulated_difference",
-    "mean_optimization_path", "relative_ad_summary",
+    "CompareConfig", "PriorVariant", "SensitivityConfig", "SensitivityPlan",
     "run_acquisition_comparison", "run_sensitivity_experiment",
-    "BoRunError", "IterationRecord", "OptimizationTrace", "RunConfig",
+    "BoRunError", "OptimizationTrace", "RunConfig",
     "TargetFunction", "run", "save_trace_csv",
-    "ConditioningError", "ConfigError", "DimensionMismatchError", "ProboError",
+    "ConditioningError", "ConfigError", "ProboError",
     "load_tabulated_target", "registry_lookup", "registry_names",
-    "GpModel", "MeanSpec", "fit_gp", "fit_hyperparameters", "predict_batch",
-    "ImpreciseGpSpec", "mean_width_batch",
+    "MeanSpec", "fit_gp", "fit_hyperparameters", "predict_batch",
     "KernelSpec",
-    "BoxBounds", "FocusSearchConfig", "focus_search", "latin_hypercube",
+    "BoxBounds", "FocusSearchConfig", "focus_search",
 ]
