@@ -123,20 +123,22 @@ def load_tabulated_target(csv_path, negate: bool = False) -> TargetFunction:
     """Build a 1-D target from a CSV of numeric x, y columns.
 
     The first non-blank row is a header, skipped only when its x cell is not
-    a number.  Rows are sorted by x; duplicate x values and non-finite x or
-    y values are rejected.  negate=True for targets that are to be maximized.
+    a number.  A UTF-8 byte-order mark is dropped.  A row needs two cells and
+    may add only blank ones.  Rows are sorted by x; duplicate x values and
+    non-finite x or y values are rejected.  negate=True for targets that are
+    to be maximized.
     """
     check_bool("negate", negate)
     csv_path = Path(csv_path)
     try:
-        text = csv_path.read_text()
+        text = csv_path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ProboError(f"cannot read {csv_path}: {exc}") from exc
     rows = [(n, row) for n, row in enumerate(csv.reader(text.splitlines()), start=1)
             if any(cell.strip() for cell in row)]
     xs, ys = [], []
     for k, (lineno, row) in enumerate(rows):
-        if len(row) < 2:
+        if len(row) < 2 or any(cell.strip() for cell in row[2:]):
             raise ProboError(f"{csv_path}:{lineno}: expected two columns, got {row!r}")
         x = None
         try:

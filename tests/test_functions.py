@@ -148,6 +148,28 @@ def test_header_is_the_first_non_blank_row(tmp_path):
     assert tf([1.0]) == 1.0
 
 
+@pytest.mark.parametrize("header", ["", "x,y\n"])
+def test_byte_order_mark_is_dropped(tmp_path, header):
+    path = tmp_path / "target.csv"
+    path.write_text(header + "0.5,1\n1.0,2\n1.5,3\n", encoding="utf-8-sig")
+    tf = load_tabulated_target(path)
+    assert np.array_equal(tf.evaluate.xs, [0.5, 1.0, 1.5])
+    assert np.array_equal(tf.evaluate.ys, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("text, line", [("x1,x2,y\n0,1,2\n1,2,3\n", 1),
+                                        ("0,1\n1,2,3\n2,3\n", 2)])
+def test_a_third_non_blank_cell_is_rejected(tmp_path, text, line):
+    path = write_csv(tmp_path, text)
+    with pytest.raises(ProboError, match=f"{path}:{line}: expected two columns"):
+        load_tabulated_target(path)
+
+
+def test_blank_trailing_cells_are_accepted(tmp_path):
+    tf = load_tabulated_target(write_csv(tmp_path, "0.5,1,\n1.0,2, ,\n"))
+    assert np.array_equal(tf.evaluate.ys, [1.0, 2.0])
+
+
 def test_first_row_with_a_numeric_x_is_data(tmp_path):
     path = write_csv(tmp_path, "0,zap\n1,2\n2,3\n")
     with pytest.raises(ProboError, match=f"{path}:1: non-numeric cell"):
