@@ -26,8 +26,14 @@ sqrt(tiny) because a product of two values at or above it stays normal:
 gp.fit_gp floors the inverse Cholesky factor the same way on its scale
 1 / sqrt(sv), so at sv >= 1 no product of the two underflows.  The floor is
 on correlations, not on entries, so a GP with a small sv keeps its
-correlations.  Only batches whose largest distance can reach the floor pay
-for the check.
+correlations.  Only batches whose smallest exp argument can reach the floor
+pay for the check.
+
+The signal variance lies in [tiny / JITTER_INITIAL, 1e300], about 2.2e-298
+to 1e300.  One rule keeps every entry finite: in a checked batch Matern's
+a = sqrt(2 nu) d is capped just above -log(2^-511), about 354.2, where its
+exp factor is 0, so sv times the polynomial stays below 42,174 * 1e300 and
+a distance past the double range gives 0.
 """
 
 from __future__ import annotations
@@ -82,9 +88,9 @@ class KernelSpec(ConfigObject, section="kernel"):
     lengthscales has one strictly positive entry, with a finite reciprocal,
     per input dimension; signal_variance is at least numpy.finfo(float).tiny
     / JITTER_INITIAL (about 2.2e-298), so that the initial jitter of
-    build_base_kernel_matrix is a normal double; power is required for the
-    power-exponential family and must stay in (0, 2] (it is rejected for
-    every other family).
+    build_base_kernel_matrix is a normal double, and at most 1e300 (see the
+    module docstring); power is required for the power-exponential family
+    and must stay in (0, 2] (it is rejected for every other family).
     """
 
     family: str = "squared-exponential"
@@ -112,6 +118,8 @@ class KernelSpec(ConfigObject, section="kernel"):
             raise ConfigError(f"signal_variance {sv} is below {_TINY / JITTER_INITIAL:.3g}, "
                               f"where its jitter {JITTER_INITIAL:g} * signal_variance "
                               f"is subnormal")
+        if sv > 1e300:
+            raise ConfigError(f"signal_variance {sv} is above 1e300, where kernels overflow")
         object.__setattr__(self, "signal_variance", sv)
         if self.family == "power-exponential":
             if self.power is None:
@@ -239,17 +247,6 @@ def _zero_below(E: np.ndarray, limit: float, exp: bool) -> None:
         np.multiply(e, k, out=e)
 
 
-def _smallest_exponent(family: str, power: float | None, d2max: float) -> float:
-    """The most negative exp argument of a batch whose largest squared
-    scaled distance is d2max."""
-    if family == "squared-exponential":
-        return -0.5 * d2max
-    d = math.sqrt(d2max)
-    if family == "power-exponential":
-        return -0.5 * d**power
-    return -(math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)) * d
-
-
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Covariance matrix k(a_i, b_j) for two point sets, shape (len(A), len(B)).
 
@@ -270,22 +267,16 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
     operations of the formulas in the module docstring in their order.
     """
     # nothing is zeroed while each exp factor is at least _FLOOR and each
-    # entry at least _TINY, which holds for factors of at least
-    # max(_FLOOR, _TINY / sv); the largest distance gives the smallest factor,
+    # entry at least _TINY, which holds for exp arguments of at least
+    # max(_LOG_FLOOR, _LOG_TINY - log(sv)); the smallest argument decides,
     # and the margin of 1 covers its rounding
-    d2max = float(K.max()) if K.size else 0.0
-    guard = (_smallest_exponent(family, power, d2max)
-             < max(_LOG_FLOOR, _LOG_TINY - math.log(sv)) + 1.0)
-    if d2max == math.inf:
-        # a distance past overflow still has an exp factor of 0; clamped, it
-        # keeps Matern's a and a * a finite
-        d2max = 1e300
-        np.minimum(K, d2max, out=K)
+    limit = max(_LOG_FLOOR, _LOG_TINY - math.log(sv)) + 1.0
     if family in ("squared-exponential", "power-exponential"):
         if family == "power-exponential":
             np.sqrt(K, out=K)
             K **= power
         K *= -0.5
+        guard = K.min(initial=0.0) < limit
         if guard:
             _zero_below(K, _FLOOR, exp=True)
         else:
@@ -295,13 +286,9 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
     else:
         # Matern-nu: a = sqrt(2 nu) d; the exp factor (and for 5/2 the
         # quadratic term) of each block of rows goes through scratch rows
-        scale = math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)
         np.sqrt(K, out=K)
-        K *= scale
-        # where sv times the polynomial, at most sv (1 + a)^2, can overflow,
-        # a is zeroed with its exp factor, so the entry is 0 and not inf * 0
-        amax = scale * math.sqrt(d2max)
-        overflow = sv * (1.0 + amax) * (1.0 + amax) > 1e300
+        K *= math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)
+        guard = -K.max(initial=0.0) < limit
         blocks, height = _row_blocks(*K.shape)
         decay, quad = np.empty((2, height, K.shape[1]))
         for rows in blocks:
@@ -310,10 +297,11 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
             np.negative(a, out=e)
             if guard:
                 _zero_below(e, _FLOOR, exp=True)
+                # the cap is above every kept a; a capped entry is a finite
+                # sv times polynomial times 0, not inf * 0
+                np.minimum(a, -_BELOW_LOG_FLOOR, out=a)
             else:
                 np.exp(e, out=e)
-            if overflow:
-                np.multiply(a, e > 0.0, out=a)
             if family == "matern-3/2":
                 a += 1.0
             else:

@@ -174,6 +174,38 @@ def test_signal_variance_whose_jitter_is_subnormal_is_rejected():
             KernelSpec(signal_variance=sv)
 
 
+def test_signal_variance_above_1e300_is_rejected():
+    # above it sv times a Matern polynomial can overflow at a kept distance:
+    # matern-5/2 at sv 1e307 gave inf at scaled distance 5, for about 7.5e303
+    assert KernelSpec(signal_variance=1e300).signal_variance == 1e300
+    for sv in (np.nextafter(1e300, math.inf), 1e307, np.finfo(float).max):
+        with pytest.raises(ConfigError, match="signal_variance .* above 1e300, where kernels"):
+            KernelSpec(signal_variance=sv)
+    with pytest.raises(ConfigError, match="signal_variance"):
+        kernel_matrix(KernelSpec("matern-5/2", (1.0,), 1e307), [[0.0]], [[5.0], [0.0]])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_largest_signal_variance_gives_finite_entries(family):
+    # scaled distances just inside, at and just past the floor distance,
+    # where the exp factor reaches 2^-511, and distances past the double range
+    if family == "squared-exponential":
+        d = math.sqrt(-2.0 * _LOG_FLOOR)
+    elif family == "power-exponential":
+        d = (-2.0 * _LOG_FLOOR) ** (1.0 / 1.5)
+    else:
+        d = -_LOG_FLOOR / math.sqrt(3.0 if family == "matern-3/2" else 5.0)
+    A = np.array([[0.0], [-1e308]])
+    B = np.array([[d * (1.0 - 1e-9)], [d], [d * (1.0 + 1e-9)], [1e308]])
+    spec = spec_for(family, sv=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = kernel_matrix(spec, A, B)
+    assert np.isfinite(K).all() and not np.signbit(K).any()
+    assert K[0, 0] > 0.0 and K[0, 0] == out_of_place_kernel(spec, A[:1], B[:1])[0, 0]
+    assert np.all(K[0, 2:] == 0.0) and np.all(K[1] == 0.0)
+
+
 def test_smallest_lengthscale_with_a_finite_reciprocal_is_accepted():
     assert KernelSpec(lengthscales=(1e-308,)).lengthscales == (1e-308,)
 
@@ -514,7 +546,7 @@ def masked_zero_below(E, limit, exp):
     which are masked, zeroed, taken through exp and zeroed again."""
     keep = E >= limit
     if exp:
-        E *= keep
+        np.copyto(E, 0.0, where=~keep)
         np.exp(E, out=E)
     E *= keep
 
@@ -524,11 +556,11 @@ def same_bits(a, b):
 
 
 def test_clamped_floor_keeps_the_bits_of_the_masked_formula():
-    # the floor argument, the double below it, a clamped overflowed distance
-    # (-0.5 * 1e300), and a sweep across the floor and the subnormal range
+    # the floor argument, the double below it, an overflowed distance
+    # (-0.5 * inf), and a sweep across the floor and the subnormal range
     rng = np.random.default_rng(5)
     E = np.concatenate([[_LOG_FLOOR, _BELOW_LOG_FLOOR, np.nextafter(_LOG_FLOOR, 0.0),
-                         -5e299, 0.0, -0.0], np.linspace(-760.0, 0.0, 7601),
+                         -math.inf, 0.0, -0.0], np.linspace(-760.0, 0.0, 7601),
                         rng.uniform(-400.0, -300.0, 4001)]).reshape(-1, 2)
     got, want = E.copy(), E.copy()
     _zero_below(got, _FLOOR, exp=True)
