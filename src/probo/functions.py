@@ -7,6 +7,7 @@ deterministic and evaluated pointwise on a numpy vector.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass
@@ -131,9 +132,13 @@ def load_tabulated_target(csv_path, negate: bool = False) -> TargetFunction:
     check_bool("negate", negate)
     csv_path = Path(csv_path)
     try:
-        text = csv_path.read_text(encoding="utf-8-sig")
+        data = csv_path.read_bytes().removeprefix(codecs.BOM_UTF8)
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ProboError(f"cannot read {csv_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # the bad byte's line, numbered as the rows are
+        lineno = len((data[: exc.start] + b"_").decode("utf-8").splitlines())
+        raise ProboError(f"{csv_path}:{lineno}: not UTF-8 text") from None
     rows = [(n, row) for n, row in enumerate(csv.reader(text.splitlines()), start=1)
             if any(cell.strip() for cell in row)]
     xs, ys = [], []

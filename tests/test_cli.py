@@ -630,6 +630,13 @@ def test_inspect_rejects_a_non_finite_x(tmp_path, capsys):
     assert f"error: {bad}:3: non-finite x" in err
 
 
+def test_inspect_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes("x,y\n0,1\n1,caf\u00e9\n".encode("latin-1"))
+    assert main(["inspect", "--csv", str(bad)]) == 2
+    assert f"error: {bad}:3: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_inspect_malformed_csv_fails(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n3,oops\n")

@@ -157,6 +157,18 @@ def test_byte_order_mark_is_dropped(tmp_path, header):
     assert np.array_equal(tf.evaluate.ys, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("data, line", [(b"x,y\n0,1\n\xff,2\n", 3),
+                                        (b"\xef\xbb\xbfx,y\r\n0,\xff\r\n1,2\r\n", 2),
+                                        (b"0,1\r1,2\r2,\xe9\r", 3),
+                                        (b"\xff0,1\n1,2\n", 1)])
+def test_a_file_that_is_not_utf8_is_rejected_with_its_line(tmp_path, data, line):
+    # a byte-order mark, CRLF and CR line ends count lines as the rows do
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    with pytest.raises(ProboError, match=f"{path}:{line}: not UTF-8 text"):
+        load_tabulated_target(path)
+
+
 @pytest.mark.parametrize("text, line", [("x1,x2,y\n0,1,2\n1,2,3\n", 1),
                                         ("0,1\n1,2,3\n2,3\n", 2)])
 def test_a_third_non_blank_cell_is_rejected(tmp_path, text, line):
