@@ -26,7 +26,7 @@ import numpy as np
 
 from .acquisition import AcquisitionSpec, ei_values, glcb_values, lcb_values
 from .errors import ConfigError, ConfigObject, ProboError, check_bool, check_count, check_integer
-from .gp import MeanSpec, fit_gp, fit_hyperparameters, predict_batch
+from .gp import MeanSpec, _check_scale, fit_gp, fit_hyperparameters, predict_batch
 from .igp import ImpreciseGpSpec, mean_width_batch
 from .kernels import DUPLICATE_TOL, KernelSpec, _near_duplicate, _sqdist
 from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercube
@@ -178,14 +178,8 @@ def _check_target(config: RunConfig, target: TargetFunction) -> RunConfig:
             f"target {target.name!r} has dimension {dim} but the "
             f"kernel carries {config.kernel.dimension} lengthscales"
         )
-    bound = np.maximum(np.abs(target.bounds.lower), np.abs(target.bounds.upper))
-    with np.errstate(over="ignore"):
-        overflow = ~np.isfinite(bound / np.array(config.kernel.lengthscales))
-    if overflow.any():
-        raise ConfigError(
-            f"target {target.name!r}: lengthscales {config.kernel.lengthscales} "
-            f"scale its bound {float(bound[overflow.argmax()])!r} past overflow"
-        )
+    _check_scale(np.array([target.bounds.lower, target.bounds.upper]),
+                 config.kernel.lengthscales, f"target {target.name!r}")
     try:
         config.mean.validate_for_dimension(dim)
     except ValueError as exc:

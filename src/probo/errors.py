@@ -12,7 +12,12 @@ class ProboError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatchError(ProboError):
+class ConfigError(ProboError, ValueError):
+    """A run or experiment configuration is invalid.  Also a ValueError, so
+    the spec classes raise it where a bad argument value raises ValueError."""
+
+
+class DimensionMismatchError(ConfigError):
     """An input point does not match the dimension a model or spec expects."""
 
     def __init__(self, expected: int, got: int, what: str = "point"):
@@ -27,11 +32,6 @@ class ConditioningError(ProboError):
     def __init__(self, message: str, jitter: float):
         self.jitter = jitter
         super().__init__(message)
-
-
-class ConfigError(ProboError, ValueError):
-    """A run or experiment configuration is invalid.  Also a ValueError, so
-    the spec classes raise it where a bad argument value raises ValueError."""
 
 
 def check_keys(d, allowed, where: str) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrs, dtrtri
 
-from .errors import ConfigObject, ProboError, check_count, check_reals
+from .errors import ConfigError, ConfigObject, ProboError, check_count, check_reals
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
@@ -133,17 +133,30 @@ class GpModel:
         return self.X.shape[1]
 
 
-def _training_data(dim: int, mean: MeanSpec, X, y) -> tuple[np.ndarray, np.ndarray]:
+def _check_scale(X: np.ndarray, lengthscales, what: str) -> None:
+    """Reject the rows X, named what, if the lengthscales scale a coordinate
+    past overflow, to a point at distance inf - inf = NaN from itself."""
+    bound = np.abs(X).max(axis=0, initial=0.0)
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(bound / np.asarray(lengthscales))
+    if overflow.any():
+        raise ConfigError(f"{what}: lengthscales {tuple(lengthscales)} scale its bound "
+                          f"{float(bound[overflow.argmax()])!r} past overflow")
+
+
+def _training_data(lengthscales, mean: MeanSpec, X, y) -> tuple[np.ndarray, np.ndarray]:
     """Training points and targets as float arrays, checked against each
-    other, against the mean form and for near-duplicate points.  The one
-    check of the data that fit_gp and fit_hyperparameters take."""
-    X = _as_points(X, dim, "training points")
+    other, against the mean form and the smallest lengthscales of the fit,
+    and for near-duplicate points.  The one check of the data that fit_gp
+    and fit_hyperparameters take."""
+    X = _as_points(X, len(lengthscales), "training points")
+    _check_scale(X, lengthscales, "training points")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"got {X.shape[0]} points but {y.shape[0]} targets")
     if not np.isfinite(y).all():
         raise ValueError("training targets must be finite")
-    mean.validate_for_dimension(dim)
+    mean.validate_for_dimension(X.shape[1])
     _check_training_points(X)
     return X, y
 
@@ -180,7 +193,7 @@ def _solve_terms(L: np.ndarray, mean: MeanSpec, X: np.ndarray, y: np.ndarray):
 
 def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
     """Fit the GP: factorize the Gram matrix and cache the prediction terms."""
-    X, y = _training_data(kernel.dimension, mean, X, y)
+    X, y = _training_data(kernel.lengthscales, mean, X, y)
     K = build_base_kernel_matrix(kernel, X)
     s_k, S_k, beta_hat, _, alpha = _solve_terms(K.cholesky, mean, X, y)
     # LAPACK's inversion leaves a small left residual L^-1 L - I, which is
@@ -269,7 +282,7 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     costs only its _candidate_evidence; the winner alone becomes a KernelSpec.
     """
     check_count("budget", budget)
-    X, y = _training_data(kernel.dimension, mean, X, y)
+    X, y = _training_data((SEARCH_RANGE[0],) * kernel.dimension, mean, X, y)
     rng = np.random.default_rng(seed)
 
     best, best_lml = None, -np.inf

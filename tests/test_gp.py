@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 from probo import gp
 from probo.errors import ConditioningError, ConfigError, DimensionMismatchError, ProboError
 from probo.gp import (
+    SEARCH_RANGE,
     GpModel,
     MeanSpec,
     fit_gp,
@@ -138,6 +139,45 @@ def test_wrong_dimension_rejected():
     for P in ([[0.0]], np.zeros((3, 3))):
         with pytest.raises(DimensionMismatchError):
             predict_batch(model, P)
+
+
+def test_a_dimension_mismatch_and_a_non_finite_point_are_both_value_errors():
+    spec = spec_for("squared-exponential", (1.0, 1.0))
+    for X in ([[0.0], [1.0]], [[0.0, 0.0], [1.0, math.inf]]):
+        with pytest.raises(ValueError):
+            fit_gp(spec, MeanSpec(), X, [0.0, 1.0])
+
+
+def test_a_training_point_that_its_lengthscale_scales_past_overflow_is_rejected():
+    # 2e10 / 1e-300 is inf, whose distance to itself is inf - inf = NaN
+    with pytest.raises(ValueError, match=r"training points: lengthscales \(1e-300,\) "
+                                         r"scale its bound 20000000000\.0 past overflow"):
+        fit_gp(KernelSpec(lengthscales=(1e-300,)), MeanSpec(), [[1e10], [2e10]], [1, 2])
+    model = fit_gp(KernelSpec(lengthscales=(1e-297,)), MeanSpec(), [[1e10], [2e10]], [1, 2])
+    # at 1e-297 the points scale to 1e307 and 2e307, uncorrelated
+    assert np.array_equal(kernel_matrix(model.kernel, model.X, model.X), np.eye(2))
+
+
+def test_the_search_checks_the_points_at_its_smallest_lengthscale():
+    # each drawn lengthscale is at least SEARCH_RANGE[0] = 0.01, which scales
+    # 1e307 past overflow, and 1e306 not
+    with pytest.raises(ValueError, match=r"training points: lengthscales \(0\.01,\) "
+                                         r"scale its bound 1e\+307 past overflow"):
+        fit_hyperparameters(KernelSpec(), MeanSpec(), [[1e307], [-1e307]], [1, 2], 5)
+    got = fit_hyperparameters(KernelSpec(), MeanSpec(), [[1e306], [-1e306]], [1, 2], 5)
+    assert SEARCH_RANGE[0] <= min(got.lengthscales)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_prediction_point_scaled_past_overflow_is_uncorrelated(family):
+    # predict_batch checks no scale: the infinite scaled point is at
+    # distance inf from every training point, so its covariances are 0
+    model = fit_gp(spec_for(family, (1e-2,)), MeanSpec(), [[0.0], [1.0]], [1.0, 2.0])
+    with np.errstate(over="ignore"):  # the scaling 1e307 / 1e-2
+        mu, var = predict_batch(model, [[1e307], [0.5]])
+    assert np.array_equal(kernel_matrix(model.kernel, [[1e305]], model.X), [[0.0, 0.0]])
+    assert mu[0] == model.beta_hat and var[0] == pytest.approx(1.0 + 1.0 / model.S_k)
+    assert np.isfinite(mu).all() and np.isfinite(var).all()
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-11])
