@@ -140,7 +140,7 @@ def _check_scale(X: np.ndarray, lengthscales, what: str) -> None:
     with np.errstate(over="ignore"):
         overflow = ~np.isfinite(bound / np.asarray(lengthscales))
     if overflow.any():
-        raise ConfigError(f"{what}: lengthscales {tuple(lengthscales)} scale its bound "
+        raise ConfigError(f"{what}: lengthscales {lengthscales} scale its bound "
                           f"{float(bound[overflow.argmax()])!r} past overflow")
 
 

@@ -175,7 +175,6 @@ def test_a_prediction_point_scaled_past_overflow_is_uncorrelated(family):
     model = fit_gp(spec_for(family, (1e-2,)), MeanSpec(), [[0.0], [1.0]], [1.0, 2.0])
     with np.errstate(over="ignore"):  # the scaling 1e307 / 1e-2
         mu, var = predict_batch(model, [[1e307], [0.5]])
-    assert np.array_equal(kernel_matrix(model.kernel, [[1e305]], model.X), [[0.0, 0.0]])
     assert mu[0] == model.beta_hat and var[0] == pytest.approx(1.0 + 1.0 / model.S_k)
     assert np.isfinite(mu).all() and np.isfinite(var).all()
 

@@ -440,8 +440,10 @@ def test_in_place_kernels_match_out_of_place_formulas(dim):
     A = rng.uniform(-3, 3, size=(17, dim))
     B = rng.uniform(-3, 3, size=(23, dim))
     for spec in specs:
-        for P, Q in ((A, B), (A, A)):
-            assert np.array_equal(kernel_matrix(spec, P, Q), out_of_place_kernel(spec, P, Q))
+        for P, Q in ((A, B), (A, A), (A, B[:0])):  # B[:0] is an empty batch
+            got = kernel_matrix(spec, P, Q)
+            assert got.shape == (len(P), len(Q))
+            assert np.array_equal(got, out_of_place_kernel(spec, P, Q))
 
 
 @pytest.mark.parametrize("dim", [3, 7])
