@@ -68,6 +68,14 @@ CASES = {
         "--override", "kernel.lengthscale=0.1", "--override", "kernel.signal_variance=1e295",
         "--override", "acquisition=lcb:tau=1",
         "--override", "n_init=6", "--override", "budget=12", *TINY, "--seed", "6"],
+    # the likelihood search with Matern, a fixed mean, and a budget past one
+    # chunk of draws
+    "run-hyperfit-ackley-matern-linear": [
+        "run", "--override", "target=ackley-2d", "--override", "kernel.family=matern-3/2",
+        "--override", 'mean={"form": "linear-fixed", "coefficients": [0, 0.1, 0.1]}',
+        "--override", "acquisition=lcb:tau=1",
+        "--override", "hyperparameter_fit=true", "--override", "hyperparameter_budget=70",
+        "--override", "n_init=6", "--override", "budget=10", *TINY, "--seed", "7"],
     "compare": [
         "compare", "--functions", "gramacy-lee", "--functions", "sphere-2d",
         "--acq", "ei", "--acq", "lcb:tau=2", "--acq", "glcb-1-100",
