@@ -20,7 +20,8 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrs, dtrtri
 
-from .errors import ConfigError, ConfigObject, ProboError, check_count, check_reals
+from .errors import (ConditioningError, ConfigError, ConfigObject, ProboError, check_count,
+                     check_reals)
 from .kernels import (
     BaseKernelMatrix,
     KernelSpec,
@@ -170,24 +171,22 @@ def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_terms(L: np.ndarray, mean: MeanSpec, X: np.ndarray, y: np.ndarray):
+def _solve_terms(L: np.ndarray, y: np.ndarray, ones: np.ndarray, residual: np.ndarray | None):
     """s_k, S_k, beta_hat, the residual y - trend and alpha = K^-1 residual,
-    from the Cholesky factor L of K.  Raises ProboError when S_k, beta_hat or
-    alpha is not finite, as targets near the double range make them."""
-    ones = np.ones(X.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_k = _cho_solve(L, ones)
-        S_k = float(ones @ s_k)
-        if mean.form == "constant-estimated":
-            beta_hat = float(s_k @ y) / S_k
-            residual = y - beta_hat
-        else:
-            beta_hat = 0.0
-            residual = y - mean.values(X)
-        alpha = _cho_solve(L, residual)
+    from the Cholesky factor L of K, or None when S_k, beta_hat or alpha is
+    not finite, as targets near the double range make them.  residual is
+    y - trend for a fixed trend, or None for the estimated constant, whose
+    residual is y - beta_hat; ones is np.ones(len(y)).  The caller ignores
+    overflow and invalid values."""
+    s_k = _cho_solve(L, ones)
+    S_k = float(ones @ s_k)
+    beta_hat = 0.0
+    if residual is None:
+        beta_hat = float(s_k @ y) / S_k
+        residual = y - beta_hat
+    alpha = _cho_solve(L, residual)
     if not (math.isfinite(S_k) and math.isfinite(beta_hat) and np.isfinite(alpha).all()):
-        raise ProboError("the GP's solves overflow: S_k, beta_hat or "
-                         "K^-1 (y - trend) is not finite")
+        return None
     return s_k, S_k, beta_hat, residual, alpha
 
 
@@ -195,7 +194,13 @@ def fit_gp(kernel: KernelSpec, mean: MeanSpec, X, y) -> GpModel:
     """Fit the GP: factorize the Gram matrix and cache the prediction terms."""
     X, y = _training_data(kernel.lengthscales, mean, X, y)
     K = build_base_kernel_matrix(kernel, X)
-    s_k, S_k, beta_hat, _, alpha = _solve_terms(K.cholesky, mean, X, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fixed = None if mean.form == "constant-estimated" else y - mean.values(X)
+        terms = _solve_terms(K.cholesky, y, np.ones(len(y)), fixed)
+    if terms is None:
+        raise ProboError("the GP's solves overflow: S_k, beta_hat or "
+                         "K^-1 (y - trend) is not finite")
+    s_k, S_k, beta_hat, _, alpha = terms
     # LAPACK's inversion leaves a small left residual L^-1 L - I, which is
     # what bounds the error in L^-1 k_x
     L_inv, info = dtrtri(K.cholesky, lower=1)
@@ -230,14 +235,12 @@ def predict_batch(model: GpModel, X) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.maximum(var, 0.0)
 
 
-def _evidence(L: np.ndarray, residual: np.ndarray, alpha: np.ndarray) -> float:
-    """Gaussian log marginal likelihood of the targets under the (jittered)
-    prior, from the Cholesky factor L of K, the residual y - trend and
-    alpha = K^-1 residual."""
-    with np.errstate(over="ignore"):
-        quad = float(residual @ alpha)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * L.shape[0] * math.log(2.0 * math.pi)
+def _evidence(quad: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """Gaussian log marginal likelihoods of the targets under the (jittered)
+    priors of several candidates, from each one's residual' K^-1 residual
+    and, one row each, the diagonal of its Cholesky factor L of K."""
+    logdet = 2.0 * np.log(diagonals).sum(axis=1)
+    return -0.5 * quad - 0.5 * logdet - 0.5 * diagonals.shape[1] * math.log(2.0 * math.pi)
 
 
 #: log-uniform range of the hyperparameter search, for every lengthscale and
@@ -250,21 +253,42 @@ _SEARCH_CHUNK = 64
 
 
 def _candidate_evidence(kernel: KernelSpec, mean: MeanSpec, X: np.ndarray, y: np.ndarray,
-                        ls: np.ndarray, sv: float) -> float:
-    """The log marginal likelihood of fit_gp(replace(kernel, lengthscales=ls,
-    signal_variance=sv), mean, X, y), bit for bit, or -inf where that fit
-    fails to factorize or its solves overflow.  X and y are checked, as
-    fit_gp checks them.  It takes the path of fit_gp without a KernelSpec or
-    a BaseKernelMatrix: the kernels' covariance and factor routines, then
-    fit_gp's solves, scored by _evidence."""
-    scaled = X / ls
-    K = _covariance(_sqdist(scaled, scaled), kernel.family, kernel.power, sv)
-    try:
-        L, _ = _jittered_cholesky(K, sv, ls)
-        _, _, _, residual, alpha = _solve_terms(L, mean, X, y)
-    except ProboError:  # a conditioning failure or solves that overflow
-        return -math.inf
-    return _evidence(L, residual, alpha)
+                        ls: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """For each row c of the (C, d) lengthscales ls and the (C,) signal
+    variances sv, the log marginal likelihood of fit_gp(replace(kernel,
+    lengthscales=ls[c], signal_variance=sv[c]), mean, X, y), bit for bit, or
+    -inf where that fit fails to factorize or its solves overflow.  X and y
+    are checked, as fit_gp checks them.
+
+    It takes the path of fit_gp without a KernelSpec or a BaseKernelMatrix:
+    one (C, n, n) stack of squared scaled distances, one call of the
+    kernels' covariance routine on it with each candidate's sv on its rows,
+    then per candidate the kernels' factor routine and fit_gp's solves, and
+    one _evidence for the chunk."""
+    C, n = ls.shape[0], X.shape[0]
+    K = np.empty((C, n, n))
+    for k, scaled in zip(K, X / ls[:, None, :]):
+        k[...] = _sqdist(scaled, scaled)
+    _covariance(K.reshape(C * n, n), kernel.family, kernel.power, np.repeat(sv, n)[:, None])
+    quad = np.zeros(C)
+    diagonals = np.ones((C, n))
+    usable = np.zeros(C, dtype=bool)
+    ones = np.ones(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fixed = None if mean.form == "constant-estimated" else y - mean.values(X)
+        for c, (gram, variance) in enumerate(zip(K, sv.tolist())):
+            try:
+                L, _ = _jittered_cholesky(gram, variance, ls[c])
+            except ConditioningError:
+                continue
+            terms = _solve_terms(L, y, ones, fixed)
+            if terms is None:
+                continue
+            _, _, _, residual, alpha = terms
+            quad[c] = residual @ alpha
+            diagonals[c] = L.diagonal()
+            usable[c] = True
+    return np.where(usable, _evidence(quad, diagonals), -math.inf)
 
 
 def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
@@ -272,14 +296,15 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     """Pick kernel hyperparameters by log-uniform random search on the marginal
     likelihood.  Each candidate keeps the family, power and dimension of the
     template kernel and draws its lengthscales, then its signal variance, from
-    SEARCH_RANGE.  Returns the best of `budget` candidates; deterministic for
-    a fixed seed.  Candidates that fail to factorize, or whose solves or
-    likelihood are not finite, are skipped; if all are, a ProboError says so.
+    SEARCH_RANGE.  Returns the best of `budget` candidates, the first on a
+    tie; deterministic for a fixed seed.  Candidates that fail to factorize,
+    or whose solves or likelihood are not finite, are skipped; if all are, a
+    ProboError says so.
 
     The data are checked once.  The draws come in chunks of _SEARCH_CHUNK
     candidates, one generator call each, with the bits of one call per
-    lengthscale vector and one per signal variance.  Each candidate then
-    costs only its _candidate_evidence; the winner alone becomes a KernelSpec.
+    lengthscale vector and one per signal variance.  Each chunk is scored by
+    one _candidate_evidence; the winner alone becomes a KernelSpec.
     """
     check_count("budget", budget)
     X, y = _training_data((SEARCH_RANGE[0],) * kernel.dimension, mean, X, y)
@@ -290,12 +315,13 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     d = kernel.dimension
     for start in range(0, budget, _SEARCH_CHUNK):
         draws = np.exp(rng.uniform(lo, hi, size=(min(_SEARCH_CHUNK, budget - start), d + 1)))
-        for row, sv in zip(draws[:, :d], draws[:, d].tolist()):
-            lml = _candidate_evidence(kernel, mean, X, y, row, sv)
-            if math.isfinite(lml) and lml > best_lml:
-                best, best_lml = (row, sv), lml
+        lml = _candidate_evidence(kernel, mean, X, y, draws[:, :d], draws[:, d])
+        lml[~np.isfinite(lml)] = -np.inf
+        i = int(np.argmax(lml))  # the first of the chunk's largest
+        if lml[i] > best_lml:
+            best, best_lml = draws[i], lml[i]
     if best is None:
         raise ProboError(f"no usable candidate among {budget} hyperparameter draws: each "
                          "failed to factorize, overflowed its solves or had a non-finite "
                          "likelihood")
-    return replace(kernel, lengthscales=tuple(best[0].tolist()), signal_variance=best[1])
+    return replace(kernel, lengthscales=tuple(best[:d].tolist()), signal_variance=float(best[d]))

@@ -255,22 +255,34 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     for bit, apart from the entries that its policy returns as 0.
     """
     ls = np.asarray(spec.lengthscales)
-    return _covariance(_sqdist(A / ls, B / ls), spec.family, spec.power,
-                       spec.signal_variance)
+    # a point scaled past overflow is at distance inf, so uncorrelated
+    with np.errstate(over="ignore"):
+        d2 = _sqdist(A / ls, B / ls)
+    return _covariance(d2, spec.family, spec.power, spec.signal_variance)
 
 
-def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> np.ndarray:
+def _covariance(K: np.ndarray, family: str, power: float | None,
+                sv: float | np.ndarray) -> np.ndarray:
     """The covariances of a kernel of this family, power and signal variance
     sv at the squared scaled distances K, written over K and returned.
 
-    Every family is evaluated in place on the distance buffer, with the
-    operations of the formulas in the module docstring in their order.
+    sv is a float, or a (rows, 1) column with the signal variance of each
+    row of K, so that one call covers the stacked Gram matrices of several
+    kernels; each row then has the bits that a call with its own float
+    gives.  Every family is evaluated in place on the distance buffer, with
+    the operations of the formulas in the module docstring in their order.
     """
+    column = isinstance(sv, np.ndarray)
     # nothing is zeroed while each exp factor is at least _FLOOR and each
     # entry at least _TINY, which holds for exp arguments of at least
     # max(_LOG_FLOOR, _LOG_TINY - log(sv)); the smallest argument decides,
-    # and the margin of 1 covers its rounding
-    limit = max(_LOG_FLOOR, _LOG_TINY - math.log(sv)) + 1.0
+    # and the margin of 1 covers its rounding.  A column is read at its
+    # smallest sv, which only turns the guard on more often: the guarded
+    # path has the bits of the plain one wherever nothing falls below the
+    # floor, and the _TINY pass finds nothing to zero in a row whose own
+    # call would skip it
+    low = float(sv.min()) if column else sv
+    limit = max(_LOG_FLOOR, _LOG_TINY - math.log(low)) + 1.0
     if family in ("squared-exponential", "power-exponential"):
         if family == "power-exponential":
             np.sqrt(K, out=K)
@@ -281,7 +293,7 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
             _zero_below(K, _FLOOR, exp=True)
         else:
             np.exp(K, out=K)
-        if sv != 1.0:  # a product with 1 is exact
+        if column or sv != 1.0:  # a product with 1 is exact
             K *= sv
     else:
         # Matern-nu: a = sqrt(2 nu) d; the exp factor (and for 5/2 the
@@ -310,10 +322,12 @@ def _covariance(K: np.ndarray, family: str, power: float | None, sv: float) -> n
                 q /= 3.0
                 a += 1.0
                 a += q
-            if sv != 1.0:
+            if column:
+                a *= sv[rows]
+            elif sv != 1.0:
                 a *= sv
             a *= e
-    if guard and sv * _FLOOR < _TINY:  # only then can a kept factor give a subnormal
+    if guard and low * _FLOOR < _TINY:  # only then can a kept factor give a subnormal
         _zero_below(K, _TINY, exp=False)
     return K
 

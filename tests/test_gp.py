@@ -20,6 +20,7 @@ from probo.gp import (
     _solve_terms,
 )
 from probo.functions import registry_lookup
+from probo.igp import ImpreciseGpSpec, mean_width_batch
 from probo.kernels import FAMILIES, KernelSpec, kernel_matrix, _cholesky
 
 from oracles import log_marginal_likelihood
@@ -170,13 +171,19 @@ def test_the_search_checks_the_points_at_its_smallest_lengthscale():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_prediction_point_scaled_past_overflow_is_uncorrelated(family):
-    # predict_batch checks no scale: the infinite scaled point is at
-    # distance inf from every training point, so its covariances are 0
-    model = fit_gp(spec_for(family, (1e-2,)), MeanSpec(), [[0.0], [1.0]], [1.0, 2.0])
-    with np.errstate(over="ignore"):  # the scaling 1e307 / 1e-2
-        mu, var = predict_batch(model, [[1e307], [0.5]])
-    assert mu[0] == model.beta_hat and var[0] == pytest.approx(1.0 + 1.0 / model.S_k)
-    assert np.isfinite(mu).all() and np.isfinite(var).all()
+    # predict_batch and mean_width_batch check no scale: the infinite scaled
+    # point is at distance inf from every training point, so its covariances
+    # are 0, and the suite's filter fails any overflow warning on the way
+    for dim in (1, 2):
+        model = fit_gp(spec_for(family, (1e-2,) * dim, sv=1.7), MeanSpec(),
+                       [[0.0] * dim, [1.0] * dim], [1.0, 2.0])
+        points = [[1e307] + [0.0] * (dim - 1), [0.5] * dim]
+        mu, var = predict_batch(model, points)
+        assert mu[0] == model.beta_hat and var[0] == 1.7 + 1.0 / model.S_k
+        assert np.isfinite(mu).all() and np.isfinite(var).all()
+        imprecise = ImpreciseGpSpec(c=1.0, model=model)
+        width = mean_width_batch(imprecise, points)
+        assert width[0] == imprecise.factor / model.S_k and np.isfinite(width).all()
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-11])
@@ -508,7 +515,8 @@ def test_lapack_calls_match_scipy_bit_for_bit(lengthscale):
     assert np.array_equal(L, cholesky(jittered, lower=True))
     assert np.array_equal(model.K.cholesky, L)
     for mean in (MeanSpec(), MeanSpec(form="linear-fixed", coefficients=(0.5, -1.0))):
-        s_k, _, _, residual, alpha = _solve_terms(L, mean, X, y)
+        fixed = None if mean.form == "constant-estimated" else y - mean.values(X)
+        s_k, _, _, residual, alpha = _solve_terms(L, y, np.ones(len(X)), fixed)
         assert np.array_equal(s_k, cho_solve((L, True), np.ones(len(X))))
         assert np.array_equal(alpha, cho_solve((L, True), residual))
 
@@ -638,7 +646,9 @@ def scored_candidates(monkeypatch, template, mean, X, y, budget, seed):
 
     def record(kernel, mean, X, y, ls, sv):
         lml = real(kernel, mean, X, y, ls, sv)
-        seen.append((replace(kernel, lengthscales=tuple(ls), signal_variance=sv), lml))
+        assert lml.shape == sv.shape == ls.shape[:1]
+        seen.extend((replace(kernel, lengthscales=tuple(row), signal_variance=v), score)
+                    for row, v, score in zip(ls, sv.tolist(), lml.tolist()))
         return lml
 
     monkeypatch.setattr(gp, "_candidate_evidence", record)
@@ -792,18 +802,47 @@ def test_search_skips_a_candidate_whose_evidence_is_not_finite(monkeypatch, bad)
     X = rng.uniform(-2, 2, size=(8, 1))
     y = np.cos(X[:, 0])
     real = gp._evidence
-    calls = {"n": 0}
+    chunks = []
 
-    def bad_first_candidate(*args):
-        calls["n"] += 1
-        return bad if calls["n"] == 1 else real(*args)
+    def bad_first_candidate(quad, diagonals):
+        lml = real(quad, diagonals)
+        chunks.append(len(lml))
+        if len(chunks) == 1:
+            lml[0] = bad
+        return lml
 
     monkeypatch.setattr(gp, "_evidence", bad_first_candidate)
     got = fit_hyperparameters(spec_for("squared-exponential"), MeanSpec(), X, y,
                               budget=10, seed=7)
     monkeypatch.undo()
+    assert chunks == [10]
     assert got == brute_force_search("squared-exponential", MeanSpec(), X, y,
                                      budget=10, seed=7, skip=1)
+
+
+@pytest.mark.parametrize("budget", [1, gp._SEARCH_CHUNK, 2 * gp._SEARCH_CHUNK + 3])
+@pytest.mark.parametrize("family", ["squared-exponential", "matern-5/2"])
+def test_search_builds_each_chunks_covariances_in_one_call(monkeypatch, family, budget):
+    # one covariance call per chunk of draws, over the stacked Gram matrices
+    # with each candidate's signal variance on its rows
+    rng = np.random.default_rng(23)
+    X = rng.uniform(-2, 2, size=(6, 2))
+    y = np.sin(X[:, 0])
+    real = gp._covariance
+    calls = []
+
+    def counted(K, family, power, sv):
+        calls.append((K.shape, sv.reshape(-1, len(X))[:, 0].tolist()))
+        return real(K, family, power, sv)
+
+    monkeypatch.setattr("probo.gp._covariance", counted)
+    _, seen = scored_candidates(monkeypatch, spec_for(family, (1.0, 1.0)), MeanSpec(),
+                                X, y, budget=budget, seed=10)
+    sizes = [min(gp._SEARCH_CHUNK, budget - start)
+             for start in range(0, budget, gp._SEARCH_CHUNK)]
+    assert [shape for shape, _ in calls] == [(size * len(X), len(X)) for size in sizes]
+    assert ([v for _, svs in calls for v in svs]
+            == [spec.signal_variance for spec, _ in seen])
 
 
 @pytest.mark.parametrize("scale", [

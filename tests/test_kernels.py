@@ -593,6 +593,34 @@ def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
     assert same_bits(got, want)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scales, svs", [
+    ((1.0,) * 5, np.geomspace(1e-2, 1e2, 5)),  # no guard
+    ((1e-2,) * 5, np.geomspace(1e2, 1e-2, 5)),  # the floor guard
+    ((1.0, 1e-3, 1.0, 1e-3, 1.0), np.geomspace(1e-2, 1e2, 5)),  # the guard on some
+    ((1e-2,) * 3, (1e2, 2.3e-298, 1e2)),  # the guard and the pass below tiny
+])
+def test_covariance_of_a_stack_keeps_each_rows_bits(monkeypatch, family, scales, svs):
+    # the stacked Gram matrices of several kernels, one signal variance per
+    # row, against one call per kernel with its sv as a float
+    rng = np.random.default_rng(31)
+    X = rng.uniform(-1.0, 1.0, size=(9, 2))
+    power = 1.5 if family == "power-exponential" else None
+    svs = np.asarray(svs)
+    lengthscales = np.asarray(scales)[:, None] * rng.uniform(0.5, 2.0, size=(len(svs), 2))
+    stack = np.stack([_sqdist(X / ls, X / ls) for ls in lengthscales])
+    want = [_covariance(d2.copy(), family, power, float(sv)) for d2, sv in zip(stack, svs)]
+    passes = []
+    monkeypatch.setattr("probo.kernels._zero_below",
+                        lambda E, limit, exp: passes.append(limit) or _zero_below(E, limit, exp))
+    n = len(X)
+    got = _covariance(stack.reshape(-1, n), family, power, np.repeat(svs, n)[:, None])
+    assert same_bits(got, np.concatenate(want))
+    guarded = min(scales) < 1.0
+    assert (_FLOOR in passes) == guarded == bool((got == 0.0).any())
+    assert (np.finfo(float).tiny in passes) == (svs.min() < 1e-200)
+
+
 def test_cross_covariance_at_training_point_is_signal_variance():
     spec = spec_for("matern-3/2", (1.0,), sv=1.7)
     X = np.array([[0.0], [2.0]])
