@@ -68,6 +68,13 @@ CASES = {
         "--override", "kernel.lengthscale=0.1", "--override", "kernel.signal_variance=1e295",
         "--override", "acquisition=lcb:tau=1",
         "--override", "n_init=6", "--override", "budget=12", *TINY, "--seed", "6"],
+    # Matern at a signal variance near the smallest accepted, 2^-511: kept
+    # entries near the smallest normal double beside ones past the floor
+    "run-lcb-ackley-matern-small-sv": [
+        "run", "--override", "target=ackley-2d", "--override", "kernel.family=matern-5/2",
+        "--override", "kernel.lengthscale=0.1", "--override", "kernel.signal_variance=2e-154",
+        "--override", "acquisition=lcb:tau=1",
+        "--override", "n_init=6", "--override", "budget=12", *TINY, "--seed", "8"],
     # the likelihood search with Matern, a fixed mean, and a budget past one
     # chunk of draws
     "run-hyperfit-ackley-matern-linear": [
