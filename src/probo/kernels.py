@@ -15,25 +15,32 @@ power-exponential with p = 2 is exactly the squared-exponential.  Targets are
 treated as noiseless, so the Gram matrix carries no nugget term; a small
 diagonal jitter is added for numerical factorization only.
 
-Correlations below 2^-511 are exact zeros.  exp is evaluated on arguments
-clamped just below log(2^-511), and a result, the correlation factor, below
-2^-511 = sqrt(tiny) is taken as 0, with tiny = numpy.finfo(float).tiny the
-smallest normal double; an entry below tiny is also returned as 0.  Every
-other entry matches the formulas above bit for bit.  Subnormal lanes take a
-slow path through exp and through every product that follows, and short
-lengthscales put many scaled distances past the floor.  The floor is
-sqrt(tiny) because a product of two values at or above it stays normal:
-gp.fit_gp floors the inverse Cholesky factor the same way on its scale
-1 / sqrt(sv), so at sv >= 1 no product of the two underflows.  The floor is
-on correlations, not on entries, so a GP with a small sv keeps its
-correlations.  Only batches whose smallest exp argument can reach the floor
-pay for the check.
+The signal variance lies in [2^-511, 1e300], about 1.49e-154 to 1e300.
 
-The signal variance lies in [tiny / JITTER_INITIAL, 1e300], about 2.2e-298
-to 1e300.  One rule keeps every entry finite: in a checked batch Matern's
-a = sqrt(2 nu) d is capped just above -log(2^-511), about 354.2, where its
-exp factor is 0, so sv times the polynomial stays below 42,174 * 1e300 and
-a distance past the double range gives 0.
+An exp factor below 2^-511 = sqrt(tiny), with tiny = numpy.finfo(float).tiny
+the smallest normal double, is taken as 0: exp is evaluated on arguments
+clamped just below log(2^-511), and a result below 2^-511 is zeroed.  For
+the two exponential families the factor is the correlation itself, so
+correlations below 2^-511 are exact zeros.  For Matern the factor is
+exp(-a), with a = sqrt(2 nu) d, so the correlation (1 + a) exp(-a) or
+(1 + a + a^2 / 3) exp(-a) is 0 wherever exp(-a) is below 2^-511: past the
+floor distance a = -log(2^-511), about 354.2, that is correlations up to
+(1 + a) 2^-511 and (1 + a + a^2 / 3) 2^-511, about 355 and 42,174 times the
+floor.  Every other entry matches the formulas above bit for bit, and is sv
+times a factor of at least 2^-511, so at least 2^-1022 = tiny: no entry is
+subnormal, and neither is the initial jitter JITTER_INITIAL * sv.  Subnormal lanes take a slow path through exp and through every
+product that follows, and short lengthscales put many scaled distances past
+the floor.  The floor is sqrt(tiny) because a product of two values at or
+above it stays normal: gp.fit_gp floors the inverse Cholesky factor the same
+way on its scale 1 / sqrt(sv), so at sv >= 1 no product of the two
+underflows.  The floor is on correlations, not on entries, so a GP with a
+small sv keeps its correlations.  Only batches whose smallest exp argument
+can reach the floor pay for the check.
+
+At the largest sv one rule keeps every entry finite: in a checked batch
+Matern's a is capped just above the floor distance, where its exp factor is
+0, so sv times the polynomial stays below 42,174 * 1e300 and a distance past
+the double range gives 0.
 """
 
 from __future__ import annotations
@@ -64,14 +71,15 @@ JITTER_MAX = 1e-6
 #: the optimization loop nudges proposals that come this close to the design.
 DUPLICATE_TOL = 1e-10
 
-#: Smallest positive normal double, and the correlation floor
-#: sqrt(_TINY) = 2^-511 of the module docstring; exp(x) >= _FLOOR exactly
-#: when x >= _LOG_FLOOR, so exp(_BELOW_LOG_FLOOR) < _FLOOR.
-_TINY = float(np.finfo(float).tiny)
-_LOG_TINY = float(np.log(_TINY))
-_FLOOR = math.sqrt(_TINY)
+#: The floor 2^-511 of the module docstring on exp factors, and the smallest
+#: signal variance; exp(x) >= _FLOOR exactly when x >= _LOG_FLOOR, so
+#: exp(_BELOW_LOG_FLOOR) < _FLOOR.  A batch whose smallest exp argument is
+#: at least _GUARD_LIMIT skips the floor; the margin of 1 only turns the
+#: floor on more often, which moves no bit where nothing falls below it.
+_FLOOR = 2.0**-511
 _LOG_FLOOR = math.log(_FLOOR)
 _BELOW_LOG_FLOOR = float(np.nextafter(_LOG_FLOOR, -math.inf))
+_GUARD_LIMIT = _LOG_FLOOR + 1.0
 
 #: Size of a scratch block walked down a kernel matrix, well under glibc's
 #: mmap and heap-trim thresholds, so no batch returns pages to the system
@@ -86,9 +94,7 @@ class KernelSpec(ConfigObject, section="kernel"):
     to its target's dimension (see broadcast and engine.run).
 
     lengthscales has one strictly positive entry, with a finite reciprocal,
-    per input dimension; signal_variance is at least numpy.finfo(float).tiny
-    / JITTER_INITIAL (about 2.2e-298), so that the initial jitter of
-    build_base_kernel_matrix is a normal double, and at most 1e300 (see the
+    per input dimension; signal_variance lies in [2^-511, 1e300] (see the
     module docstring); power is required for the power-exponential family
     and must stay in (0, 2] (it is rejected for every other family).
     """
@@ -114,10 +120,9 @@ class KernelSpec(ConfigObject, section="kernel"):
         sv = check_real("signal_variance", self.signal_variance)
         if sv <= 0.0:
             raise ValueError(f"signal_variance must be strictly positive, got {sv}")
-        if JITTER_INITIAL * sv < _TINY:
-            raise ConfigError(f"signal_variance {sv} is below {_TINY / JITTER_INITIAL:.3g}, "
-                              f"where its jitter {JITTER_INITIAL:g} * signal_variance "
-                              f"is subnormal")
+        if sv < _FLOOR:
+            raise ConfigError(f"signal_variance {sv} is below 2^-511 = {_FLOOR!r}, "
+                              f"where kernel entries can be subnormal")
         if sv > 1e300:
             raise ConfigError(f"signal_variance {sv} is above 1e300, where kernels overflow")
         object.__setattr__(self, "signal_variance", sv)
@@ -225,25 +230,23 @@ def _near_duplicate(d2: np.ndarray) -> float | None:
     return closest if closest < DUPLICATE_TOL else None
 
 
-def _zero_below(E: np.ndarray, limit: float, exp: bool) -> None:
-    """Set every entry of E below limit to exactly 0, in place; with exp,
-    first take exp of E, its arguments clamped at _BELOW_LOG_FLOOR.
+def _floored_exp(E: np.ndarray) -> None:
+    """Take exp of E in place, its arguments clamped at _BELOW_LOG_FLOOR,
+    and set every result below _FLOOR to exactly 0.
 
-    With exp, limit is at least _FLOOR.  A clamped argument was below
-    _LOG_FLOOR, so its exp is zeroed either way, and it is a normal double,
-    so exp takes no slow subnormal lane.  The mask is applied by a product
-    with 0/1, since masked assignment runs several times slower on scattered
-    masks.
+    A clamped argument was below _LOG_FLOOR, so its exp is zeroed either
+    way, and it is a normal double, so exp takes no slow subnormal lane.  The
+    mask is applied by a product with 0/1, since masked assignment runs
+    several times slower on scattered masks.
     """
     blocks, height = _row_blocks(*E.shape, itemsize=1)
     keep = np.empty((height, E.shape[1]), dtype=bool)
     for rows in blocks:
         e = E[rows]
         k = keep[: len(e)]
-        if exp:
-            np.maximum(e, _BELOW_LOG_FLOOR, out=e)
-            np.exp(e, out=e)
-        np.greater_equal(e, limit, out=k)
+        np.maximum(e, _BELOW_LOG_FLOOR, out=e)
+        np.exp(e, out=e)
+        np.greater_equal(e, _FLOOR, out=k)
         np.multiply(e, k, out=e)
 
 
@@ -273,24 +276,13 @@ def _covariance(K: np.ndarray, family: str, power: float | None,
     the operations of the formulas in the module docstring in their order.
     """
     column = isinstance(sv, np.ndarray)
-    # nothing is zeroed while each exp factor is at least _FLOOR and each
-    # entry at least _TINY, which holds for exp arguments of at least
-    # max(_LOG_FLOOR, _LOG_TINY - log(sv)); the smallest argument decides,
-    # and the margin of 1 covers its rounding.  A column is read at its
-    # smallest sv, which only turns the guard on more often: the guarded
-    # path has the bits of the plain one wherever nothing falls below the
-    # floor, and the _TINY pass finds nothing to zero in a row whose own
-    # call would skip it
-    low = float(sv.min()) if column else sv
-    limit = max(_LOG_FLOOR, _LOG_TINY - math.log(low)) + 1.0
     if family in ("squared-exponential", "power-exponential"):
         if family == "power-exponential":
             np.sqrt(K, out=K)
             K **= power
         K *= -0.5
-        guard = K.min(initial=0.0) < limit
-        if guard:
-            _zero_below(K, _FLOOR, exp=True)
+        if K.min(initial=0.0) < _GUARD_LIMIT:
+            _floored_exp(K)
         else:
             np.exp(K, out=K)
         if column or sv != 1.0:  # a product with 1 is exact
@@ -300,7 +292,7 @@ def _covariance(K: np.ndarray, family: str, power: float | None,
         # quadratic term) of each block of rows goes through scratch rows
         np.sqrt(K, out=K)
         K *= math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)
-        guard = -K.max(initial=0.0) < limit
+        guard = -K.max(initial=0.0) < _GUARD_LIMIT
         blocks, height = _row_blocks(*K.shape)
         decay, quad = np.empty((2, height, K.shape[1]))
         for rows in blocks:
@@ -308,7 +300,7 @@ def _covariance(K: np.ndarray, family: str, power: float | None,
             e = decay[: len(a)]
             np.negative(a, out=e)
             if guard:
-                _zero_below(e, _FLOOR, exp=True)
+                _floored_exp(e)
                 # the cap is above every kept a; a capped entry is a finite
                 # sv times polynomial times 0, not inf * 0
                 np.minimum(a, -_BELOW_LOG_FLOOR, out=a)
@@ -327,8 +319,6 @@ def _covariance(K: np.ndarray, family: str, power: float | None,
             elif sv != 1.0:
                 a *= sv
             a *= e
-    if guard and low * _FLOOR < _TINY:  # only then can a kept factor give a subnormal
-        _zero_below(K, _TINY, exp=False)
     return K
 
 

@@ -151,8 +151,10 @@ def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, evaluated, comman
     ("kernel.lengthscale=1e-310", "lengthscales"),
     ("kernel.lengthscale=1e-308", "lengthscales (1e-308,) scale its bound 5.12"),
     ("kernel.signal_variance=true", "signal_variance"),
-    ("kernel.signal_variance=1e-320", "signal_variance 1e-320 is below 2.23e-298"),
-    ("kernel.signal_variance=2.5e-308", "signal_variance 2.5e-308 is below 2.23e-298"),
+    ("kernel.signal_variance=1e-320", "signal_variance 1e-320 is below 2^-511"),
+    ("kernel.signal_variance=2.5e-308", "signal_variance 2.5e-308 is below 2^-511"),
+    ("kernel.signal_variance=1e-200",
+     "signal_variance 1e-200 is below 2^-511 = 1.4916681462400413e-154"),
     ('kernel={"family": "power-exponential", "power": true}', "power"),
     ('mean={"form": "constant-fixed", "coefficients": 5}', "coefficients"),
     ('mean={"form": "constant-fixed", "coefficients": [true]}', "coefficients"),

@@ -450,17 +450,20 @@ def test_a_point_past_the_floor_of_every_datum_gets_the_fixed_mean_exactly():
 
 
 def test_a_small_signal_variance_keeps_its_correlations():
-    # the floor is on correlations, not on covariances: at sv = 1e-200 the
+    # the floor is on correlations, not on covariances: at sv = 1e-150 the
     # GP predicts what it does at sv = 1, where a floor of 2^-511 on the
-    # entries themselves would zero every one and leave a constant mu
+    # entries themselves would zero most of those that reach the data
+    sv = 1e-150
     for lengthscales in (SHORT_LENGTHSCALES[0], SHORT_LENGTHSCALES[2]):
-        small, P = rosenbrock_model(lengthscales, 1e-200)
+        small, P = rosenbrock_model(lengthscales, sv)
         unit, _ = rosenbrock_model(lengthscales, 1.0)
+        Kx = kernel_matrix(small.kernel, small.X, P[:3000])
+        assert np.mean(Kx[Kx != 0.0] < 2.0**-511) > 0.5
         # away from the data, where var does not cancel
         mu, var = predict_batch(small, P[:3000])
         want_mu, want_var = predict_batch(unit, P[:3000])
         np.testing.assert_allclose(mu, want_mu, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(var / 1e-200, want_var, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(var / sv, want_var, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("mean", [MeanSpec(), MeanSpec("constant-fixed", (-1e308,))])

@@ -25,8 +25,8 @@ from probo.kernels import (
     _check_training_points,
     _covariance,
     _jittered_cholesky,
+    _floored_exp,
     _sqdist,
-    _zero_below,
 )
 
 
@@ -111,6 +111,7 @@ def test_duplicate_points_rejected():
         _check_training_points(np.array([[0.0], [1e-11]]))
 
 
+
 # ------------------------------------------------------------- spec rules
 
 def test_spec_validation():
@@ -161,16 +162,17 @@ def test_spec_from_config_mapping_rejects_non_numbers(mapping, field):
         KernelSpec.from_dict(mapping)
 
 
-def test_signal_variance_whose_jitter_is_subnormal_is_rejected():
-    # the initial jitter JITTER_INITIAL * sv must be a normal double
-    smallest = np.finfo(float).tiny / JITTER_INITIAL
-    while JITTER_INITIAL * smallest < np.finfo(float).tiny:
-        smallest = np.nextafter(smallest, math.inf)
-    spec = KernelSpec(signal_variance=smallest)
+def test_signal_variance_below_the_floor_is_rejected():
+    # at sv >= 2^-511 every kept entry, sv times an exp factor of at least
+    # 2^-511, is a normal double, and so is the initial jitter
+    assert _FLOOR == 2.0**-511
+    spec = KernelSpec(signal_variance=_FLOOR)
     X = np.array([[0.0], [1.0], [2.5]])
-    assert build_base_kernel_matrix(spec, X).jitter == JITTER_INITIAL * smallest
-    for sv in (np.nextafter(smallest, 0.0), 2.5e-308, 1e-320):
-        with pytest.raises(ConfigError, match="signal_variance .* subnormal"):
+    jitter = build_base_kernel_matrix(spec, X).jitter
+    assert jitter == JITTER_INITIAL * _FLOOR and jitter >= np.finfo(float).tiny
+    for sv in (np.nextafter(_FLOOR, 0.0), 1e-200, 2.5e-308, 1e-320):
+        with pytest.raises(ConfigError, match=r"signal_variance .* below 2\^-511 = "
+                                              r"1\.4916681462400413e-154"):
             KernelSpec(signal_variance=sv)
 
 
@@ -513,14 +515,13 @@ def test_matern_short_of_the_floor_keeps_its_bits_where_the_polynomial_overflows
     assert np.all(got[~near] == 0.0) and not np.signbit(got).any()
 
 
-@pytest.mark.parametrize("sv", [1e-200, 0.01, 1.0, 100.0])
+@pytest.mark.parametrize("sv", [2.0**-511, 0.01, 1.0, 100.0])
 def test_no_subnormal_entries_and_normal_ones_unchanged(sv):
     # distances swept through the bands where each family's exp factor falls
-    # below the floor 2^-511 and below tiny, and where the entry itself
-    # leaves the normal range: an exp factor below the floor, or an entry
-    # below tiny, is an exact 0, and every other entry is the formula's
+    # below the floor 2^-511 and where the formula's entry leaves the normal
+    # range: an exp factor below the floor is an exact 0, every other entry
+    # is the formula's, and none is subnormal, down to the smallest sv
     tiny = np.finfo(float).tiny
-    floor = 2.0**-511
     A = np.linspace(0.0, 420.0, 42001)[:, None]
     B = np.array([[0.0], [0.013]])
     for family in FAMILIES:
@@ -529,27 +530,23 @@ def test_no_subnormal_entries_and_normal_ones_unchanged(sv):
         with np.errstate(under="ignore"):
             want = out_of_place_kernel(spec, A, B)
             factor = exp_factor(spec, A, B)
-        kept = (factor >= floor) & (want >= tiny)
-        # the sweep reaches the subnormal band and the band that only the
-        # floor zeroes: normal entries whose factor is below the floor or,
-        # where sv * floor < tiny, subnormal ones whose factor is not
+        kept = factor >= _FLOOR
+        # the sweep reaches the subnormal band of the formula and the
+        # entries that only the floor zeroes
         assert np.any((want > 0.0) & (want < tiny))
-        if sv * floor >= tiny:
-            assert np.any((factor < floor) & (want >= tiny))
-        else:
-            assert np.any((factor >= floor) & (want > 0.0) & (want < tiny))
+        assert np.any(~kept & (want > 0.0))
         assert np.array_equal(got[kept], want[kept])
         assert np.all(got[~kept] == 0.0) and not np.signbit(got).any()
+        assert np.all((got == 0.0) | (got >= tiny))
         assert np.array_equal(got.T, kernel_matrix(spec, B, A))
 
 
-def masked_zero_below(E, limit, exp):
-    """The floor as a masked formula: with exp, limit bounds the arguments,
-    which are masked, zeroed, taken through exp and zeroed again."""
-    keep = E >= limit
-    if exp:
-        np.copyto(E, 0.0, where=~keep)
-        np.exp(E, out=E)
+def masked_floored_exp(E):
+    """The floor as a masked formula: arguments below _LOG_FLOOR are masked,
+    zeroed, taken through exp and zeroed again."""
+    keep = E >= _LOG_FLOOR
+    np.copyto(E, 0.0, where=~keep)
+    np.exp(E, out=E)
     E *= keep
 
 
@@ -565,14 +562,14 @@ def test_clamped_floor_keeps_the_bits_of_the_masked_formula():
                          -math.inf, 0.0, -0.0], np.linspace(-760.0, 0.0, 7601),
                         rng.uniform(-400.0, -300.0, 4001)]).reshape(-1, 2)
     got, want = E.copy(), E.copy()
-    _zero_below(got, _FLOOR, exp=True)
-    masked_zero_below(want, _LOG_FLOOR, exp=True)
+    _floored_exp(got)
+    masked_floored_exp(want)
     assert same_bits(got, want)
     assert got[0, 0] >= _FLOOR and got[0, 1] == 0.0
 
 
 @pytest.mark.parametrize("family", ["squared-exponential", "matern-3/2"])
-@pytest.mark.parametrize("sv", [1e-200, 1.0, 100.0])
+@pytest.mark.parametrize("sv", [1.0, 100.0])
 def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
     # squared distances whose exp arguments land on _LOG_FLOOR and on the
     # double below it, their neighbours, a distance past overflow, and a sweep
@@ -586,9 +583,7 @@ def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
         args = -(np.sqrt(d2) * math.sqrt(3.0))
     assert np.any(args == _LOG_FLOOR) and np.any(args == _BELOW_LOG_FLOOR)
     got = _covariance(d2.copy(), family, None, sv)
-    monkeypatch.setattr("probo.kernels._zero_below",
-                        lambda E, limit, exp: masked_zero_below(
-                            E, _LOG_FLOOR if exp else limit, exp))
+    monkeypatch.setattr("probo.kernels._floored_exp", masked_floored_exp)
     want = _covariance(d2.copy(), family, None, sv)
     assert same_bits(got, want)
 
@@ -598,7 +593,7 @@ def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
     ((1.0,) * 5, np.geomspace(1e-2, 1e2, 5)),  # no guard
     ((1e-2,) * 5, np.geomspace(1e2, 1e-2, 5)),  # the floor guard
     ((1.0, 1e-3, 1.0, 1e-3, 1.0), np.geomspace(1e-2, 1e2, 5)),  # the guard on some
-    ((1e-2,) * 3, (1e2, 2.3e-298, 1e2)),  # the guard and the pass below tiny
+    ((1e-2,) * 3, (1e2, 2.0**-511, 1e2)),  # the guard, and the smallest sv
 ])
 def test_covariance_of_a_stack_keeps_each_rows_bits(monkeypatch, family, scales, svs):
     # the stacked Gram matrices of several kernels, one signal variance per
@@ -611,14 +606,13 @@ def test_covariance_of_a_stack_keeps_each_rows_bits(monkeypatch, family, scales,
     stack = np.stack([_sqdist(X / ls, X / ls) for ls in lengthscales])
     want = [_covariance(d2.copy(), family, power, float(sv)) for d2, sv in zip(stack, svs)]
     passes = []
-    monkeypatch.setattr("probo.kernels._zero_below",
-                        lambda E, limit, exp: passes.append(limit) or _zero_below(E, limit, exp))
+    monkeypatch.setattr("probo.kernels._floored_exp",
+                        lambda E: passes.append(E.shape) or _floored_exp(E))
     n = len(X)
     got = _covariance(stack.reshape(-1, n), family, power, np.repeat(svs, n)[:, None])
     assert same_bits(got, np.concatenate(want))
     guarded = min(scales) < 1.0
-    assert (_FLOOR in passes) == guarded == bool((got == 0.0).any())
-    assert (np.finfo(float).tiny in passes) == (svs.min() < 1e-200)
+    assert bool(passes) == guarded == bool((got == 0.0).any())
 
 
 def test_cross_covariance_at_training_point_is_signal_variance():
@@ -664,9 +658,9 @@ def test_jitter_stops_escalating_on_success(monkeypatch):
     assert K.jitter == pytest.approx(JITTER_INITIAL * 100)
 
 
-@pytest.mark.parametrize("sv", [1.0, 1e-200])
+@pytest.mark.parametrize("sv", [1.0, 1e-150])
 def test_an_asymmetric_gram_matrix_trips_the_symmetry_check(sv):
-    # the check is exact, so it holds at every scale: at sv = 1e-200 every
+    # the check is exact, so it holds at every scale: at sv = 1e-150 every
     # covariance, and so every asymmetry, is far below an absolute tolerance
     # such as 1e-12
     spec = spec_for("matern-5/2", sv=sv)
