@@ -38,7 +38,7 @@ from .bench import (
 )
 from .engine import BoRunError, RunConfig, TargetFunction, run, save_trace_csv, _write_json
 from .errors import ConfigError, ProboError, check_keys, check_list
-from .functions import load_tabulated_target, registry_lookup, registry_names
+from .functions import load_tabulated_target, registry_lookup, registry_names, _read_utf8
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +65,7 @@ def _load_config(path: str | None) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(_read_utf8(p, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -120,6 +120,21 @@ class TabulatedTarget:
         return -value if self.negate else value
 
 
+def _read_utf8(path: Path, error: type[ProboError]) -> str:
+    """The text of a UTF-8 file, with a byte-order mark dropped.  Raises
+    error "path:line: not UTF-8 text" for bytes that do not decode, counting
+    lines with str.splitlines, and error "cannot read path" for a file that
+    cannot be read."""
+    try:
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+        return data.decode("utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # the line of the bad byte
+        lineno = len((data[: exc.start] + b"_").decode("utf-8").splitlines())
+        raise error(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def load_tabulated_target(csv_path, negate: bool = False) -> TargetFunction:
     """Build a 1-D target from a CSV of numeric x, y columns.
 
@@ -131,14 +146,7 @@ def load_tabulated_target(csv_path, negate: bool = False) -> TargetFunction:
     """
     check_bool("negate", negate)
     csv_path = Path(csv_path)
-    try:
-        data = csv_path.read_bytes().removeprefix(codecs.BOM_UTF8)
-        text = data.decode("utf-8")
-    except OSError as exc:
-        raise ProboError(f"cannot read {csv_path}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # the bad byte's line, numbered as the rows are
-        lineno = len((data[: exc.start] + b"_").decode("utf-8").splitlines())
-        raise ProboError(f"{csv_path}:{lineno}: not UTF-8 text") from None
+    text = _read_utf8(csv_path, ProboError)
     rows = [(n, row) for n, row in enumerate(csv.reader(text.splitlines()), start=1)
             if any(cell.strip() for cell in row)]
     xs, ys = [], []

@@ -56,6 +56,26 @@ def test_run_missing_config_leaves_no_output(tmp_path):
     assert not out.exists()
 
 
+def test_config_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"target": "sphere-1d",\n "budget": 6,\n "n_init": "\xff"}\n')
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: not UTF-8 text\n"
+    assert not out.exists()
+
+
+def test_config_file_with_a_byte_order_mark_runs_as_without_it(tmp_path):
+    # editors such as Notepad start a UTF-8 file with one
+    text = json.dumps({"target": "sphere-1d", "budget": 6, "n_init": 5, "seed": 3,
+                       "infill": {"evals_per_round": 100, "rounds": 2, "restarts": 2}})
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_bytes(data)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    assert tree_bytes(tmp_path / "bom") == tree_bytes(tmp_path / "plain")
+
+
 def test_run_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
