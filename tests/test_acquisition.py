@@ -297,11 +297,21 @@ def test_parse_rejects_garbage():
             parse(repeated)
 
 
+def test_parse_rejects_a_shorthand_whose_numbers_do_not_parse():
+    for bad in ("glcb-x-100", "glcb-1-1e", "glcb-1-2-3"):
+        with pytest.raises(ConfigError, match=f"cannot parse acquisition '{bad}'"):
+            parse(bad)
+
+
 def test_spec_validation_and_labels():
+    with pytest.raises(ConfigError, match="unknown acquisition 'ucb'"):
+        AcquisitionSpec(kind="ucb")
     with pytest.raises(ConfigError):
         AcquisitionSpec(kind="glcb", c=0.0)
     with pytest.raises(ConfigError):
         AcquisitionSpec(kind="lcb", tau=-1.0)
+    with pytest.raises(ConfigError, match="rho must be nonnegative"):
+        AcquisitionSpec(kind="glcb", rho=-1.0)
     assert AcquisitionSpec(kind="ei").label == "ei"
     assert AcquisitionSpec(kind="lcb", tau=1.0).label == "lcb_tau1"
     assert AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=100.0).label == "glcb_tau1_rho1_c100"

@@ -179,6 +179,13 @@ def test_plan_rejects_unknown_axis():
         SensitivityPlan(axis="noise", variants=(v, w), functions=("sphere-1d",))
 
 
+def test_plan_requires_a_function():
+    v = PriorVariant(name="a")
+    w = PriorVariant(name="b", kernel=se(2.0))
+    with pytest.raises(ConfigError, match="needs at least one function"):
+        SensitivityPlan(axis="kernel-parameters", variants=(v, w), functions=())
+
+
 @pytest.mark.parametrize("field", ["repetitions", "iterations", "n_init"])
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
 def test_plan_counts_must_be_integers(field, value):
@@ -465,6 +472,28 @@ def test_two_plans_that_vary_one_axis_on_one_function_are_rejected(runs):
     with pytest.raises(ConfigError, match="two plans vary kernel-parameters on sphere-1d"):
         run_sensitivity_experiment([first, second])
     assert runs == []
+
+
+def test_protocols_need_a_function_and_a_plan(runs):
+    with pytest.raises(ConfigError, match="need at least one function"):
+        run_protocol("compare", functions=())
+    with pytest.raises(ConfigError, match="need at least one sensitivity plan"):
+        run_sensitivity_experiment([])
+    assert runs == []
+
+
+def test_a_comparison_leaves_out_a_function_whose_runs_fail(monkeypatch):
+    real = probo.bench.run
+
+    def unavailable_on_sphere_2d(config, target):
+        if target.name == "sphere-2d":
+            raise ProboError("target unavailable")
+        return real(config, target)
+
+    monkeypatch.setattr(probo.bench, "run", unavailable_on_sphere_2d)
+    with pytest.warns(UserWarning, match="runs failed for sphere-2d"):
+        result = run_protocol("compare", functions=("sphere-1d", "sphere-2d"))
+    assert list(result.mops) == list(result.ci_half_widths) == ["sphere-1d"]
 
 
 @pytest.mark.parametrize("protocol", ["compare", "sensitivity"])

@@ -56,6 +56,19 @@ def test_run_missing_config_leaves_no_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("{", "is not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+])
+def test_config_file_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys, text, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: config file {cfg} {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(b'{"target": "sphere-1d",\n "budget": 6,\n "n_init": "\xff"}\n')
@@ -74,6 +87,14 @@ def test_config_file_with_a_byte_order_mark_runs_as_without_it(tmp_path):
         cfg.write_bytes(data)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
     assert tree_bytes(tmp_path / "bom") == tree_bytes(tmp_path / "plain")
+
+
+def test_run_without_a_target_is_a_config_error(tmp_path, capsys, evaluated):
+    out = tmp_path / "x"
+    assert main(["run", "--out", str(out)]) == 1
+    assert 'error: run needs a target (config key "target")' in capsys.readouterr().err
+    assert evaluated == []
+    assert not out.exists()
 
 
 def test_run_config_file_with_overrides(tmp_path):
@@ -187,6 +208,10 @@ def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, evaluated, comman
     ("hyperparameter_budget=0", "hyperparameter_budget"),
     ('target={"csv": "x.csv", "negate": "no"}', "negate"),
     ("acquisition=lcb:tau=1,tau=3", "'tau' given twice"),
+    ("budget", "override 'budget' is not of the form key=value"),
+    ("budget.x=1", "override 'budget.x' descends into a non-object"),
+    ('target={"bogus": 1}', "target must be a registry name"),
+    ("target=[1]", "target must be a registry name"),
 ])
 def test_bad_run_input_is_a_config_error(tmp_path, capsys, evaluated, override, named):
     out = tmp_path / "x"
@@ -374,6 +399,16 @@ def test_config_snapshot_reruns_its_command(tmp_path, command):
     jobs = [] if command == "run" else ["--jobs", "1"]
     assert main([command, "--config", str(first / "config.json"), *jobs,
                  "--out", str(again)]) == 0
+    assert tree_bytes(again) == tree_bytes(first)
+
+
+def test_a_function_target_runs_and_its_snapshot_reruns_it(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    args = QUICK["run"] + ["--override", 'target={"function": "sphere-1d"}', "--seed", "2"]
+    assert main(args + ["--out", str(first)]) == 0
+    snapshot = json.loads((first / "config.json").read_text())
+    assert snapshot["target"] == {"function": "sphere-1d"}
+    assert main(["run", "--config", str(first / "config.json"), "--out", str(again)]) == 0
     assert tree_bytes(again) == tree_bytes(first)
 
 
@@ -581,6 +616,21 @@ def test_sensitivity_emits_summary_tables(tmp_path):
     for row in sums:
         assert np.isfinite(float(row["sum_relative_ad"]))
     assert (out / "sphere-1d" / "kernel-parameters" / "mop.csv").is_file()
+
+
+def test_sensitivity_names_a_function_excluded_from_the_sums(tmp_path, capsys, monkeypatch):
+    # a flat target gives every prior the same path, so all-zero ADs
+    lookup = probo.bench.registry_lookup
+    monkeypatch.setattr(probo.bench, "registry_lookup", lambda name: replace(
+        lookup(name), evaluate=lambda x: 1.0) if name == "gramacy-lee" else lookup(name))
+    out = tmp_path / "s"
+    with pytest.warns(UserWarning, match="'gramacy-lee' has all-zero ADs"):
+        assert main(QUICK["sensitivity"] + ["--functions", "gramacy-lee",
+                                            "--out", str(out)]) == 0
+    assert "excluded from sums: gramacy-lee" in capsys.readouterr().out.splitlines()
+    # each function counted adds its four relative ADs, which sum to 4
+    sums = read_csv(out / "relative_ad_sums.csv")
+    assert sum(float(row["sum_relative_ad"]) for row in sums) == pytest.approx(4.0)
 
 
 def test_sensitivity_snapshot_records_infill(tmp_path):

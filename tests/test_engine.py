@@ -385,6 +385,16 @@ def test_non_finite_target_value_is_a_run_error(bad, hyperparameter_fit, at):
     assert np.array_equal([partial.records[-1].psi], [bad], equal_nan=True)
 
 
+def test_a_nudge_that_gives_up_ends_the_run(monkeypatch):
+    # every proposal reads as a near-duplicate of the design; the fit's own
+    # duplicate check goes through probo.kernels, so it still passes
+    monkeypatch.setattr(engine, "_near_duplicate", lambda d2: 0.0)
+    with pytest.raises(BoRunError, match="proposal search failed at iteration 1: could not "
+                                         "nudge a duplicate proposal") as err:
+        run(lcb_config(n_init=5, budget=9, seed=0), registry_lookup("sphere-1d"))
+    assert err.value.partial_trace.budget == 5
+
+
 def test_nudge_moves_duplicates_inside_bounds():
     bounds = BoxBounds(lower=[0.0], upper=[1.0])
     X = np.array([[0.5], [0.9]])

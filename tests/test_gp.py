@@ -104,6 +104,11 @@ def test_alpha_solves_the_kriging_system():
     assert model.S_k > 0
 
 
+def test_unknown_mean_form_is_rejected():
+    with pytest.raises(ValueError, match="unknown mean form 'cubic-fixed'"):
+        MeanSpec(form="cubic-fixed", coefficients=(0.0,))
+
+
 def test_fixed_mean_coefficient_counts():
     MeanSpec(form="linear-fixed", coefficients=(0.0, 1.0)).validate_for_dimension(1)
     with pytest.raises(ValueError):

@@ -111,6 +111,10 @@ def test_duplicate_points_rejected():
         _check_training_points(np.array([[0.0], [1e-11]]))
 
 
+def test_no_training_points_rejected():
+    with pytest.raises(ValueError, match="at least one training point"):
+        _check_training_points(np.empty((0, 2)))
+
 
 # ------------------------------------------------------------- spec rules
 
@@ -127,6 +131,8 @@ def test_spec_validation():
         KernelSpec(family="matern-3/2", lengthscales=(1.0,), power=1.0)
     with pytest.raises(ValueError):
         KernelSpec(family="exponential", lengthscales=(1.0,))
+    with pytest.raises(ValueError, match="at least one lengthscale"):
+        KernelSpec(lengthscales=())
 
 
 @pytest.mark.parametrize("field, value", [
