@@ -1,8 +1,9 @@
 """Reference formulas that only the tests need.
 
-set_bounds gives both bounds of the near-ignorance posterior mean set, of
-which the library scores only the width; log_marginal_likelihood scores a
-fitted model with the arithmetic of the hyperparameter search (gp._evidence).
+oracle_predict conditions a GP at one point by dense inversion; set_bounds
+gives both bounds of the near-ignorance posterior mean set, of which the
+library scores only the width; log_marginal_likelihood scores a fitted
+model with the arithmetic of the hyperparameter search (gp._evidence).
 """
 
 import math
@@ -10,6 +11,32 @@ import math
 import numpy as np
 
 from probo.kernels import kernel_matrix
+
+
+def oracle_predict(spec, mean, X, y, x):
+    """Dense-inverse Gaussian conditioning at one point x.
+
+    Estimated-constant trend uses the GLS constant; its variance carries the
+    trend-estimation correction.  Only the kernel entries come from the
+    package; the solve paths of predict_batch are not used.
+    """
+    n = len(X)
+    x = np.asarray(x, dtype=float)
+    K = kernel_matrix(spec, X, X)
+    kx = kernel_matrix(spec, X, x[None, :])[:, 0]
+    kxx = kernel_matrix(spec, x[None, :], x[None, :])[0, 0]
+    Kinv = np.linalg.inv(K)
+    ones = np.ones(n)
+    if mean.form == "constant-estimated":
+        S = ones @ Kinv @ ones
+        beta = (ones @ Kinv @ y) / S
+        mu = beta + kx @ Kinv @ (y - beta * ones)
+        var = kxx - kx @ Kinv @ kx + (1 - kx @ Kinv @ ones) ** 2 / S
+    else:
+        mX = mean.values(np.asarray(X, dtype=float))
+        mu = mean.values(np.asarray(x, dtype=float)[None, :])[0] + kx @ Kinv @ (y - mX)
+        var = kxx - kx @ Kinv @ kx
+    return float(mu), float(max(var, 0.0))
 
 
 def set_bounds(spec, X):

@@ -23,7 +23,7 @@ from probo.functions import registry_lookup
 from probo.igp import ImpreciseGpSpec, mean_width_batch
 from probo.kernels import FAMILIES, KernelSpec, kernel_matrix, _cholesky
 
-from oracles import log_marginal_likelihood
+from oracles import log_marginal_likelihood, oracle_predict
 
 
 def spec_for(family, lengthscales=(1.0,), sv=1.0):
@@ -46,32 +46,6 @@ def random_instance(rng, family, dim, n):
             break
     y = rng.normal(size=n)
     return spec, X, y
-
-
-def oracle_predict(spec, mean, X, y, x):
-    """Dense-inverse Gaussian conditioning at one point x.
-
-    Estimated-constant trend uses the GLS constant; its variance carries the
-    trend-estimation correction.  Only the kernel entries come from the
-    package; the solve paths of predict_batch are not used.
-    """
-    n = len(X)
-    x = np.asarray(x, dtype=float)
-    K = kernel_matrix(spec, X, X)
-    kx = kernel_matrix(spec, X, x[None, :])[:, 0]
-    kxx = kernel_matrix(spec, x[None, :], x[None, :])[0, 0]
-    Kinv = np.linalg.inv(K)
-    ones = np.ones(n)
-    if mean.form == "constant-estimated":
-        S = ones @ Kinv @ ones
-        beta = (ones @ Kinv @ y) / S
-        mu = beta + kx @ Kinv @ (y - beta * ones)
-        var = kxx - kx @ Kinv @ kx + (1 - kx @ Kinv @ ones) ** 2 / S
-    else:
-        mX = mean.values(np.asarray(X, dtype=float))
-        mu = mean.values(np.asarray(x, dtype=float)[None, :])[0] + kx @ Kinv @ (y - mX)
-        var = kxx - kx @ Kinv @ kx
-    return float(mu), float(max(var, 0.0))
 
 
 # ----------------------------------------------------------------- fitting
