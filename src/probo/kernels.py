@@ -22,20 +22,20 @@ the smallest normal double, is taken as 0: exp is evaluated on arguments
 clamped just below log(2^-511), and a result below 2^-511 is zeroed.  For
 the two exponential families the factor is the correlation itself, so
 correlations below 2^-511 are exact zeros.  For Matern the factor is
-exp(-a), with a = sqrt(2 nu) d, so the correlation (1 + a) exp(-a) or
-(1 + a + a^2 / 3) exp(-a) is 0 wherever exp(-a) is below 2^-511: past the
-floor distance a = -log(2^-511), about 354.2, that is correlations up to
-(1 + a) 2^-511 and (1 + a + a^2 / 3) 2^-511, about 355 and 42,174 times the
-floor.  Every other entry matches the formulas above bit for bit, and is sv
-times a factor of at least 2^-511, so at least 2^-1022 = tiny: no entry is
-subnormal, and neither is the initial jitter JITTER_INITIAL * sv.  Subnormal lanes take a slow path through exp and through every
-product that follows, and short lengthscales put many scaled distances past
-the floor.  The floor is sqrt(tiny) because a product of two values at or
-above it stays normal: gp.fit_gp floors the inverse Cholesky factor the same
-way on its scale 1 / sqrt(sv), so at sv >= 1 no product of the two
-underflows.  The floor is on correlations, not on entries, so a GP with a
-small sv keeps its correlations.  Only batches whose smallest exp argument
-can reach the floor pay for the check.
+exp(-a), with a = sqrt(2 nu) d, so the correlation is 0 wherever exp(-a) is
+below 2^-511, past the floor distance a = -log(2^-511), about 354.2: that is
+correlations up to (1 + a) 2^-511 for 3/2 and (1 + a + a^2 / 3) 2^-511 for
+5/2, about 355 and 42,174 times the floor.  Every other entry matches the
+formulas above bit for bit, and is sv times a factor of at least 2^-511, so
+at least 2^-1022 = tiny: no entry is subnormal, and neither is the initial
+jitter JITTER_INITIAL * sv.  Subnormal lanes take a slow path through exp
+and through every product that follows, and short lengthscales put many
+scaled distances past the floor.  The floor is sqrt(tiny) because a product
+of two values at or above it stays normal: gp.fit_gp floors the inverse
+Cholesky factor the same way on its scale 1 / sqrt(sv), so at sv >= 1 no
+product of the two underflows.  The floor is on correlations, not on
+entries, so a GP with a small sv keeps its correlations.  Only batches whose
+smallest exp argument can reach the floor pay for the check.
 
 At the largest sv one rule keeps every entry finite: in a checked batch
 Matern's a is capped just above the floor distance, where its exp factor is
@@ -74,8 +74,8 @@ DUPLICATE_TOL = 1e-10
 #: The floor 2^-511 of the module docstring on exp factors, and the smallest
 #: signal variance; exp(x) >= _FLOOR exactly when x >= _LOG_FLOOR, so
 #: exp(_BELOW_LOG_FLOOR) < _FLOOR.  A batch whose smallest exp argument is
-#: at least _GUARD_LIMIT skips the floor; the margin of 1 only turns the
-#: floor on more often, which moves no bit where nothing falls below it.
+#: at least _GUARD_LIMIT skips the floor: the margin of 1 keeps each of its
+#: exp results well above _FLOOR, whatever the last bit of exp.
 _FLOOR = 2.0**-511
 _LOG_FLOOR = math.log(_FLOOR)
 _BELOW_LOG_FLOOR = float(np.nextafter(_LOG_FLOOR, -math.inf))

@@ -24,8 +24,8 @@ from probo.kernels import (
     _as_points,
     _check_training_points,
     _covariance,
-    _jittered_cholesky,
     _floored_exp,
+    _jittered_cholesky,
     _sqdist,
 )
 
