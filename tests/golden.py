@@ -14,8 +14,8 @@ only in a change that means to alter output bytes (a new column, a new
 config key, a different snapshot shape, a change in floating-point
 arithmetic) or that moves to other numpy or scipy versions, and list in
 that change's notes every file that moved and why; the rewrite prints how
-many files of each case moved.  A change that should keep the outputs must
-leave golden.json as it is.
+many files of each case moved and names each one under its case.  A change
+that should keep the outputs must leave golden.json as it is.
 """
 
 from __future__ import annotations
@@ -83,6 +83,20 @@ CASES = {
         "--override", "acquisition=lcb:tau=1",
         "--override", "hyperparameter_fit=true", "--override", "hyperparameter_budget=70",
         "--override", "n_init=6", "--override", "budget=10", *TINY, "--seed", "7"],
+    # power-exponential, which no other case runs, at a signal variance of
+    # neither 1 nor a floor-dominated extreme
+    "run-lcb-sphere-powexp-sv": [
+        "run", "--override", "target=sphere-2d",
+        "--override", "kernel.family=power-exponential", "--override", "kernel.power=1.5",
+        "--override", "kernel.signal_variance=2.7", "--override", "acquisition=lcb:tau=1",
+        "--override", "n_init=6", "--override", "budget=12", *TINY, "--seed", "9"],
+    # Matern entries kept well above the floor, times a signal variance of
+    # neither 1 nor an extreme, carried through GLCB to the trace
+    "run-glcb-gramacy-matern-sv": [
+        "run", "--override", "target=gramacy-lee", "--override", "kernel.family=matern-3/2",
+        "--override", "kernel.lengthscale=0.3", "--override", "kernel.signal_variance=2.7",
+        "--override", "acquisition=glcb-1-100",
+        "--override", "n_init=6", "--override", "budget=12", *TINY, "--seed", "10"],
     "compare": [
         "compare", "--functions", "gramacy-lee", "--functions", "sphere-2d",
         "--acq", "ei", "--acq", "lcb:tau=2", "--acq", "glcb-1-100",
@@ -158,8 +172,10 @@ def rewrite() -> None:
             if any(digests != runs[0] for digests in runs):
                 raise RuntimeError(f"{case}: output depends on --jobs")
             outputs[case] = runs[0]
-            print(f"{case}: {len(moved(previous.get(case, {}), runs[0]))} of "
-                  f"{len(runs[0])} files moved", file=sys.stderr)
+            files = moved(previous.get(case, {}), runs[0])
+            print(f"{case}: {len(files)} of {len(runs[0])} files moved", file=sys.stderr)
+            for name in files:
+                print(f"  {name}", file=sys.stderr)
     GOLDEN.write_text(json.dumps({**versions(), "outputs": outputs},
                                  indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}: {sum(map(len, outputs.values()))} files in {len(outputs)} cases",
