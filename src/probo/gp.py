@@ -30,7 +30,7 @@ from .kernels import (
     _FLOOR,
     _as_points,
     _check_training_points,
-    _covariance,
+    _correlation,
     _jittered_cholesky,
     _sqdist,
 )
@@ -262,14 +262,15 @@ def _candidate_evidence(kernel: KernelSpec, mean: MeanSpec, X: np.ndarray, y: np
 
     It takes the path of fit_gp without a KernelSpec or a BaseKernelMatrix:
     one (C, n, n) stack of squared scaled distances, one call of the
-    kernels' covariance routine on it with each candidate's sv on its rows,
-    then per candidate the kernels' factor routine and fit_gp's solves, and
-    one _evidence for the chunk."""
+    kernels' correlation routine on it and one product with the signal
+    variances, then per candidate the kernels' factor routine and fit_gp's
+    solves, and one _evidence for the chunk."""
     C, n = ls.shape[0], X.shape[0]
     K = np.empty((C, n, n))
     for k, scaled in zip(K, X / ls[:, None, :]):
         k[...] = _sqdist(scaled, scaled)
-    _covariance(K.reshape(C * n, n), kernel.family, kernel.power, np.repeat(sv, n)[:, None])
+    _correlation(K.reshape(C * n, n), kernel.family, kernel.power)
+    K *= sv[:, None, None]
     quad = np.zeros(C)
     diagonals = np.ones((C, n))
     usable = np.zeros(C, dtype=bool)

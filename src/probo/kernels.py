@@ -1,19 +1,21 @@
 """Stationary covariance kernels and the base kernel matrix.
 
-All families are functions of the scaled Euclidean distance
+Every family is a signal variance sv times a correlation of the scaled
+Euclidean distance
 
     d(x, x') = sqrt( sum_i ((x_i - x'_i) / l_i)^2 )
 
-with one lengthscale l_i per input dimension and a common signal variance:
+with one lengthscale l_i per input dimension:
 
     squared-exponential   sv * exp(-d^2 / 2)
     power-exponential     sv * exp(-d^p / 2),  p in (0, 2]
-    matern-3/2            sv * (1 + sqrt(3) d) * exp(-sqrt(3) d)
-    matern-5/2            sv * (1 + sqrt(5) d + 5 d^2 / 3) * exp(-sqrt(5) d)
+    matern-3/2            sv * ((1 + sqrt(3) d) * exp(-sqrt(3) d))
+    matern-5/2            sv * ((1 + sqrt(5) d + 5 d^2 / 3) * exp(-sqrt(5) d))
 
-power-exponential with p = 2 is exactly the squared-exponential.  Targets are
-treated as noiseless, so the Gram matrix carries no nugget term; a small
-diagonal jitter is added for numerical factorization only.
+_correlation computes the correlation; each caller multiplies it by sv.
+power-exponential with p = 2 is exactly the squared-exponential.  Targets
+are treated as noiseless, so the Gram matrix carries no nugget term; a
+small diagonal jitter is added for numerical factorization only.
 
 The signal variance lies in [2^-511, 1e300], about 1.49e-154 to 1e300.
 
@@ -26,21 +28,22 @@ exp(-a), with a = sqrt(2 nu) d, so the correlation is 0 wherever exp(-a) is
 below 2^-511, past the floor distance a = -log(2^-511), about 354.2: that is
 correlations up to (1 + a) 2^-511 for 3/2 and (1 + a + a^2 / 3) 2^-511 for
 5/2, about 355 and 42,174 times the floor.  Every other entry matches the
-formulas above bit for bit, and is sv times a factor of at least 2^-511, so
-at least 2^-1022 = tiny: no entry is subnormal, and neither is the initial
-jitter JITTER_INITIAL * sv.  Subnormal lanes take a slow path through exp
-and through every product that follows, and short lengthscales put many
-scaled distances past the floor.  The floor is sqrt(tiny) because a product
-of two values at or above it stays normal: gp.fit_gp floors the inverse
-Cholesky factor the same way on its scale 1 / sqrt(sv), so at sv >= 1 no
-product of the two underflows.  The floor is on correlations, not on
-entries, so a GP with a small sv keeps its correlations.  Only batches whose
-smallest exp argument can reach the floor pay for the check.
+formulas above bit for bit, and is sv times a correlation of at least
+2^-511, so at least 2^-1022 = tiny: no entry is subnormal, and neither is
+the initial jitter JITTER_INITIAL * sv.  Subnormal lanes take a slow path
+through exp and through every product that follows, and short lengthscales
+put many scaled distances past the floor.  The floor is sqrt(tiny) because
+a product of two values at or above it stays normal: gp.fit_gp floors the
+inverse Cholesky factor the same way on its scale 1 / sqrt(sv), so at
+sv >= 1 no product of the two underflows.  The floor is on correlations,
+not on entries, so a GP with a small sv keeps its correlations.  Only
+batches whose smallest exp argument can reach the floor pay for the check.
 
-At the largest sv one rule keeps every entry finite: in a checked batch
-Matern's a is capped just above the floor distance, where its exp factor is
-0, so sv times the polynomial stays below 42,174 * 1e300 and a distance past
-the double range gives 0.
+Every correlation is at most about 1 (Matern-5/2 can round to 1 + 2^-52
+near d = 0), so every entry is finite.  Only Matern's polynomial can
+overflow, where a^2 or d is past the double range: in a checked batch a is
+capped just above the floor distance, where the exp factor is 0, so such a
+distance gives 0, not inf * 0.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class KernelSpec(ConfigObject, section="kernel"):
             raise ConfigError(f"signal_variance {sv} is below 2^-511 = {_FLOOR!r}, "
                               f"where kernel entries can be subnormal")
         if sv > 1e300:
-            raise ConfigError(f"signal_variance {sv} is above 1e300, where kernels overflow")
+            raise ConfigError(f"signal_variance {sv} is above 1e300, too near overflow for fit_gp")
         object.__setattr__(self, "signal_variance", sv)
         if self.family == "power-exponential":
             if self.power is None:
@@ -261,21 +264,21 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     # a point scaled past overflow is at distance inf, so uncorrelated
     with np.errstate(over="ignore"):
         d2 = _sqdist(A / ls, B / ls)
-    return _covariance(d2, spec.family, spec.power, spec.signal_variance)
+    K = _correlation(d2, spec.family, spec.power)
+    if spec.signal_variance != 1.0:  # a product with 1 is exact
+        K *= spec.signal_variance
+    return K
 
 
-def _covariance(K: np.ndarray, family: str, power: float | None,
-                sv: float | np.ndarray) -> np.ndarray:
-    """The covariances of a kernel of this family, power and signal variance
-    sv at the squared scaled distances K, written over K and returned.
+def _correlation(K: np.ndarray, family: str, power: float | None) -> np.ndarray:
+    """The correlations of a kernel of this family and power at the squared
+    scaled distances K, written over K and returned.
 
-    sv is a float, or a (rows, 1) column with the signal variance of each
-    row of K, so that one call covers the stacked Gram matrices of several
-    kernels; each row then has the bits that a call with its own float
-    gives.  Every family is evaluated in place on the distance buffer, with
-    the operations of the formulas in the module docstring in their order.
+    Every family is evaluated in place on the distance buffer, with the
+    operations of the formulas in the module docstring in their order.  Each
+    row has the bits that a call on that row alone gives, so one call covers
+    the stacked Gram matrices of several kernels.
     """
-    column = isinstance(sv, np.ndarray)
     if family in ("squared-exponential", "power-exponential"):
         if family == "power-exponential":
             np.sqrt(K, out=K)
@@ -285,8 +288,6 @@ def _covariance(K: np.ndarray, family: str, power: float | None,
             _floored_exp(K)
         else:
             np.exp(K, out=K)
-        if column or sv != 1.0:  # a product with 1 is exact
-            K *= sv
     else:
         # Matern-nu: a = sqrt(2 nu) d; the exp factor (and for 5/2 the
         # quadratic term) of each block of rows goes through scratch rows
@@ -302,7 +303,7 @@ def _covariance(K: np.ndarray, family: str, power: float | None,
             if guard:
                 _floored_exp(e)
                 # the cap is above every kept a; a capped entry is a finite
-                # sv times polynomial times 0, not inf * 0
+                # polynomial times 0, not inf * 0
                 np.minimum(a, -_BELOW_LOG_FLOOR, out=a)
             else:
                 np.exp(e, out=e)
@@ -314,10 +315,6 @@ def _covariance(K: np.ndarray, family: str, power: float | None,
                 q /= 3.0
                 a += 1.0
                 a += q
-            if column:
-                a *= sv[rows]
-            elif sv != 1.0:
-                a *= sv
             a *= e
     return K
 

@@ -61,8 +61,7 @@ CASES = {
         "run", "--override", "target=rosenbrock-3d", "--override", "acquisition=ei",
         "--override", "n_init=6", "--override", "budget=12", *TINY, "--seed", "5"],
     # Matern at a signal variance near the largest accepted: kept entries
-    # beside ones past the correlation floor, and sv (1 + a)^2 at the
-    # largest a past 1e300
+    # beside ones past the correlation floor
     "run-lcb-ackley-matern-large-sv": [
         "run", "--override", "target=ackley-2d", "--override", "kernel.family=matern-5/2",
         "--override", "kernel.lengthscale=0.1", "--override", "kernel.signal_variance=1e295",

@@ -805,26 +805,24 @@ def test_search_skips_a_candidate_whose_evidence_is_not_finite(monkeypatch, bad)
 @pytest.mark.parametrize("budget", [1, gp._SEARCH_CHUNK, 2 * gp._SEARCH_CHUNK + 3])
 @pytest.mark.parametrize("family", ["squared-exponential", "matern-5/2"])
 def test_search_builds_each_chunks_covariances_in_one_call(monkeypatch, family, budget):
-    # one covariance call per chunk of draws, over the stacked Gram matrices
-    # with each candidate's signal variance on its rows
+    # one correlation call per chunk of draws, over the stacked Gram
+    # matrices; each candidate's signal variance is checked by
+    # test_search_scores_every_candidate_as_fit_gp_would
     rng = np.random.default_rng(23)
     X = rng.uniform(-2, 2, size=(6, 2))
     y = np.sin(X[:, 0])
-    real = gp._covariance
+    real = gp._correlation
     calls = []
 
-    def counted(K, family, power, sv):
-        calls.append((K.shape, sv.reshape(-1, len(X))[:, 0].tolist()))
-        return real(K, family, power, sv)
+    def counted(K, family, power):
+        calls.append(K.shape)
+        return real(K, family, power)
 
-    monkeypatch.setattr("probo.gp._covariance", counted)
-    _, seen = scored_candidates(monkeypatch, spec_for(family, (1.0, 1.0)), MeanSpec(),
-                                X, y, budget=budget, seed=10)
+    monkeypatch.setattr("probo.gp._correlation", counted)
+    fit_hyperparameters(spec_for(family, (1.0, 1.0)), MeanSpec(), X, y, budget=budget, seed=10)
     sizes = [min(gp._SEARCH_CHUNK, budget - start)
              for start in range(0, budget, gp._SEARCH_CHUNK)]
-    assert [shape for shape, _ in calls] == [(size * len(X), len(X)) for size in sizes]
-    assert ([v for _, svs in calls for v in svs]
-            == [spec.signal_variance for spec, _ in seen])
+    assert calls == [(size * len(X), len(X)) for size in sizes]
 
 
 @pytest.mark.parametrize("scale", [

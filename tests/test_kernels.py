@@ -23,7 +23,7 @@ from probo.kernels import (
     _LOG_FLOOR,
     _as_points,
     _check_training_points,
-    _covariance,
+    _correlation,
     _floored_exp,
     _jittered_cholesky,
     _sqdist,
@@ -183,11 +183,13 @@ def test_signal_variance_below_the_floor_is_rejected():
 
 
 def test_signal_variance_above_1e300_is_rejected():
-    # above it sv times a Matern polynomial can overflow at a kept distance:
-    # matern-5/2 at sv 1e307 gave inf at scaled distance 5, for about 7.5e303
+    # the fit needs the bound, not the kernels: fit_gp's floor on L^-1,
+    # 2^-511 / sqrt(sv), is normal only up to sv = 2^1022, about 4.5e307,
+    # and a fit at 1.7e308 can overflow in an add
     assert KernelSpec(signal_variance=1e300).signal_variance == 1e300
     for sv in (np.nextafter(1e300, math.inf), 1e307, np.finfo(float).max):
-        with pytest.raises(ConfigError, match="signal_variance .* above 1e300, where kernels"):
+        with pytest.raises(ConfigError, match="signal_variance .* above 1e300, too near "
+                                              "overflow for fit_gp"):
             KernelSpec(signal_variance=sv)
     with pytest.raises(ConfigError, match="signal_variance"):
         kernel_matrix(KernelSpec("matern-5/2", (1.0,), 1e307), [[0.0]], [[5.0], [0.0]])
@@ -432,9 +434,9 @@ def out_of_place_kernel(spec, A, B):
         return sv * np.exp(-0.5 * d**spec.power)
     if spec.family == "matern-3/2":
         a = math.sqrt(3.0) * d
-        return sv * (1.0 + a) * np.exp(-a)
+        return sv * ((1.0 + a) * np.exp(-a))
     a = math.sqrt(5.0) * d
-    return sv * (1.0 + a + a * a / 3.0) * np.exp(-a)
+    return sv * ((1.0 + a + a * a / 3.0) * np.exp(-a))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 7])
@@ -492,13 +494,15 @@ def test_far_points_give_exact_zeros(sv, lengthscale):
 
 @pytest.mark.parametrize("family, lengthscale, sv", [
     ("matern-5/2", 1e-200, 1e10),  # distances past overflow, clamped
+    ("matern-5/2", 3e-153, 1e10),  # a^2 past overflow, about 4.4e308
     ("matern-5/2", 2.8e-148, 1e10),  # squared distances of about 1e298
+    ("matern-3/2", 1e-200, 1e160),  # distances past overflow
     ("matern-3/2", 1e-150, 1e160),
 ])
-def test_matern_past_the_floor_is_zero_where_sv_times_the_polynomial_overflows(
+def test_matern_past_the_floor_is_zero_where_the_polynomial_is_near_or_past_overflow(
         family, lengthscale, sv):
-    # sv times the polynomial is inf here, and inf times the zero exp
-    # factor would be nan
+    # the polynomial is about 1e298 or more here, and inf where a^2 or the
+    # distance overflows; inf times the zero exp factor would be nan
     A = np.array([[0.0, 0.0], [1.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -507,11 +511,12 @@ def test_matern_past_the_floor_is_zero_where_sv_times_the_polynomial_overflows(
 
 
 def test_matern_short_of_the_floor_keeps_its_bits_where_the_polynomial_overflows():
-    # the far pairs overflow sv times the polynomial; a pair 5 lengthscales
-    # apart, and each point with itself, is the formula's
-    spec = spec_for("matern-5/2", (2.8e-148,) * 2, sv=1e10)
+    # the far pairs have finite squared distances, about 9e307, but a^2 and
+    # so the polynomial overflow; a pair 5 lengthscales apart, and each
+    # point with itself, is the formula's
+    spec = spec_for("matern-5/2", (3e-153,) * 2, sv=1e10)
     A = np.array([[0.0, 0.0], [1.0, 1.0]])
-    B = np.vstack([A + 20.0, A, A + 1e-147])
+    B = np.vstack([A + 20.0, A, A + 1.06e-152])
     got = kernel_matrix(spec, A, B)
     with np.errstate(over="ignore", invalid="ignore"):
         want = out_of_place_kernel(spec, A, B)
@@ -575,8 +580,7 @@ def test_clamped_floor_keeps_the_bits_of_the_masked_formula():
 
 
 @pytest.mark.parametrize("family", ["squared-exponential", "matern-3/2"])
-@pytest.mark.parametrize("sv", [1.0, 100.0])
-def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
+def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family):
     # squared distances whose exp arguments land on _LOG_FLOOR and on the
     # double below it, their neighbours, a distance past overflow, and a sweep
     x = np.array([_LOG_FLOOR, _BELOW_LOG_FLOOR])
@@ -588,9 +592,9 @@ def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
     else:
         args = -(np.sqrt(d2) * math.sqrt(3.0))
     assert np.any(args == _LOG_FLOOR) and np.any(args == _BELOW_LOG_FLOOR)
-    got = _covariance(d2.copy(), family, None, sv)
+    got = _correlation(d2.copy(), family, None)
     monkeypatch.setattr("probo.kernels._floored_exp", masked_floored_exp)
-    want = _covariance(d2.copy(), family, None, sv)
+    want = _correlation(d2.copy(), family, None)
     assert same_bits(got, want)
 
 
@@ -602,23 +606,27 @@ def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
     ((1e-2,) * 3, (1e2, 2.0**-511, 1e2)),  # the guard, and the smallest sv
 ])
 def test_covariance_of_a_stack_keeps_each_rows_bits(monkeypatch, family, scales, svs):
-    # the stacked Gram matrices of several kernels, one signal variance per
-    # row, against one call per kernel with its sv as a float
+    # a stacked _correlation over the Gram matrices of several kernels equals
+    # one call per block, bit for bit; times each block's signal variance, as
+    # the likelihood search applies it, it is each kernel's kernel_matrix
     rng = np.random.default_rng(31)
     X = rng.uniform(-1.0, 1.0, size=(9, 2))
     power = 1.5 if family == "power-exponential" else None
     svs = np.asarray(svs)
     lengthscales = np.asarray(scales)[:, None] * rng.uniform(0.5, 2.0, size=(len(svs), 2))
     stack = np.stack([_sqdist(X / ls, X / ls) for ls in lengthscales])
-    want = [_covariance(d2.copy(), family, power, float(sv)) for d2, sv in zip(stack, svs)]
+    want = [_correlation(d2.copy(), family, power) for d2 in stack]
     passes = []
     monkeypatch.setattr("probo.kernels._floored_exp",
                         lambda E: passes.append(E.shape) or _floored_exp(E))
     n = len(X)
-    got = _covariance(stack.reshape(-1, n), family, power, np.repeat(svs, n)[:, None])
+    got = _correlation(stack.reshape(-1, n), family, power)
     assert same_bits(got, np.concatenate(want))
     guarded = min(scales) < 1.0
     assert bool(passes) == guarded == bool((got == 0.0).any())
+    for K, ls, sv in zip(got.reshape(stack.shape) * svs[:, None, None], lengthscales, svs):
+        spec = KernelSpec(family, tuple(ls), float(sv), power)
+        assert same_bits(K, kernel_matrix(spec, X, X))
 
 
 def test_cross_covariance_at_training_point_is_signal_variance():
