@@ -580,9 +580,12 @@ def test_clamped_floor_keeps_the_bits_of_the_masked_formula():
 
 
 @pytest.mark.parametrize("family", ["squared-exponential", "matern-3/2"])
-def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family):
+@pytest.mark.parametrize("sv", [1.0, 100.0])
+def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
     # squared distances whose exp arguments land on _LOG_FLOOR and on the
-    # double below it, their neighbours, a distance past overflow, and a sweep
+    # double below it, their neighbours, a distance past overflow, and a
+    # sweep; the covariance is the correlation times sv, as kernel_matrix
+    # applies it
     x = np.array([_LOG_FLOOR, _BELOW_LOG_FLOOR])
     edge = -2.0 * x if family == "squared-exponential" else x**2 / 3.0
     near = (edge[:, None] + np.arange(-40, 41) * np.spacing(edge)[:, None]).ravel()
@@ -592,9 +595,9 @@ def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family):
     else:
         args = -(np.sqrt(d2) * math.sqrt(3.0))
     assert np.any(args == _LOG_FLOOR) and np.any(args == _BELOW_LOG_FLOOR)
-    got = _correlation(d2.copy(), family, None)
+    got = _correlation(d2.copy(), family, None) * sv
     monkeypatch.setattr("probo.kernels._floored_exp", masked_floored_exp)
-    want = _correlation(d2.copy(), family, None)
+    want = _correlation(d2.copy(), family, None) * sv
     assert same_bits(got, want)
 
 
