@@ -4,7 +4,7 @@ Every score is reported in a uniform lower-is-better convention so the
 infill optimizers always minimize; EI is negated internally to fit.  The
 generalized lower confidence bound extends LCB with an imprecision bonus,
 
-    glcb(x) = mu(x) - tau * sqrt(var(x)) - rho * width(x),
+    glcb(x) = lcb(x) - rho * width(x),  lcb(x) = mu(x) - tau * sqrt(var(x)),
 
 where width is the gap between the upper and lower near-ignorance posterior
 means (:mod:`probo.igp`).  tau weighs data uncertainty (risk), rho weighs
@@ -147,5 +147,5 @@ def ei_values(mu, var, psi_min: float) -> np.ndarray:
 
 
 def glcb_values(mu, var, width, tau: float, rho: float) -> np.ndarray:
-    return np.asarray(mu) - tau * np.sqrt(np.asarray(var)) - rho * np.asarray(width)
+    return lcb_values(mu, var, tau) - rho * np.asarray(width)
 

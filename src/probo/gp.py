@@ -23,15 +23,16 @@ from scipy.linalg.lapack import dpotrs, dtrtri
 from .errors import (ConditioningError, ConfigError, ConfigObject, ProboError, check_count,
                      check_reals)
 from .kernels import (
+    DUPLICATE_TOL,
     BaseKernelMatrix,
     KernelSpec,
     build_base_kernel_matrix,
     kernel_matrix,
     _FLOOR,
     _as_points,
-    _check_training_points,
     _correlation,
     _jittered_cholesky,
+    _near_duplicate,
     _sqdist,
 )
 
@@ -146,10 +147,10 @@ def _check_scale(X: np.ndarray, lengthscales, what: str) -> None:
 
 
 def _training_data(lengthscales, mean: MeanSpec, X, y) -> tuple[np.ndarray, np.ndarray]:
-    """Training points and targets as float arrays, checked against each
-    other, against the mean form and the smallest lengthscales of the fit,
-    and for near-duplicate points.  The one check of the data that fit_gp
-    and fit_hyperparameters take."""
+    """Training points and targets as float arrays, checked: at least one
+    point, no two within DUPLICATE_TOL, one finite target per point, and a
+    mean form and smallest lengthscales that suit the points.  The one
+    check of the data that fit_gp and fit_hyperparameters take."""
     X = _as_points(X, len(lengthscales), "training points")
     _check_scale(X, lengthscales, "training points")
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -158,7 +159,14 @@ def _training_data(lengthscales, mean: MeanSpec, X, y) -> tuple[np.ndarray, np.n
     if not np.isfinite(y).all():
         raise ValueError("training targets must be finite")
     mean.validate_for_dimension(X.shape[1])
-    _check_training_points(X)
+    if X.shape[0] < 1:
+        raise ValueError("at least one training point is required")
+    d2 = _sqdist(X, X)
+    np.fill_diagonal(d2, math.inf)  # a row is no duplicate of itself
+    closest = _near_duplicate(d2)
+    if closest is not None:
+        raise ValueError(f"training inputs contain near-duplicate rows "
+                         f"(min pairwise distance {closest:.3e} < {DUPLICATE_TOL:.0e})")
     return X, y
 
 
@@ -247,8 +255,8 @@ def _evidence(quad: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
 #: for the signal variance
 SEARCH_RANGE = (1e-2, 1e2)
 
-#: candidates drawn at once by the hyperparameter search, so that its memory
-#: does not grow with the budget
+#: candidates scored at once by the hyperparameter search, so that its
+#: (C, n, n) stack of Gram matrices does not grow with the budget
 _SEARCH_CHUNK = 64
 
 
@@ -257,8 +265,8 @@ def _candidate_evidence(kernel: KernelSpec, mean: MeanSpec, X: np.ndarray, y: np
     """For each row c of the (C, d) lengthscales ls and the (C,) signal
     variances sv, the log marginal likelihood of fit_gp(replace(kernel,
     lengthscales=ls[c], signal_variance=sv[c]), mean, X, y), bit for bit, or
-    -inf where that fit fails to factorize or its solves overflow.  X and y
-    are checked, as fit_gp checks them.
+    -inf where that fit fails to factorize, its solves overflow or its
+    likelihood is not finite.  X and y are checked, as fit_gp checks them.
 
     It takes the path of fit_gp without a KernelSpec or a BaseKernelMatrix:
     one (C, n, n) stack of squared scaled distances, one call of the
@@ -271,9 +279,8 @@ def _candidate_evidence(kernel: KernelSpec, mean: MeanSpec, X: np.ndarray, y: np
         k[...] = _sqdist(scaled, scaled)
     _correlation(K.reshape(C * n, n), kernel.family, kernel.power)
     K *= sv[:, None, None]
-    quad = np.zeros(C)
+    quad = np.full(C, math.inf)  # a skipped candidate keeps it, and scores -inf
     diagonals = np.ones((C, n))
-    usable = np.zeros(C, dtype=bool)
     ones = np.ones(n)
     with np.errstate(over="ignore", invalid="ignore"):
         fixed = None if mean.form == "constant-estimated" else y - mean.values(X)
@@ -288,8 +295,8 @@ def _candidate_evidence(kernel: KernelSpec, mean: MeanSpec, X: np.ndarray, y: np
             _, _, _, residual, alpha = terms
             quad[c] = residual @ alpha
             diagonals[c] = L.diagonal()
-            usable[c] = True
-    return np.where(usable, _evidence(quad, diagonals), -math.inf)
+    lml = _evidence(quad, diagonals)
+    return np.where(np.isfinite(lml), lml, -math.inf)
 
 
 def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
@@ -299,30 +306,26 @@ def fit_hyperparameters(kernel: KernelSpec, mean: MeanSpec, X, y, budget: int,
     template kernel and draws its lengthscales, then its signal variance, from
     SEARCH_RANGE.  Returns the best of `budget` candidates, the first on a
     tie; deterministic for a fixed seed.  Candidates that fail to factorize,
-    or whose solves or likelihood are not finite, are skipped; if all are, a
+    or whose solves or likelihood are not finite, score -inf; if all do, a
     ProboError says so.
 
-    The data are checked once.  The draws come in chunks of _SEARCH_CHUNK
-    candidates, one generator call each, with the bits of one call per
-    lengthscale vector and one per signal variance.  Each chunk is scored by
+    The data are checked once, and all candidates are drawn in one generator
+    call, with the bits of one call per lengthscale vector and one per
+    signal variance.  Each chunk of _SEARCH_CHUNK candidates is scored by
     one _candidate_evidence; the winner alone becomes a KernelSpec.
     """
     check_count("budget", budget)
-    X, y = _training_data((SEARCH_RANGE[0],) * kernel.dimension, mean, X, y)
-    rng = np.random.default_rng(seed)
-
-    best, best_lml = None, -np.inf
-    lo, hi = np.log(SEARCH_RANGE[0]), np.log(SEARCH_RANGE[1])
     d = kernel.dimension
-    for start in range(0, budget, _SEARCH_CHUNK):
-        draws = np.exp(rng.uniform(lo, hi, size=(min(_SEARCH_CHUNK, budget - start), d + 1)))
-        lml = _candidate_evidence(kernel, mean, X, y, draws[:, :d], draws[:, d])
-        lml[~np.isfinite(lml)] = -np.inf
-        i = int(np.argmax(lml))  # the first of the chunk's largest
-        if lml[i] > best_lml:
-            best, best_lml = draws[i], lml[i]
-    if best is None:
+    X, y = _training_data((SEARCH_RANGE[0],) * d, mean, X, y)
+    lo, hi = np.log(SEARCH_RANGE[0]), np.log(SEARCH_RANGE[1])
+    draws = np.exp(np.random.default_rng(seed).uniform(lo, hi, size=(budget, d + 1)))
+    lml = np.concatenate([_candidate_evidence(kernel, mean, X, y, chunk[:, :d], chunk[:, d])
+                          for chunk in (draws[start:start + _SEARCH_CHUNK]
+                                        for start in range(0, budget, _SEARCH_CHUNK))])
+    best = int(np.argmax(lml))  # the first of the largest
+    if lml[best] == -math.inf:
         raise ProboError(f"no usable candidate among {budget} hyperparameter draws: each "
                          "failed to factorize, overflowed its solves or had a non-finite "
                          "likelihood")
-    return replace(kernel, lengthscales=tuple(best[:d].tolist()), signal_variance=float(best[d]))
+    return replace(kernel, lengthscales=tuple(draws[best, :d].tolist()),
+                   signal_variance=float(draws[best, d]))

@@ -319,20 +319,6 @@ def _correlation(K: np.ndarray, family: str, power: float | None) -> np.ndarray:
     return K
 
 
-def _check_training_points(X: np.ndarray) -> None:
-    """At least one row, and no two rows closer than DUPLICATE_TOL."""
-    if X.shape[0] < 1:
-        raise ValueError("at least one training point is required")
-    d2 = _sqdist(X, X)
-    np.fill_diagonal(d2, math.inf)  # a row is no duplicate of itself
-    closest = _near_duplicate(d2)
-    if closest is not None:
-        raise ValueError(
-            f"training inputs contain near-duplicate rows "
-            f"(min pairwise distance {closest:.3e} < {DUPLICATE_TOL:.0e})"
-        )
-
-
 def _cholesky(K: np.ndarray, lower: bool) -> np.ndarray:
     """Cholesky factor of K, as scipy.linalg.cholesky computes it (LAPACK
     potrf with the other triangle zeroed), without its input checks: K is

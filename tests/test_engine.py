@@ -19,8 +19,8 @@ from probo.engine import (
 )
 from probo.errors import ConfigError, ConfigObject, ProboError
 from probo.functions import registry_lookup, registry_names
-from probo.gp import MeanSpec
-from probo.kernels import DUPLICATE_TOL, KernelSpec, _check_training_points
+from probo.gp import MeanSpec, _training_data
+from probo.kernels import DUPLICATE_TOL, KernelSpec
 from probo.optimizer import BoxBounds, FocusSearchConfig
 
 FAST_INFILL = FocusSearchConfig(evals_per_round=200, rounds=3, restarts=2)
@@ -430,11 +430,12 @@ def test_duplicate_decisions_follow_the_euclidean_rule(dim):
                 point = X[k] + scale * DUPLICATE_TOL * u / np.linalg.norm(u)
                 duplicate = closest_gap(point[None], X) < DUPLICATE_TOL
                 decisions.append(duplicate)
+                data = ((1.0,) * dim, MeanSpec(), np.vstack([X, point]), np.zeros(len(X) + 1))
                 if duplicate:
                     with pytest.raises(ValueError, match="near-duplicate"):
-                        _check_training_points(np.vstack([X, point]))
+                        _training_data(*data)
                 else:
-                    _check_training_points(np.vstack([X, point]))
+                    _training_data(*data)
                 moved = _nudge_duplicate(point, X, bounds, np.random.default_rng(0))
                 assert np.array_equal(moved, point) != duplicate
     assert any(decisions) and not all(decisions)

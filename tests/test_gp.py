@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -169,10 +170,19 @@ def test_a_prediction_point_scaled_past_overflow_is_uncorrelated(family):
 def test_near_duplicate_training_points_rejected(gap):
     spec = spec_for("squared-exponential")
     X, y = [[0.0], [1.0], [1.0 + gap]], [0.0, 1.0, 1.0]
-    with pytest.raises(ValueError, match="duplicate"):
+    message = re.escape(f"near-duplicate rows (min pairwise distance {gap:.3e} < 1e-10)")
+    with pytest.raises(ValueError, match=message):
         fit_gp(spec, MeanSpec(), X, y)
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=message):
         fit_hyperparameters(spec, MeanSpec(), X, y, budget=3)
+
+
+def test_no_training_points_rejected():
+    spec = spec_for("squared-exponential", (1.0, 1.0))
+    with pytest.raises(ValueError, match="at least one training point is required"):
+        fit_gp(spec, MeanSpec(), np.empty((0, 2)), [])
+    with pytest.raises(ValueError, match="at least one training point is required"):
+        fit_hyperparameters(spec, MeanSpec(), np.empty((0, 2)), [], budget=3)
 
 
 # -------------------------------------------------------------- prediction
@@ -731,7 +741,7 @@ def test_search_scores_every_candidate_as_fit_gp_would(monkeypatch, family, mean
 
 @pytest.mark.parametrize("dim", [1, 3, 7])
 def test_search_draws_each_candidate_as_one_call_per_vector(monkeypatch, dim):
-    # the draws come in chunks, whose bits match one generator call per
+    # the one draw of every candidate has the bits of one generator call per
     # lengthscale vector and one per signal variance, across chunk ends
     budget = 2 * gp._SEARCH_CHUNK + 3
     rng = np.random.default_rng(22)
@@ -741,6 +751,42 @@ def test_search_draws_each_candidate_as_one_call_per_vector(monkeypatch, dim):
                                 MeanSpec(), X, y, budget=budget, seed=dim)
     assert ([(s.lengthscales, s.signal_variance) for s, _ in seen]
             == list(search_draws(dim, budget, dim)))
+
+
+def test_candidate_evidence_is_minus_inf_for_each_kind_of_failure(monkeypatch):
+    # the search's one candidate rule: a fit that fails to factorize, whose
+    # solves overflow or whose likelihood is nan or +inf scores -inf, and
+    # every other candidate keeps fit_gp's likelihood, bit for bit
+    X = np.linspace(0.0, 1.0, 8)[:, None]
+    y = np.sin(5.0 * X[:, 0])
+    ls, sv = np.array([[0.2], [0.3], [0.4], [0.5], [0.6]]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    template = spec_for("squared-exponential")
+    want = [log_marginal_likelihood(fit_gp(replace(template, lengthscales=(l,),
+                                                   signal_variance=v), MeanSpec(), X, y))
+            for (l,), v in zip(ls.tolist(), sv.tolist())]
+    assert np.array_equal(gp._candidate_evidence(template, MeanSpec(), X, y, ls, sv), want)
+    factor, solve, evidence = gp._jittered_cholesky, gp._solve_terms, gp._evidence
+    solves = []
+
+    def refuse_the_first(K, variance, lengthscales):
+        if variance == 1.0:
+            raise ConditioningError("refused", jitter=1e-6)
+        return factor(K, variance, lengthscales)
+
+    def overflow_the_second(*args):
+        solves.append(args)
+        return None if len(solves) == 1 else solve(*args)
+
+    def not_finite_third_and_fourth(quad, diagonals):
+        lml = evidence(quad, diagonals)
+        lml[2:4] = math.nan, math.inf
+        return lml
+
+    monkeypatch.setattr(gp, "_jittered_cholesky", refuse_the_first)
+    monkeypatch.setattr(gp, "_solve_terms", overflow_the_second)
+    monkeypatch.setattr(gp, "_evidence", not_finite_third_and_fourth)
+    got = gp._candidate_evidence(template, MeanSpec(), X, y, ls, sv)
+    assert np.array_equal(got, [-math.inf] * 4 + want[4:]) and math.isfinite(want[4])
 
 
 def test_search_skips_a_candidate_that_fails_to_factorize(monkeypatch):

@@ -22,7 +22,6 @@ from probo.kernels import (
     _FLOOR,
     _LOG_FLOOR,
     _as_points,
-    _check_training_points,
     _correlation,
     _floored_exp,
     _jittered_cholesky,
@@ -104,16 +103,6 @@ def test_non_finite_points_rejected(bad):
     P[1, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         _as_points(P, 2, "points")
-
-
-def test_duplicate_points_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        _check_training_points(np.array([[0.0], [1e-11]]))
-
-
-def test_no_training_points_rejected():
-    with pytest.raises(ValueError, match="at least one training point"):
-        _check_training_points(np.empty((0, 2)))
 
 
 # ------------------------------------------------------------- spec rules
