@@ -208,9 +208,9 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
     groups maps a key to (target, {label: RunConfig}, R).  Repetition r of
     every setting in a group runs on derive_seed(master_seed, target name, r),
     so compared settings face identical initial designs.  Runs go through a
-    process pool when jobs > 1; results are keyed, so they do not depend on
-    the pool.  Before the first run, every setting is checked against its
-    target and for an adaptive iteration; an error names group and label.
+    process pool of one worker per chunk of 4 runs, at most jobs; results are
+    keyed, so they do not depend on the pool.  Before the first run, every
+    setting is checked against its target; an error names group and label.
     Returns the traces keyed group + (label, r), and per group the
     MopMatrix with each setting's R x T paths, or None (with a warning) if
     any of the group's runs failed; raises ProboError if every group has
@@ -222,17 +222,15 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
         for label, config in configs.items():
             try:
                 _check_target(config, target)
-                if config.budget == config.n_init:
-                    raise ConfigError(f"budget equals n_init ({config.n_init}); a protocol "
-                                      "needs at least one adaptive iteration")
             except ConfigError as exc:
                 raise ConfigError(f"{'/'.join(group + (label,))}: {exc}") from None
     cells = [(group + (label, rep),
               replace(config, seed=derive_seed(master_seed, target.name, rep)), target)
              for group, (target, configs, reps) in groups.items()
              for label, config in configs.items() for rep in range(reps)]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, (len(cells) + 3) // 4)  # a forked pool starts them all
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_cell, cells, chunksize=4))
     else:
         done = map(_run_cell, cells)
@@ -283,7 +281,8 @@ class SensitivityConfig(ConfigObject, section="sensitivity"):
 
     def __post_init__(self):
         object.__setattr__(self, "functions", check_list("functions", self.functions))
-        check_count("reps", self.reps)
+        for name in ("reps", "iterations", "n_init"):
+            check_count(name, getattr(self, name))
         _check_seed("seed", self.seed)
 
     def plans(self) -> list[SensitivityPlan]:
@@ -378,7 +377,11 @@ class CompareConfig(ConfigObject, section="compare"):
         labels = [a.label for a in acquisitions]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"acquisition settings must be distinct, got {labels}")
-        check_count("reps", self.reps)
+        for name in ("reps", "budget", "n_init"):
+            check_count(name, getattr(self, name))
+        if self.budget <= self.n_init:
+            raise ConfigError(f"budget ({self.budget}) must exceed n_init ({self.n_init}): "
+                              "a comparison needs at least one adaptive iteration")
         _check_seed("seed", self.seed)
 
 

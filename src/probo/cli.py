@@ -225,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config override, dotted keys allowed (repeatable)")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         if protocol:
-            p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+            # the cores this process may run on, where the platform says
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            p.add_argument("--jobs", type=int, default=cores,
                            help="worker processes (default: available cores)")
         p.add_argument("--out", default="probo-out", help="output directory")
 

@@ -132,9 +132,12 @@ class ConfigObject:
 
 
 def _plain(value):
-    """A config value as JSON data: a config object as its dict, a tuple as a list."""
+    """A config value as JSON data: a config object as its dict, a tuple as a
+    list and a numpy integer, which the integer checks accept, as an int."""
     if isinstance(value, ConfigObject):
         return value.to_dict()
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
+    if isinstance(value, np.integer):
+        return int(value)
     return value

@@ -364,6 +364,21 @@ def test_protocol_reps_must_be_positive(config, settings, reps):
         config(functions=["sphere-1d"], reps=reps, **settings)
 
 
+@pytest.mark.parametrize("config, settings, name", [
+    (CompareConfig, {"acquisitions": ["ei", "lcb"]}, "budget"),
+    (CompareConfig, {"acquisitions": ["ei", "lcb"]}, "n_init"),
+    (SensitivityConfig, {}, "iterations"),
+    (SensitivityConfig, {}, "n_init"),
+], ids=["compare-budget", "compare-n_init", "sensitivity-iterations", "sensitivity-n_init"])
+@pytest.mark.parametrize("value, problem", [
+    (0, "must be positive"), (-2, "must be positive"), (True, "must be an integer"),
+    ("x", "must be an integer"), (3.0, "must be an integer")])
+def test_protocol_counts_are_checked_when_the_config_is_built(config, settings, name,
+                                                               value, problem):
+    with pytest.raises(ConfigError, match=f"^{name} {problem}"):
+        config(functions=["sphere-1d"], **settings, **{name: value})
+
+
 def test_ci_half_width_shrinks_with_more_repetitions():
     acqs = [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")]
     small = CompareConfig(functions=["gramacy-lee"], acquisitions=acqs, reps=10, budget=8,
@@ -455,13 +470,13 @@ def test_plans_on_one_function_must_share_their_run_settings(runs):
     assert runs == []
 
 
-def test_a_comparison_with_no_adaptive_iteration_is_rejected_before_any_run(runs):
-    # a sensitivity plan cannot get here: its iterations are at least 1
-    with pytest.raises(ConfigError, match="^sphere-1d/lcb_tau1: budget equals n_init"):
-        run_acquisition_comparison(CompareConfig(
-            functions=["sphere-1d"], acquisitions=["lcb:tau=1", "ei"], reps=2, budget=4,
-            n_init=4, infill=FAST_INFILL))
-    assert runs == []
+def test_a_comparison_with_no_adaptive_iteration_is_rejected_before_any_run():
+    # its config cannot be built; a sensitivity plan's iterations are at least 1
+    for budget in (3, 4):
+        with pytest.raises(ConfigError, match=rf"^budget \({budget}\) must exceed n_init "
+                                              r"\(4\): a comparison needs at least one"):
+            CompareConfig(functions=["sphere-1d"], acquisitions=["lcb:tau=1", "ei"], reps=2,
+                          budget=budget, n_init=4)
 
 
 def test_two_plans_that_vary_one_axis_on_one_function_are_rejected(runs):
@@ -515,13 +530,46 @@ def test_comparison_broadcasts_its_kernel():
 
 
 def test_process_pool_matches_serial_results():
+    # 6 runs: two chunks of 4 runs, so two workers
     acqs = [AcquisitionSpec(kind="lcb", tau=1.0), AcquisitionSpec(kind="ei")]
-    config = CompareConfig(functions=["sphere-1d"], acquisitions=acqs, reps=2,
+    config = CompareConfig(functions=["sphere-1d"], acquisitions=acqs, reps=3,
                            budget=7, n_init=4, seed=13, infill=FAST_INFILL)
     serial = run_acquisition_comparison(config, jobs=1)
     pooled = run_acquisition_comparison(config, jobs=2)
     assert np.array_equal(serial.mops["sphere-1d"].values,
                           pooled.mops["sphere-1d"].values)
+
+
+class RecordingPool:
+    """A ProcessPoolExecutor stand-in that records its width and maps in this
+    process."""
+
+    widths: list = []
+
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells, chunksize=1):
+        return map(fn, cells)
+
+
+@pytest.mark.parametrize("reps, jobs, width", [
+    (1, 4, None), (2, 4, None), (3, 4, 2), (8, 4, 4), (9, 4, 4), (9, 1, None), (8, 8, 4)])
+def test_the_pool_is_no_wider_than_its_chunks_of_work(monkeypatch, reps, jobs, width):
+    # two acquisitions, so 2 * reps runs, handed out 4 at a time
+    monkeypatch.setattr(RecordingPool, "widths", [])
+    monkeypatch.setattr(probo.bench, "ProcessPoolExecutor", RecordingPool)
+    config = CompareConfig(functions=["sphere-1d"], acquisitions=["lcb", "ei"], reps=reps,
+                           budget=5, n_init=4, infill=FAST_INFILL)
+    result = run_acquisition_comparison(config, jobs=jobs)
+    assert len(result.traces) == 2 * reps
+    assert RecordingPool.widths == ([] if width is None else [width])
 
 
 # ------------------------------------------------------------ trace files

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import probo.cli
 import probo.engine
-from probo.cli import main
+from probo.cli import build_parser, main
 from probo.errors import ProboError
 
 FAST = [
@@ -561,7 +562,7 @@ def test_compare_with_no_adaptive_iteration_fails_before_any_output(tmp_path, ca
     assert code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert any(line.startswith("error: sphere-1d/ei: budget equals n_init (4)")
+    assert any(line.startswith("error: budget (4) must exceed n_init (4)")
                for line in err.splitlines())
     assert not out.exists()
 
@@ -653,7 +654,7 @@ def test_protocol_output_does_not_depend_on_jobs(tmp_path):
         "sensitivity": ["sensitivity", "--functions", "sphere-2d", "--override", "reps=2",
                         "--override", "iterations=2", "--override", "n_init=4", *tiny],
         "compare": ["compare", "--functions", "sphere-2d", "--acq", "ei",
-                    "--acq", "glcb-1-100", "--override", "reps=2", "--override", "budget=6",
+                    "--acq", "glcb-1-100", "--override", "reps=3", "--override", "budget=6",
                     "--override", "n_init=4", *tiny],
     }
     for name, args in commands.items():
@@ -718,6 +719,16 @@ def test_inspect_malformed_csv_fails(tmp_path):
 def test_usage_error_exits_one():
     assert main(["frobnicate"]) == 1
     assert main(["inspect"]) == 1  # --csv required
+
+
+def test_jobs_defaults_to_the_cores_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    for command in ("compare", "sensitivity"):
+        assert build_parser().parse_args([command]).jobs == 3
+    # a platform without affinity falls back to every core
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_parser().parse_args(["compare"]).jobs == 64
 
 
 def test_run_takes_no_jobs_option(tmp_path, capsys, evaluated):

@@ -172,6 +172,29 @@ def test_config_objects_round_trip_through_json(obj):
     assert type(obj).from_dict(json.loads(json.dumps(obj.to_dict()))) == obj
 
 
+@pytest.mark.parametrize("cls, given, names", [
+    (RunConfig, {}, ["n_init", "budget", "seed", "hyperparameter_budget"]),
+    (FocusSearchConfig, {}, ["evals_per_round", "rounds", "restarts"]),
+    (CompareConfig, {"acquisitions": ("ei", "lcb")}, ["reps", "budget", "n_init", "seed"]),
+    (SensitivityConfig, {}, ["reps", "iterations", "n_init", "seed"]),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_numpy_integer_fields_are_written_as_json_integers(cls, given, names):
+    # the integer checks accept numpy integers, so to_dict must write them
+    assert names == [f.name for f in fields(cls) if type(f.default) is int]
+    config = cls(**given, **{name: np.int64(getattr(cls, name)) for name in names})
+    data = json.loads(json.dumps(config.to_dict()))
+    assert all(type(data[name]) is int for name in names)
+    assert cls.from_dict(data) == config
+
+
+def test_a_run_with_numpy_integer_settings_writes_its_config(tmp_path):
+    config = lcb_config(n_init=np.int64(3), budget=np.int64(4), seed=np.int64(2))
+    save_trace_csv(run(config, registry_lookup("sphere-1d")), tmp_path / "trace.csv",
+                   tmp_path / "config.json")
+    written = json.loads((tmp_path / "config.json").read_text())
+    assert (written["n_init"], written["budget"], written["seed"]) == (3, 4, 2)
+
+
 CONFIGS = {RunConfig: {}, SensitivityConfig: {},
            CompareConfig: {"acquisitions": ("ei", "lcb")}}
 NESTED = [(cls, f.name) for cls in CONFIGS for f in fields(cls)
