@@ -228,7 +228,7 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
               replace(config, seed=derive_seed(master_seed, target.name, rep)), target)
              for group, (target, configs, reps) in groups.items()
              for label, config in configs.items() for rep in range(reps)]
-    workers = min(jobs, (len(cells) + 3) // 4)  # a forked pool starts them all
+    workers = min(jobs, (len(cells) + 3) // 4)  # a forked pool starts every worker up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_cell, cells, chunksize=4))

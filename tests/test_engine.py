@@ -410,7 +410,7 @@ def test_non_finite_target_value_is_a_run_error(bad, hyperparameter_fit, at):
 
 def test_a_nudge_that_gives_up_ends_the_run(monkeypatch):
     # every proposal reads as a near-duplicate of the design; the fit's own
-    # duplicate check goes through probo.kernels, so it still passes
+    # duplicate check looks the rule up in probo.gp, so it still passes
     monkeypatch.setattr(engine, "_near_duplicate", lambda d2: 0.0)
     with pytest.raises(BoRunError, match="proposal search failed at iteration 1: could not "
                                          "nudge a duplicate proposal") as err:
@@ -439,7 +439,7 @@ def closest_gap(P, Q):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7])
 def test_duplicate_decisions_follow_the_euclidean_rule(dim):
-    # the training-point check and the nudge call a point a duplicate
+    # the training-data check and the nudge call a point a duplicate
     # exactly when its brute-force distance to the design is below the
     # tolerance; X[3] = 0 puts gaps of exactly DUPLICATE_TOL on the boundary
     rng = np.random.default_rng(40 + dim)
