@@ -30,6 +30,7 @@ from .kernels import (
     kernel_matrix,
     _FLOOR,
     _as_points,
+    _by_rows,
     _correlation,
     _jittered_cholesky,
     _near_duplicate,
@@ -275,7 +276,7 @@ def _candidate_evidence(kernel: KernelSpec, mean: MeanSpec, X: np.ndarray, y: np
     solves, and one _evidence for the chunk."""
     C, n = ls.shape[0], X.shape[0]
     K = np.empty((C, n, n))
-    for k, scaled in zip(K, X / ls[:, None, :]):
+    for k, scaled in zip(K, _by_rows(np.divide, X, ls[:, None, :])):
         k[...] = _sqdist(scaled, scaled)
     _correlation(K.reshape(C * n, n), kernel.family, kernel.power)
     K *= sv[:, None, None]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigObject, ProboError, check_count, check_real
+from .kernels import _by_rows
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ def focus_search(objective, bounds: BoxBounds, config: FocusSearchConfig, seed=0
     best_point, best_score = None, np.inf
     for _ in range(config.rounds):
         pts = rng.random((R, m, d))
-        pts *= hi - lo
-        pts += lo
+        _by_rows(np.multiply, pts, hi - lo, out=pts)
+        _by_rows(np.add, pts, lo, out=pts)
         scores = np.asarray(objective(pts.reshape(R * m, d)), dtype=float).reshape(R, m)
         scores = np.where(np.isfinite(scores), scores, np.inf)
         idx = scores.argmin(axis=1)

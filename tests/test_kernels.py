@@ -22,6 +22,7 @@ from probo.kernels import (
     _FLOOR,
     _LOG_FLOOR,
     _as_points,
+    _by_rows,
     _correlation,
     _floored_exp,
     _jittered_cholesky,
@@ -380,6 +381,65 @@ def test_distance_past_the_double_range_is_inf_without_warning(dim, edge, length
         for family in FAMILIES:
             K = kernel_matrix(spec_for(family, ls), A, B)
             assert K[0, 0] == 0.0 and not np.signbit(K[0, 0])
+
+
+def broadcast_scaled_kernel(spec, A, B):
+    """kernel_matrix with numpy's broadcast scaling A / l and B / l: the
+    reference for the bits of the scaling by _by_rows."""
+    ls = np.asarray(spec.lengthscales)
+    with np.errstate(over="ignore"):
+        d2 = _sqdist(A / ls, B / ls)
+    return _correlation(d2, spec.family, spec.power) * spec.signal_variance
+
+
+def scaling_batches(rng, dim):
+    """A C-contiguous batch, a strided view of a larger one, and a batch that
+    short lengthscales scale past overflow; 1,001 points, so that _by_rows
+    copies blocks of rows and the last block is cut short."""
+    plain = rng.uniform(-3, 3, size=(1001, dim))
+    strided = rng.uniform(-3, 3, size=(2002, 2 * dim))[::2, ::2]
+    huge = rng.uniform(-3, 3, size=(1001, dim)) * 1e300
+    huge[::5] = rng.uniform(-3, 3, size=(201, dim))  # some rows stay finite
+    assert plain.flags.c_contiguous and not strided.flags.c_contiguous
+    return [(plain, (0.3, 3.0)), (strided, (0.3, 3.0)), (huge, (1e-9, 1e-8))]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_kernel_matrix_keeps_the_bits_of_the_broadcast_scaling(family, dim):
+    # each batch is scored against 40 training points, fewer than _by_rows
+    # copies, and the first two against themselves; the huge batch's scaled
+    # coordinates overflow to inf without a warning (the suite's filter fails
+    # any RuntimeWarning), but such a point is at inf - inf = NaN from itself
+    rng = np.random.default_rng(70 + dim)
+    train = rng.uniform(-3, 3, size=(40, dim))
+    for i, (batch, (low, high)) in enumerate(scaling_batches(rng, dim)):
+        spec = spec_for(family, tuple(rng.uniform(low, high, dim)), sv=rng.uniform(0.5, 4.0))
+        pairs = [(train, batch), (batch, train)] + [(batch[:300], batch[:300])] * (i < 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for P, Q in pairs:
+                got, want = kernel_matrix(spec, P, Q), broadcast_scaled_kernel(spec, P, Q)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ufunc", [np.divide, np.multiply, np.add])
+@pytest.mark.parametrize("lead, m", [((), 63), ((), 64), ((), 1001), ((5,), 1000),
+                                     ((3,), 1), ((64,), 20)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+def test_by_rows_keeps_the_bits_of_the_broadcast(ufunc, lead, m, dim):
+    # the points' own leading axes are lead, or none when the rows carry
+    # them (the likelihood search's one X for every candidate)
+    rng = np.random.default_rng(dim * 1000 + m)
+    rows = rng.uniform(0.1, 10.0, size=lead + (1, dim))
+    for X in (rng.uniform(-3, 3, size=lead + (m, dim)), rng.uniform(-3, 3, size=(m, dim))):
+        want = ufunc(X, rows)
+        got = _by_rows(ufunc, X, rows)
+        assert got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+        if X.shape == want.shape:
+            before = X.copy()
+            assert _by_rows(ufunc, X, rows, out=X) is X
+            assert X.tobytes() == ufunc(before, rows).tobytes()
 
 
 LAZY_IMPORT_SCRIPT = """

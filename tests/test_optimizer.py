@@ -288,6 +288,32 @@ def test_focus_search_keeps_the_bits_of_the_uniform_draw(d, shrink_factor):
     assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_focus_search_scales_each_round_into_its_restarts_boxes(d):
+    # the default 5 x 1,000 points a round; round 1 has the bits of numpy's
+    # broadcast scaling of the same draw, and each later round's points lie
+    # in their restart's box, recentred on that restart's best point
+    rng = np.random.default_rng(200 + d)
+    lower = rng.uniform(-50.0, 50.0, size=d)
+    bounds = BoxBounds(lower=lower, upper=lower + 10.0 ** rng.uniform(-3, 3, size=d))
+    target = rng.uniform(bounds.lower, bounds.upper)
+    seen = []
+    cfg = FocusSearchConfig()
+    focus_search(lambda P: seen.append(P.copy()) or np.sum((P - target) ** 2, axis=1),
+                 bounds, cfg, seed=d)
+    R, m = cfg.restarts, cfg.evals_per_round
+    first = bounds.lower + np.random.default_rng(d).random((R, m, d)) * bounds.span
+    assert seen[0].tobytes() == first.reshape(R * m, d).tobytes()
+    lo = np.broadcast_to(bounds.lower, (R, d))
+    hi = np.broadcast_to(bounds.upper, (R, d))
+    for batch in seen:
+        pts = batch.reshape(R, m, d)
+        assert np.all((pts >= lo[:, None]) & (pts <= hi[:, None]))
+        best = pts[np.arange(R), np.sum((pts - target) ** 2, axis=2).argmin(axis=1)]
+        half = 0.5 * cfg.shrink_factor * (hi - lo)
+        lo, hi = bounds.clip(best - half), bounds.clip(best + half)
+
+
 def test_focus_search_scores_one_batch_per_round():
     shapes = []
 
