@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, ConfigObject, check_real
+from .igp import MAX_C
 
 KINDS = ("ei", "lcb", "glcb")
 #: the parameters each kind takes
@@ -41,7 +42,8 @@ class AcquisitionSpec(ConfigObject, section="acquisition"):
 
     Each kind takes only its own parameters: none for ei, tau for lcb, and
     tau, rho and c for glcb; one it takes defaults to 1.0 and is stored as
-    a float, and one it does not take stays None.  glcb with rho = 0
+    a float, and one it does not take stays None.  tau and rho are
+    nonnegative and c lies in (0, MAX_C].  glcb with rho = 0
     scores identically to lcb at the same tau.
     """
 
@@ -67,6 +69,9 @@ class AcquisitionSpec(ConfigObject, section="acquisition"):
                 raise ConfigError("rho must be nonnegative")
             if self.c <= 0:
                 raise ConfigError("degree of imprecision c must be positive")
+            if self.c > MAX_C:
+                raise ConfigError(f"degree of imprecision c {self.c} is above 1e300, where "
+                                  "GLCB's width factor c (1 + max(1, r)) can overflow")
 
     @property
     def label(self) -> str:

@@ -33,10 +33,14 @@ from .errors import ConfigError, check_real
 from .gp import GpModel
 from .kernels import kernel_matrix, _as_points
 
+#: The largest degree of imprecision: the width factor c (1 + max(1, r)) is
+#: inf at c = 1e308, so c keeps the margin of the largest signal variance.
+MAX_C = 1e300
+
 
 @dataclass(frozen=True)
 class ImpreciseGpSpec:
-    """Degree of imprecision c attached to a fitted GP.
+    """Degree of imprecision c, in (0, MAX_C], attached to a fitted GP.
 
     The x-independent part of the width, c (1 + max(1, r)), is evaluated
     once here and cached as factor, with its case: 1 (near-ignorance,
@@ -52,6 +56,9 @@ class ImpreciseGpSpec:
         c = check_real("c", self.c)
         if c <= 0.0:
             raise ConfigError(f"degree of imprecision must be positive, got {c}")
+        if c > MAX_C:
+            raise ConfigError(f"degree of imprecision c {c} is above 1e300, where the "
+                              "width factor c (1 + max(1, r)) can overflow")
         object.__setattr__(self, "c", c)
         m = self.model
         r = abs(float(m.s_k @ m.y)) / (m.S_k + c)

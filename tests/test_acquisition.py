@@ -308,6 +308,9 @@ def test_spec_validation_and_labels():
         AcquisitionSpec(kind="ucb")
     with pytest.raises(ConfigError):
         AcquisitionSpec(kind="glcb", c=0.0)
+    with pytest.raises(ConfigError, match="degree of imprecision c 1e\\+308 is above 1e300"):
+        AcquisitionSpec(kind="glcb", c=1e308)
+    assert AcquisitionSpec(kind="glcb", c=1e300).c == 1e300
     with pytest.raises(ConfigError):
         AcquisitionSpec(kind="lcb", tau=-1.0)
     with pytest.raises(ConfigError, match="rho must be nonnegative"):

@@ -202,6 +202,7 @@ def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, evaluated, comman
     ('mean={"form": "constant-fixed", "coefficients": [true]}', "coefficients"),
     ('mean={"form": "constant-fixed", "coefficients": [NaN]}', "coefficients"),
     ("acquisition=glcb:tau=1,rho=1,c=inf", "c"),
+    ("acquisition=glcb:tau=1,rho=1,c=1e308", "degree of imprecision c 1e+308 is above 1e300"),
     ("acquisition=glcb:tau=1,rho=inf,c=1", "rho"),
     ("acquisition=lcb:tau=inf", "tau"),
     ('hyperparameter_fit="no"', "hyperparameter_fit"),
@@ -223,6 +224,14 @@ def test_bad_run_input_is_a_config_error(tmp_path, capsys, evaluated, override, 
     assert any(line.startswith("error:") and named in line for line in err.splitlines())
     assert evaluated == []
     assert not out.exists()
+
+
+def test_largest_degree_of_imprecision_runs(tmp_path):
+    # GLCB's width factor c (1 + max(1, r)) stays finite at c = 1e300
+    out = tmp_path / "x"
+    assert main(QUICK["run"] + ["--override", "acquisition=glcb:tau=1,rho=1,c=1e300",
+                                "--out", str(out)]) == 0
+    assert len(read_csv(out / "trace.csv")) == 6
 
 
 def test_tabulated_domain_whose_span_overflows_is_a_config_error(tmp_path, capsys):

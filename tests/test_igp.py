@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def test_imprecision_degree_must_be_positive():
     model = fitted([[0.0], [1.0]], [1.0, 2.0])
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
+            ImpreciseGpSpec(c=bad, model=model)
+
+
+def test_imprecision_degree_whose_width_factor_can_overflow_is_rejected():
+    model = fitted([[0.0], [1.0]], [1.0, 2.0])
+    assert np.isfinite(ImpreciseGpSpec(c=1e300, model=model).factor)
+    for bad in (math.nextafter(1e300, math.inf), 1e307, 1e308):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"degree of imprecision c {bad!r} is above 1e300")):
             ImpreciseGpSpec(c=bad, model=model)
 
 
