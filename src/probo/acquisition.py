@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, ConfigObject, check_real
-from .igp import MAX_C
+from .igp import check_c
 
 KINDS = ("ei", "lcb", "glcb")
 #: the parameters each kind takes
@@ -43,7 +43,7 @@ class AcquisitionSpec(ConfigObject, section="acquisition"):
     Each kind takes only its own parameters: none for ei, tau for lcb, and
     tau, rho and c for glcb; one it takes defaults to 1.0 and is stored as
     a float, and one it does not take stays None.  tau and rho are
-    nonnegative and c lies in (0, MAX_C].  glcb with rho = 0
+    nonnegative and c passes igp.check_c.  glcb with rho = 0
     scores identically to lcb at the same tau.
     """
 
@@ -62,21 +62,18 @@ class AcquisitionSpec(ConfigObject, section="acquisition"):
             elif value is not None:
                 raise ConfigError(f"{self.kind} acquisition takes no {name}; its "
                                   f"parameters: {', '.join(PARAMETERS[self.kind]) or 'none'}")
-        if self.kind in ("lcb", "glcb") and self.tau < 0:
-            raise ConfigError("tau must be nonnegative")
+        for name in ("tau", "rho"):
+            if name in PARAMETERS[self.kind] and getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if self.kind == "glcb":
-            if self.rho < 0:
-                raise ConfigError("rho must be nonnegative")
-            if self.c <= 0:
-                raise ConfigError("degree of imprecision c must be positive")
-            if self.c > MAX_C:
-                raise ConfigError(f"degree of imprecision c {self.c} is above 1e300, where "
-                                  "GLCB's width factor c (1 + max(1, r)) can overflow")
+            check_c(self.c)
 
     @property
     def label(self) -> str:
-        """CSV-safe identifier, e.g. lcb_tau1 or glcb_tau1_rho1_c100."""
-        return "_".join([self.kind] + [f"{name}{getattr(self, name):g}"
+        """CSV-safe identifier, e.g. lcb_tau1 or glcb_tau1_rho1_c100: each
+        parameter as its :g text where that reads back as the same float,
+        else as its repr, so distinct settings have distinct labels."""
+        return "_".join([self.kind] + [f"{name}{_label_number(getattr(self, name))}"
                                        for name in PARAMETERS[self.kind]])
 
     @classmethod
@@ -85,6 +82,11 @@ class AcquisitionSpec(ConfigObject, section="acquisition"):
         "ei", "lcb:tau=1", "glcb:tau=1,rho=1,c=100", or the shorthand
         "glcb-RHO-C" (tau 1)."""
         return super().from_dict(_parse(d) if isinstance(d, str) else d)
+
+
+def _label_number(value: float) -> str:
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 def _parse(text: str) -> dict:

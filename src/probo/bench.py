@@ -34,9 +34,10 @@ from .engine import (
     save_trace_csv,
     _check_seed,
     _check_target,
+    _fmt,
     _write_csv,
 )
-from .errors import ConfigError, ConfigObject, ProboError, check_count, check_list
+from .errors import ConfigError, ConfigObject, ProboError, check_count, check_distinct, check_list
 from .functions import registry_lookup
 from .gp import MeanSpec
 from .kernels import KernelSpec
@@ -148,9 +149,7 @@ class SensitivityPlan:
             raise ConfigError(f"unknown sensitivity axis {self.axis!r}; choose from {AXES}")
         if len(self.variants) < 2:
             raise ConfigError("a sensitivity plan needs at least two variants")
-        names = [v.name for v in self.variants]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"variant names must be distinct, got {names}")
+        check_distinct("variant names", [v.name for v in self.variants])
         object.__setattr__(self, "functions", check_list("functions", self.functions))
         if not self.functions:
             raise ConfigError("a sensitivity plan needs at least one function")
@@ -256,9 +255,7 @@ def _resolve(functions: Sequence) -> list[TargetFunction]:
                for f in functions]
     if not targets:
         raise ConfigError("need at least one function")
-    names = [t.name for t in targets]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"function names must be distinct, got {names}")
+    check_distinct("function names", [t.name for t in targets])
     return targets
 
 
@@ -374,9 +371,7 @@ class CompareConfig(ConfigObject, section="compare"):
         object.__setattr__(self, "acquisitions", acquisitions)
         if len(acquisitions) < 2:
             raise ConfigError("need at least two acquisition settings to compare")
-        labels = [a.label for a in acquisitions]
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"acquisition settings must be distinct, got {labels}")
+        check_distinct("acquisition settings", [a.label for a in acquisitions])
         for name in ("reps", "budget", "n_init"):
             check_count(name, getattr(self, name))
         if self.budget <= self.n_init:
@@ -420,10 +415,6 @@ def run_acquisition_comparison(config: CompareConfig, jobs: int = 1) -> Comparis
 
 
 # ------------------------------------------------------------ CSV output
-
-def _fmt(v) -> str:
-    return repr(float(v))
-
 
 def write_mop_csv(mop: MopMatrix, path) -> None:
     """One row per iteration, one column per setting."""

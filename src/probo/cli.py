@@ -279,7 +279,7 @@ def main(argv=None) -> int:
             if blocker == out and any(out.iterdir()):
                 raise ConfigError(f"--out {args.out} is not empty; name a new or empty directory")
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ProboError, OSError) as exc:

@@ -180,10 +180,7 @@ def _check_target(config: RunConfig, target: TargetFunction) -> RunConfig:
         )
     _check_scale(np.array([target.bounds.lower, target.bounds.upper]),
                  config.kernel.lengthscales, f"target {target.name!r}")
-    try:
-        config.mean.validate_for_dimension(dim)
-    except ValueError as exc:
-        raise ConfigError(f"target {target.name!r}: {exc}") from None
+    config.mean.validate_for_dimension(dim, f"target {target.name!r}: ")
     return config
 
 
@@ -219,7 +216,7 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
                                           _stream(config.seed, "hyper", t))
                       if config.hyperparameter_fit else config.kernel)
             model = fit_gp(kernel, config.mean, X, y)
-        except Exception as exc:
+        except (ProboError, ValueError) as exc:
             raise BoRunError(f"surrogate fit failed at iteration {t}: {exc}",
                              partial_trace=trace) from exc
 
@@ -242,6 +239,11 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
                              partial_trace=trace) from exc
         observe(point, acq_value=score, igp_case=igp.case if igp else 0)
     return trace
+
+
+def _fmt(value) -> str:
+    """A float as CSV text: its repr, which reads back as the same double."""
+    return repr(float(value))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -269,10 +271,9 @@ def save_trace_csv(trace: OptimizationTrace, csv_path, config_path=None) -> None
               + ["psi", "incumbent", "acq_value", "igp_case", "clamped"])
     rows = []
     for r in trace.records:
-        acq_value = "" if np.isnan(r.acq_value) else repr(float(r.acq_value))
-        rows.append([r.index, *(repr(float(v)) for v in r.point), repr(float(r.psi)),
-                     repr(float(r.incumbent)), acq_value, r.igp_case or "",
-                     r.clamped if r.igp_case else ""])
+        acq_value = "" if np.isnan(r.acq_value) else _fmt(r.acq_value)
+        rows.append([r.index, *(_fmt(v) for v in r.point), _fmt(r.psi), _fmt(r.incumbent),
+                     acq_value, r.igp_case or "", r.clamped if r.igp_case else ""])
     _write_csv(csv_path, header, rows)
     if config_path is not None:
         _write_json(config_path, {"target": trace.target_name, **trace.config.to_dict()})

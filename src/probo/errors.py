@@ -82,6 +82,12 @@ def check_reals(name: str, values) -> tuple[float, ...]:
     return tuple(check_real(name, value) for value in values)
 
 
+def check_distinct(what: str, names: list) -> None:
+    """Reject a list of names in which one repeats."""
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{what} must be distinct, got {names}")
+
+
 def check_list(name: str, values) -> tuple:
     """A list or tuple as a tuple; a bare string is rejected, not split into
     characters."""

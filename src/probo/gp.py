@@ -64,11 +64,11 @@ class MeanSpec(ConfigObject, section="mean"):
 
     def __post_init__(self):
         if self.form not in MEAN_FORMS:
-            raise ValueError(f"unknown mean form {self.form!r}; choose from {MEAN_FORMS}")
+            raise ConfigError(f"unknown mean form {self.form!r}; choose from {MEAN_FORMS}")
         coeffs = check_reals("coefficients", self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if self.form == "constant-estimated" and coeffs:
-            raise ValueError("constant-estimated mean carries no coefficients")
+            raise ConfigError("constant-estimated mean carries no coefficients")
 
     def _size(self, dim: int) -> int:
         return {"constant-estimated": 0, "constant-fixed": 1,
@@ -83,12 +83,12 @@ class MeanSpec(ConfigObject, section="mean"):
             return self
         return replace(self, coefficients=c[:1] + tuple(t for t in c[1:] for _ in range(dim)))
 
-    def validate_for_dimension(self, dim: int) -> None:
+    def validate_for_dimension(self, dim: int, where: str = "") -> None:
+        """Reject a mean whose coefficients do not suit dimension dim; where
+        prefixes the message."""
         if len(self.coefficients) != self._size(dim):
-            raise ValueError(
-                f"{self.form} mean in dimension {dim} needs {self._size(dim)} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
+            raise ConfigError(f"{where}{self.form} mean in dimension {dim} needs "
+                              f"{self._size(dim)} coefficients, got {len(self.coefficients)}")
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Trend values at the rows of X (constant-estimated evaluates to 0 here;

@@ -31,16 +31,22 @@ import numpy as np
 
 from .errors import ConfigError, check_real
 from .gp import GpModel
-from .kernels import kernel_matrix, _as_points
+from .kernels import kernel_matrix, _CEILING, _as_points
 
-#: The largest degree of imprecision: the width factor c (1 + max(1, r)) is
-#: inf at c = 1e308, so c keeps the margin of the largest signal variance.
-MAX_C = 1e300
+
+def check_c(value) -> float:
+    """The degree of imprecision c as a float, in (0, 1e300]: the width
+    factor c (1 + max(1, r)) is inf at c = 1e308."""
+    c = check_real("c", value)
+    if not 0.0 < c <= _CEILING:
+        raise ConfigError(f"degree of imprecision c must lie in (0, 1e300], where GLCB's "
+                          f"width factor c (1 + max(1, r)) is positive and finite, got {c!r}")
+    return c
 
 
 @dataclass(frozen=True)
 class ImpreciseGpSpec:
-    """Degree of imprecision c, in (0, MAX_C], attached to a fitted GP.
+    """Degree of imprecision c (check_c) attached to a fitted GP.
 
     The x-independent part of the width, c (1 + max(1, r)), is evaluated
     once here and cached as factor, with its case: 1 (near-ignorance,
@@ -53,12 +59,7 @@ class ImpreciseGpSpec:
     factor: float = field(init=False)
 
     def __post_init__(self):
-        c = check_real("c", self.c)
-        if c <= 0.0:
-            raise ConfigError(f"degree of imprecision must be positive, got {c}")
-        if c > MAX_C:
-            raise ConfigError(f"degree of imprecision c {c} is above 1e300, where the "
-                              "width factor c (1 + max(1, r)) can overflow")
+        c = check_c(self.c)
         object.__setattr__(self, "c", c)
         m = self.model
         r = abs(float(m.s_k @ m.y)) / (m.S_k + c)

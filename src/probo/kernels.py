@@ -84,6 +84,11 @@ _LOG_FLOOR = math.log(_FLOOR)
 _BELOW_LOG_FLOOR = float(np.nextafter(_LOG_FLOOR, -math.inf))
 _GUARD_LIMIT = _LOG_FLOOR + 1.0
 
+#: The largest signal variance, well inside gp.fit_gp's range (its floor on
+#: L^-1, 2^-511 / sqrt(sv), is normal only up to sv = 2^1022), and the
+#: largest degree of imprecision of igp.check_c.
+_CEILING = 1e300
+
 #: Size of a scratch block walked down a kernel matrix, well under glibc's
 #: mmap and heap-trim thresholds, so no batch returns pages to the system
 #: that the next batch faults back in.
@@ -113,35 +118,28 @@ class KernelSpec(ConfigObject, section="kernel"):
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; choose from {FAMILIES}"
-            )
+            raise ConfigError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         ls = check_reals("lengthscales", self.lengthscales)
-        if len(ls) == 0:
-            raise ValueError("at least one lengthscale is required")
-        if any(l <= 0.0 for l in ls):
-            raise ValueError(f"lengthscales must be strictly positive, got {ls}")
-        if any(not math.isfinite(1.0 / l) for l in ls):
-            raise ConfigError(f"lengthscales too small to scale a point by, got {ls}")
+        if not ls:
+            raise ConfigError("at least one lengthscale is required")
+        if not all(l > 0.0 and math.isfinite(1.0 / l) for l in ls):
+            raise ConfigError(f"lengthscales must be positive with a finite reciprocal, got {ls}")
         object.__setattr__(self, "lengthscales", ls)
         sv = check_real("signal_variance", self.signal_variance)
-        if sv <= 0.0:
-            raise ValueError(f"signal_variance must be strictly positive, got {sv}")
-        if sv < _FLOOR:
-            raise ConfigError(f"signal_variance {sv} is below 2^-511 = {_FLOOR!r}, "
-                              f"where kernel entries can be subnormal")
-        if sv > 1e300:
-            raise ConfigError(f"signal_variance {sv} is above 1e300, too near overflow for fit_gp")
+        if not _FLOOR <= sv <= _CEILING:
+            raise ConfigError(f"signal_variance must lie in [2^-511, 1e300], got {sv!r}: below "
+                              f"2^-511 = {_FLOOR!r} kernel entries can be subnormal, and above "
+                              "1e300 fit_gp is too near overflow")
         object.__setattr__(self, "signal_variance", sv)
         if self.family == "power-exponential":
             if self.power is None:
-                raise ValueError("power-exponential requires a power exponent")
+                raise ConfigError("power-exponential requires a power exponent")
             p = check_real("power", self.power)
             if not 0.0 < p <= 2.0:
-                raise ValueError(f"power exponent must lie in (0, 2], got {p}")
+                raise ConfigError(f"power exponent must lie in (0, 2], got {p}")
             object.__setattr__(self, "power", p)
         elif self.power is not None:
-            raise ValueError(f"{self.family} takes no power exponent")
+            raise ConfigError(f"{self.family} takes no power exponent")
 
     @property
     def dimension(self) -> int:

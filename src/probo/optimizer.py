@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigObject, ProboError, check_count, check_real
+from .errors import ConfigError, ConfigObject, ProboError, check_count, check_real
 from .kernels import _by_rows
 
 
@@ -74,7 +74,7 @@ class FocusSearchConfig(ConfigObject, section="infill"):
             check_count(name, getattr(self, name))
         object.__setattr__(self, "shrink_factor", check_real("shrink_factor", self.shrink_factor))
         if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError(f"shrink_factor must lie in (0, 1), got {self.shrink_factor}")
+            raise ConfigError(f"shrink_factor must lie in (0, 1), got {self.shrink_factor}")
 
 
 def latin_hypercube(n: int, bounds: BoxBounds, seed=0) -> np.ndarray:

@@ -12,6 +12,7 @@ from probo.acquisition import (
     glcb_values,
     lcb_values,
 )
+from probo.bench import CompareConfig
 from probo.errors import ConfigError
 
 
@@ -308,7 +309,8 @@ def test_spec_validation_and_labels():
         AcquisitionSpec(kind="ucb")
     with pytest.raises(ConfigError):
         AcquisitionSpec(kind="glcb", c=0.0)
-    with pytest.raises(ConfigError, match="degree of imprecision c 1e\\+308 is above 1e300"):
+    with pytest.raises(ConfigError, match=r"degree of imprecision c must lie in \(0, 1e300\]"
+                                          r".* got 1e\+308$"):
         AcquisitionSpec(kind="glcb", c=1e308)
     assert AcquisitionSpec(kind="glcb", c=1e300).c == 1e300
     with pytest.raises(ConfigError):
@@ -318,6 +320,26 @@ def test_spec_validation_and_labels():
     assert AcquisitionSpec(kind="ei").label == "ei"
     assert AcquisitionSpec(kind="lcb", tau=1.0).label == "lcb_tau1"
     assert AcquisitionSpec(kind="glcb", tau=1.0, rho=1.0, c=100.0).label == "glcb_tau1_rho1_c100"
+
+
+def test_labels_keep_their_short_form_where_it_reads_back():
+    for text, label in [("lcb:tau=1", "lcb_tau1"), ("glcb-1-100", "glcb_tau1_rho1_c100"),
+                        ("glcb-1-1e-3", "glcb_tau1_rho1_c0.001"),
+                        ("glcb-0.5-1e-5", "glcb_tau1_rho0.5_c1e-05")]:
+        assert AcquisitionSpec.from_dict(text).label == label
+
+
+@pytest.mark.parametrize("pair", [
+    ("glcb:tau=1,rho=1,c=1", "glcb:tau=1,rho=1,c=1.0000001"),
+    ("lcb:tau=0.1234567", "lcb:tau=0.1234568"),
+    ("lcb:tau=1234567", "lcb:tau=1234568"),
+])
+def test_distinct_settings_have_distinct_labels(pair):
+    # :g keeps 6 significant digits, so these pairs once shared a label and
+    # a comparison of them was refused as repeating a setting
+    labels = [AcquisitionSpec.from_dict(text).label for text in pair]
+    assert labels[0] != labels[1]
+    CompareConfig(functions=("sphere-1d",), acquisitions=pair)
 
 
 @pytest.mark.parametrize("field", ["tau", "rho", "c"])

@@ -193,16 +193,19 @@ def test_seed_out_of_range_is_a_config_error(tmp_path, capsys, evaluated, comman
     ("kernel.lengthscale=1e-310", "lengthscales"),
     ("kernel.lengthscale=1e-308", "lengthscales (1e-308,) scale its bound 5.12"),
     ("kernel.signal_variance=true", "signal_variance"),
-    ("kernel.signal_variance=1e-320", "signal_variance 1e-320 is below 2^-511"),
-    ("kernel.signal_variance=2.5e-308", "signal_variance 2.5e-308 is below 2^-511"),
-    ("kernel.signal_variance=1e-200",
-     "signal_variance 1e-200 is below 2^-511 = 1.4916681462400413e-154"),
+    ("kernel.signal_variance=1e-320", "signal_variance must lie in [2^-511, 1e300], got 1e-320"),
+    ("kernel.signal_variance=2.5e-308",
+     "signal_variance must lie in [2^-511, 1e300], got 2.5e-308"),
+    ("kernel.signal_variance=1e-200", "signal_variance must lie in [2^-511, 1e300], got 1e-200: "
+                                      "below 2^-511 = 1.4916681462400413e-154"),
     ('kernel={"family": "power-exponential", "power": true}', "power"),
     ('mean={"form": "constant-fixed", "coefficients": 5}', "coefficients"),
     ('mean={"form": "constant-fixed", "coefficients": [true]}', "coefficients"),
     ('mean={"form": "constant-fixed", "coefficients": [NaN]}', "coefficients"),
     ("acquisition=glcb:tau=1,rho=1,c=inf", "c"),
-    ("acquisition=glcb:tau=1,rho=1,c=1e308", "degree of imprecision c 1e+308 is above 1e300"),
+    ("acquisition=glcb:tau=1,rho=1,c=1e308",
+     "degree of imprecision c must lie in (0, 1e300], where GLCB's width factor c "
+     "(1 + max(1, r)) is positive and finite, got 1e+308"),
     ("acquisition=glcb:tau=1,rho=inf,c=1", "rho"),
     ("acquisition=lcb:tau=inf", "tau"),
     ('hyperparameter_fit="no"', "hyperparameter_fit"),

@@ -366,6 +366,17 @@ def test_fit_failure_carries_partial_trace(monkeypatch):
     assert all(math.isnan(r.acq_value) for r in partial.records)
 
 
+def test_a_bug_in_the_fit_is_not_a_failed_run(monkeypatch):
+    # only the failures the fits document (ProboError, ValueError) end a run
+    # as a BoRunError; an AssertionError is a bug and must surface as one
+    def broken(*args, **kwargs):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(engine, "fit_gp", broken)
+    with pytest.raises(AssertionError, match="broken invariant"):
+        run(lcb_config(n_init=5, budget=9, seed=0), registry_lookup("sphere-1d"))
+
+
 @pytest.mark.parametrize("stage", ["focus_search", "_nudge_duplicate"])
 def test_search_failure_carries_partial_trace(monkeypatch, stage):
     tf = registry_lookup("sphere-1d")

@@ -69,7 +69,8 @@ def test_imprecision_degree_whose_width_factor_can_overflow_is_rejected():
     assert np.isfinite(ImpreciseGpSpec(c=1e300, model=model).factor)
     for bad in (math.nextafter(1e300, math.inf), 1e307, 1e308):
         with pytest.raises(ConfigError,
-                           match=re.escape(f"degree of imprecision c {bad!r} is above 1e300")):
+                           match=re.escape("degree of imprecision c must lie in (0, 1e300]")
+                           + f".* got {re.escape(repr(bad))}$"):
             ImpreciseGpSpec(c=bad, model=model)
 
 
