@@ -19,6 +19,7 @@ import json
 import logging
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -34,6 +35,7 @@ from .optimizer import BoxBounds, FocusSearchConfig, focus_search, latin_hypercu
 log = logging.getLogger(__name__)
 
 NUDGE_RADIUS = 1e-6
+_MAX_NUDGES = 100
 
 #: a seed is an integer in [0, _SEED_END); derive_seed draws below it
 _SEED_END = 1 << 63
@@ -154,13 +156,21 @@ class BoRunError(ProboError):
 
 
 def _nudge_duplicate(point: np.ndarray, X: np.ndarray, bounds: BoxBounds,
-                     rng: np.random.Generator) -> np.ndarray:
+                     make_rng: Callable[[], np.random.Generator]) -> np.ndarray:
     """Push a proposal off existing design points so the Gram matrix stays
-    well conditioned; uniform within a NUDGE_RADIUS box, clipped to bounds."""
-    for _ in range(100):
+    well conditioned; uniform within a NUDGE_RADIUS box, clipped to bounds,
+    at most _MAX_NUDGES times; the point after the last nudge is checked
+    too.  make_rng builds the nudges' generator at the first nudge, so a
+    proposal that is no duplicate builds none."""
+    rng = None
+    for nudges in range(_MAX_NUDGES + 1):
         if _near_duplicate(_sqdist(X, point[None])) is None:
             return point
+        if nudges == _MAX_NUDGES:
+            break
         log.debug("proposal within %.0e of an existing point; nudging", DUPLICATE_TOL)
+        if rng is None:
+            rng = make_rng()
         point = bounds.clip(point + rng.uniform(-NUDGE_RADIUS, NUDGE_RADIUS,
                                                 size=point.shape))
     raise ProboError("could not nudge a duplicate proposal away from the design")
@@ -233,7 +243,7 @@ def run(config: RunConfig, target: TargetFunction) -> OptimizationTrace:
         try:
             point, score = focus_search(objective, bounds, config.infill,
                                         _stream(config.seed, "infill", t))
-            point = _nudge_duplicate(point, X, bounds, _stream(config.seed, "dedup", t))
+            point = _nudge_duplicate(point, X, bounds, partial(_stream, config.seed, "dedup", t))
         except ProboError as exc:
             raise BoRunError(f"proposal search failed at iteration {t}: {exc}",
                              partial_trace=trace) from exc

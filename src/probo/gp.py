@@ -278,7 +278,7 @@ def _candidate_evidence(kernel: KernelSpec, mean: MeanSpec, X: np.ndarray, y: np
     K = np.empty((C, n, n))
     for k, scaled in zip(K, _by_rows(np.divide, X, ls[:, None, :])):
         k[...] = _sqdist(scaled, scaled)
-    _correlation(K.reshape(C * n, n), kernel.family, kernel.power)
+    _correlation(K.reshape(C * n, n), kernel.family, kernel.power, K.max())
     K *= sv[:, None, None]
     quad = np.full(C, math.inf)  # a skipped candidate keeps it, and scores -inf
     diagonals = np.ones((C, n))

@@ -37,7 +37,10 @@ a product of two values at or above it stays normal: gp.fit_gp floors the
 inverse Cholesky factor the same way on its scale 1 / sqrt(sv), so at
 sv >= 1 no product of the two underflows.  The floor is on correlations,
 not on entries, so a GP with a small sv keeps its correlations.  Only
-batches whose smallest exp argument can reach the floor pay for the check.
+batches whose smallest exp argument can reach the floor pay for the check,
+and that argument comes from the batch's largest squared scaled distance,
+which each caller has at hand (see _correlation): at d = 1 kernel_matrix
+reads it off the batch's extreme points, with no pass over the batch.
 
 Every correlation is at most about 1 (Matern-5/2 can round to 1 + 2^-52
 near d = 0), so every entry is finite.  Only Matern's polynomial can
@@ -284,6 +287,24 @@ def _floored_exp(E: np.ndarray) -> None:
         np.multiply(e, k, out=e)
 
 
+def _extreme_sqdist(A: np.ndarray, B: np.ndarray) -> float:
+    """_sqdist(A, B).max() for two batches of 1-D points, shape (n, 1) and
+    (m, 1), or 0 if either is empty, from their extreme points alone.
+
+    _sqdist rounds each difference a - b once, and rounding is monotone, so
+    the largest difference is that of max A and min B and the smallest that
+    of min A and max B; the largest square is one of theirs.  The pairs of
+    two maxima and of two minima are the only ones that can give inf - inf,
+    so taking them too keeps a NaN of the full matrix.
+    """
+    if not A.size or not B.size:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract.outer((A.min(), A.max()), (B.min(), B.max()))
+        diff *= diff
+    return float(diff.max())
+
+
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Covariance matrix k(a_i, b_j) for two point sets, shape (len(A), len(B)).
 
@@ -291,17 +312,20 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     the caller.  The result matches the formulas in the module docstring bit
     for bit, apart from the entries that its policy returns as 0.
     """
-    ls = np.asarray(spec.lengthscales)[None]
-    # a point scaled past overflow is at distance inf, so uncorrelated
-    with np.errstate(over="ignore"):
-        d2 = _sqdist(_by_rows(np.divide, A, ls), _by_rows(np.divide, B, ls))
-    K = _correlation(d2, spec.family, spec.power)
+    if any(l != 1.0 for l in spec.lengthscales):  # a quotient by 1 is its dividend
+        ls = np.asarray(spec.lengthscales)[None]
+        # a point scaled past overflow is at distance inf, so uncorrelated
+        with np.errstate(over="ignore"):
+            A, B = _by_rows(np.divide, A, ls), _by_rows(np.divide, B, ls)
+    d2 = _sqdist(A, B)
+    d2_max = _extreme_sqdist(A, B) if A.shape[1] == 1 else d2.max(initial=0.0)
+    K = _correlation(d2, spec.family, spec.power, d2_max)
     if spec.signal_variance != 1.0:  # a product with 1 is exact
         K *= spec.signal_variance
     return K
 
 
-def _correlation(K: np.ndarray, family: str, power: float | None) -> np.ndarray:
+def _correlation(K: np.ndarray, family: str, power: float | None, d2_max: float) -> np.ndarray:
     """The correlations of a kernel of this family and power at the squared
     scaled distances K, written over K and returned.
 
@@ -309,22 +333,34 @@ def _correlation(K: np.ndarray, family: str, power: float | None) -> np.ndarray:
     operations of the formulas in the module docstring in their order.  Each
     row has the bits that a call on that row alone gives, so one call covers
     the stacked Gram matrices of several kernels.
+
+    d2_max is the largest entry of K, or 0 for an empty K, as the caller
+    has it: kernel_matrix from its batch's extreme points at d = 1 and from
+    K itself at d >= 2, the likelihood search from its stack.  The floor
+    guard runs where d2_max, taken through the family's own operations,
+    gives an exp argument below _GUARD_LIMIT.  Each operation is monotone,
+    so that is the smallest exp argument of K: the guard decides on the
+    value that a pass over K would give, without the pass.
     """
     if family in ("squared-exponential", "power-exponential"):
         if family == "power-exponential":
             np.sqrt(K, out=K)
             K **= power
+            top = np.sqrt([d2_max])  # the same operations on one value
+            top **= power
+            d2_max = top[0]  # now the largest d^p
         K *= -0.5
-        if K.min(initial=0.0) < _GUARD_LIMIT:
+        if -0.5 * d2_max < _GUARD_LIMIT:
             _floored_exp(K)
         else:
             np.exp(K, out=K)
     else:
         # Matern-nu: a = sqrt(2 nu) d; the exp factor (and for 5/2 the
         # quadratic term) of each block of rows goes through scratch rows
+        root = math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)
         np.sqrt(K, out=K)
-        K *= math.sqrt(3.0) if family == "matern-3/2" else math.sqrt(5.0)
-        guard = -K.max(initial=0.0) < _GUARD_LIMIT
+        K *= root
+        guard = -(math.sqrt(d2_max) * root) < _GUARD_LIMIT
         blocks, height = _row_blocks(*K.shape)
         decay, quad = np.empty((2, height, K.shape[1]))
         for rows in blocks:

@@ -429,15 +429,46 @@ def test_a_nudge_that_gives_up_ends_the_run(monkeypatch):
     assert err.value.partial_trace.budget == 5
 
 
+def test_a_nudge_checks_the_point_after_its_last_nudge(monkeypatch):
+    # the proposal and its first 99 nudges read as duplicates; the point
+    # after the 100th nudge does not, so the run takes it
+    verdicts = [0.0] * 100
+
+    def duplicate_100_times(d2):
+        return verdicts.pop() if verdicts else None
+
+    monkeypatch.setattr(engine, "_near_duplicate", duplicate_100_times)
+    tf = registry_lookup("sphere-1d")
+    trace = run(lcb_config(n_init=5, budget=6, seed=0), tf)
+    assert not verdicts and trace.budget == 6
+    assert inside(tf.bounds, trace.records[-1].point)
+
+
+def test_a_run_with_no_nudge_builds_no_nudge_stream(monkeypatch):
+    keys = []
+    real = engine._stream
+
+    def counted(seed, *key):
+        keys.append(key[0])
+        return real(seed, *key)
+
+    monkeypatch.setattr(engine, "_stream", counted)
+    trace = run(lcb_config(n_init=5, budget=9, seed=0), registry_lookup("sphere-1d"))
+    points = np.array([r.point for r in trace.records])
+    # no proposal came near an earlier point, so none was nudged
+    assert all(np.abs(points[:k] - points[k]).min() > DUPLICATE_TOL for k in range(5, 9))
+    assert keys.count("infill") == 4 and "dedup" not in keys
+
+
 def test_nudge_moves_duplicates_inside_bounds():
     bounds = BoxBounds(lower=[0.0], upper=[1.0])
     X = np.array([[0.5], [0.9]])
     rng = np.random.default_rng(0)
-    moved = _nudge_duplicate(np.array([0.5]), X, bounds, rng)
+    moved = _nudge_duplicate(np.array([0.5]), X, bounds, lambda: rng)
     assert np.abs(moved - X).min() > DUPLICATE_TOL
     assert inside(bounds, moved)
     assert abs(moved[0] - 0.5) <= engine.NUDGE_RADIUS
-    untouched = _nudge_duplicate(np.array([0.2]), X, bounds, rng)
+    untouched = _nudge_duplicate(np.array([0.2]), X, bounds, lambda: rng)
     assert untouched[0] == 0.2
 
 
@@ -470,7 +501,7 @@ def test_duplicate_decisions_follow_the_euclidean_rule(dim):
                         _training_data(*data)
                 else:
                     _training_data(*data)
-                moved = _nudge_duplicate(point, X, bounds, np.random.default_rng(0))
+                moved = _nudge_duplicate(point, X, bounds, lambda: np.random.default_rng(0))
                 assert np.array_equal(moved, point) != duplicate
     assert any(decisions) and not all(decisions)
 

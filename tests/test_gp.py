@@ -861,9 +861,9 @@ def test_search_builds_each_chunks_covariances_in_one_call(monkeypatch, family, 
     real = gp._correlation
     calls = []
 
-    def counted(K, family, power):
+    def counted(K, family, power, d2_max):
         calls.append(K.shape)
-        return real(K, family, power)
+        return real(K, family, power, d2_max)
 
     monkeypatch.setattr("probo.gp._correlation", counted)
     fit_hyperparameters(spec_for(family, (1.0, 1.0)), MeanSpec(), X, y, budget=budget, seed=10)

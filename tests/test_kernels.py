@@ -389,7 +389,7 @@ def broadcast_scaled_kernel(spec, A, B):
     ls = np.asarray(spec.lengthscales)
     with np.errstate(over="ignore"):
         d2 = _sqdist(A / ls, B / ls)
-    return _correlation(d2, spec.family, spec.power) * spec.signal_variance
+    return _correlation(d2, spec.family, spec.power, d2.max()) * spec.signal_variance
 
 
 def scaling_batches(rng, dim):
@@ -644,9 +644,9 @@ def test_covariance_keeps_the_bits_of_the_masked_floor(monkeypatch, family, sv):
     else:
         args = -(np.sqrt(d2) * math.sqrt(3.0))
     assert np.any(args == _LOG_FLOOR) and np.any(args == _BELOW_LOG_FLOOR)
-    got = _correlation(d2.copy(), family, None) * sv
+    got = _correlation(d2.copy(), family, None, d2.max()) * sv
     monkeypatch.setattr("probo.kernels._floored_exp", masked_floored_exp)
-    want = _correlation(d2.copy(), family, None) * sv
+    want = _correlation(d2.copy(), family, None, d2.max()) * sv
     assert same_bits(got, want)
 
 
@@ -667,12 +667,12 @@ def test_covariance_of_a_stack_keeps_each_rows_bits(monkeypatch, family, scales,
     svs = np.asarray(svs)
     lengthscales = np.asarray(scales)[:, None] * rng.uniform(0.5, 2.0, size=(len(svs), 2))
     stack = np.stack([_sqdist(X / ls, X / ls) for ls in lengthscales])
-    want = [_correlation(d2.copy(), family, power) for d2 in stack]
+    want = [_correlation(d2.copy(), family, power, d2.max()) for d2 in stack]
     passes = []
     monkeypatch.setattr("probo.kernels._floored_exp",
                         lambda E: passes.append(E.shape) or _floored_exp(E))
     n = len(X)
-    got = _correlation(stack.reshape(-1, n), family, power)
+    got = _correlation(stack.reshape(-1, n), family, power, stack.max())
     assert same_bits(got, np.concatenate(want))
     guarded = min(scales) < 1.0
     assert bool(passes) == guarded == bool((got == 0.0).any())
