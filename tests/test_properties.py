@@ -103,6 +103,7 @@ def kernel_specs(family, dim, lengthscale):
 
 
 def batch(draw, rows, dim, value):
+    """A (rows, dim) float array of values drawn from the strategy value."""
     return np.array(draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
                                   min_size=rows, max_size=rows)), dtype=float).reshape(rows, dim)
 
@@ -136,7 +137,7 @@ def test_kernel_matrix_matches_a_50_digit_reference(data, family, dim, n, m):
     # 2^-40 (1 + arg) bounds the error of the exp argument's roundings
     # (the scaling, each difference and square, the sum, the root and the
     # power), a few units of 2^-53 times arg, with a wide margin
-    spec = data.draw(kernel_specs(family, dim, st.sampled_from([1.0]) | st.floats(0.01, 3.0)))
+    spec = data.draw(kernel_specs(family, dim, st.just(1.0) | st.floats(0.01, 3.0)))
     A = batch(data.draw, n, dim, st.floats(-3.0, 3.0))
     B = batch(data.draw, m, dim, st.floats(-3.0, 3.0))
     with warnings.catch_warnings():

@@ -1,7 +1,7 @@
 """Time kernels.kernel_matrix on a fixed grid of batch shapes and write
 BENCH_<short head>.json, the first slice of ROADMAP item 16's layer grid.
 
-    PYTHONPATH=src python3 tools/bench_grid.py [--repo PATH] [--out DIR] [--repeats N]
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_grid.py [--repo PATH]
 
 Each cell times one squared-exponential kernel_matrix call between n
 training points and 5,000 scored points, both uniform in [-2, 2]^d, the
@@ -9,8 +9,8 @@ way a focus-search round scores its batch, on the grid
 
     n in {10, 30, 60, 100}  x  d in {1, 3, 7}  x  lengthscale in {1, 0.1}
 
-with signal variance 1.  At lengthscale 1 no point is divided and no batch
-reaches the floor guard; at 0.1 every batch is divided and takes the guard.
+with signal variance 1.  At lengthscale 1 no batch reaches the floor
+guard; at 0.1 every batch takes it.
 A cell's REPEATS calls follow one warm-up call, and each is followed by
 one sample of perfbench's speed reference (workloads.SpeedReference,
 imported read-only), because the speed of a shared machine drifts by tens
@@ -18,13 +18,13 @@ of percent within minutes.  The record gives each cell's median and
 quartiles in microseconds, raw and scaled to the reference's nominal speed
 (times NOMINAL_S over the median of the cell's reference samples), and the
 environment: Python, numpy and scipy versions, the OpenBLAS kernel of
-scipy's LAPACK (blas_core) and the SIMD target of numpy's float64 exp.
+scipy's LAPACK (blas_core), the BLAS thread settings and the SIMD target
+of numpy's float64 exp.
 
 --repo names the checkout whose src/probo is timed (default: this one);
-its short git head names the file, and "dirty" says whether its src/ has
-uncommitted changes.  --out is the directory written (default: this
-checkout's root).  Run it with BLAS threads pinned, for example
-OPENBLAS_NUM_THREADS=1, as perfbench pins them.
+its short git head names the file, which goes to this checkout's root, and
+"dirty" says whether its src/ has uncommitted changes.  BLAS threads are
+pinned from outside, as perfbench pins them for its client.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 POINTS = 5_000
+REPEATS = 101
 SIZES = (10, 30, 60, 100)
 DIMENSIONS = (1, 3, 7)
 LENGTHSCALES = (1.0, 0.1)
@@ -126,14 +127,11 @@ def measure(cells, repeats: int, repo: Path = ROOT) -> dict:
 def main(argv: list[str] | None = None) -> Path:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repo", type=Path, default=ROOT)
-    parser.add_argument("--out", type=Path, default=ROOT)
-    parser.add_argument("--repeats", type=int, default=101)
-    args = parser.parse_args(argv)
-    repo = args.repo.resolve()
+    repo = parser.parse_args(argv).repo.resolve()
     head = _git(repo, "rev-parse", "--short", "HEAD")
     record = {"head": head, "dirty": bool(_git(repo, "status", "--porcelain", "--", "src")),
-              **measure(CELLS, args.repeats, repo)}
-    path = args.out / f"BENCH_{head}.json"
+              **measure(CELLS, REPEATS, repo)}
+    path = ROOT / f"BENCH_{head}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
     return path
