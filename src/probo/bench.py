@@ -133,16 +133,14 @@ class PriorVariant:
 
 @dataclass(frozen=True)
 class SensitivityPlan:
-    """Vary one prior component across >= 2 variants on a set of functions."""
+    """Vary one prior component (the axis) across >= 2 variants on a set of
+    functions, each variant repeated repetitions times.  A plan holds only
+    what it varies; every other run setting is its SensitivityConfig's."""
 
     axis: str
     variants: tuple[PriorVariant, ...]
     functions: tuple[str, ...]
-    repetitions: int = 40
-    iterations: int = 20
-    n_init: int = 10
-    acquisition: AcquisitionSpec = AcquisitionSpec(kind="ei")
-    infill: FocusSearchConfig = FocusSearchConfig()
+    repetitions: int
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -153,13 +151,12 @@ class SensitivityPlan:
         object.__setattr__(self, "functions", check_list("functions", self.functions))
         if not self.functions:
             raise ConfigError("a sensitivity plan needs at least one function")
-        for name in ("repetitions", "iterations", "n_init"):
-            check_count(name, getattr(self, name))
+        check_count("repetitions", self.repetitions)
 
 
-def default_sensitivity_plans(functions: Sequence[str], **settings) -> list[SensitivityPlan]:
-    """The default four-axis plan set; settings (repetitions, iterations,
-    n_init, acquisition, infill) override the SensitivityPlan defaults.
+def default_sensitivity_plans(functions: Sequence[str], repetitions: int) -> list[SensitivityPlan]:
+    """The default four-axis plan set on functions, each variant repeated
+    repetitions times.
 
     Baseline prior: squared-exponential kernel, unit lengthscale and signal
     variance, estimated constant mean.  One component varies per plan; the
@@ -185,7 +182,8 @@ def default_sensitivity_plans(functions: Sequence[str], **settings) -> list[Sens
         for s in (0.5, 0.75, 1.0, 1.25, 1.5)
     )
     return [
-        SensitivityPlan(axis=axis, variants=variants, functions=functions, **settings)
+        SensitivityPlan(axis=axis, variants=variants, functions=functions,
+                        repetitions=repetitions)
         for axis, variants in zip(AXES, (mean_forms, mean_params, kernel_forms, kernel_params))
     ]
 
@@ -201,11 +199,11 @@ def _run_cell(cell: tuple) -> tuple[tuple, OptimizationTrace | None]:
         return key, None
 
 
-def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
+def _run_grid(groups: Mapping[tuple, tuple], seed: int, jobs: int):
     """Run R paired repetitions of every labelled setting of each group.
 
     groups maps a key to (target, {label: RunConfig}, R).  Repetition r of
-    every setting in a group runs on derive_seed(master_seed, target name, r),
+    every setting in a group runs on derive_seed(seed, target name, r),
     so compared settings face identical initial designs.  Runs go through a
     process pool of one worker per chunk of 4 runs, at most jobs; results are
     keyed, so they do not depend on the pool.  Before the first run, every
@@ -215,7 +213,6 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
     any of the group's runs failed; raises ProboError if every group has
     a failed run.
     """
-    _check_seed("master_seed", master_seed)
     check_count("jobs", jobs)
     for group, (target, configs, _) in groups.items():
         for label, config in configs.items():
@@ -224,7 +221,7 @@ def _run_grid(groups: Mapping[tuple, tuple], master_seed: int, jobs: int):
             except ConfigError as exc:
                 raise ConfigError(f"{'/'.join(group + (label,))}: {exc}") from None
     cells = [(group + (label, rep),
-              replace(config, seed=derive_seed(master_seed, target.name, rep)), target)
+              replace(config, seed=derive_seed(seed, target.name, rep)), target)
              for group, (target, configs, reps) in groups.items()
              for label, config in configs.items() for rep in range(reps)]
     workers = min(jobs, (len(cells) + 3) // 4)  # a forked pool starts every worker up front
@@ -263,29 +260,25 @@ def _resolve(functions: Sequence) -> list[TargetFunction]:
 
 @dataclass(frozen=True)
 class SensitivityConfig(ConfigObject, section="sensitivity"):
-    """The settings of the sensitivity protocol: the default plan set on
-    functions, each setting repeated reps times with paired seeds derived
-    from seed.  The seed defaults to that of RunConfig and every other
-    setting but functions to that of SensitivityPlan."""
+    """The settings of the sensitivity protocol, each held only here: its
+    plans run on functions, each setting repeated reps times with paired
+    seeds derived from seed, for n_init initial points and iterations
+    adaptive ones scored by acquisition through infill.  The seed, n_init
+    and infill default to those of RunConfig."""
 
     functions: tuple = ()
-    reps: int = SensitivityPlan.repetitions
-    iterations: int = SensitivityPlan.iterations
-    n_init: int = SensitivityPlan.n_init
+    reps: int = 40
+    iterations: int = 20
+    n_init: int = RunConfig.n_init
     seed: int = RunConfig.seed
-    acquisition: AcquisitionSpec = SensitivityPlan.acquisition
-    infill: FocusSearchConfig = SensitivityPlan.infill
+    acquisition: AcquisitionSpec = AcquisitionSpec(kind="ei")
+    infill: FocusSearchConfig = RunConfig.infill
 
     def __post_init__(self):
         object.__setattr__(self, "functions", check_list("functions", self.functions))
         for name in ("reps", "iterations", "n_init"):
             check_count(name, getattr(self, name))
         _check_seed("seed", self.seed)
-
-    def plans(self) -> list[SensitivityPlan]:
-        return default_sensitivity_plans(
-            self.functions, repetitions=self.reps, iterations=self.iterations,
-            n_init=self.n_init, acquisition=self.acquisition, infill=self.infill)
 
 
 @dataclass
@@ -299,37 +292,41 @@ class SensitivityResult:
 
 
 def run_sensitivity_experiment(
-    plans: Sequence[SensitivityPlan],
-    master_seed: int = 0,
+    config: SensitivityConfig,
+    plans: Sequence[SensitivityPlan] | None = None,
     jobs: int = 1,
 ) -> SensitivityResult:
     """Execute one plan per prior component and aggregate ADs.
 
-    Repetition r of every (function, variant) cell across all plans shares
-    one derived seed, so compared settings face identical initial designs.
-    A failed run voids its function for the affected axis with a warning.
-    Two plans that vary one axis on one function, or that differ on it in
-    any run setting but the prior, raise ConfigError.
+    plans defaults to the default plan set on config.functions, repeated
+    config.reps times; given plans bring their own functions and
+    repetitions.  Every variant runs config's run settings with its own
+    kernel and mean.  Repetition r of every (function, variant) cell across
+    all plans shares one seed derived from config.seed, so compared
+    settings face identical initial designs.  A failed run voids its
+    function for the affected axis with a warning.  Two plans that vary
+    one axis on one function, or that differ in repetitions on one
+    function, raise ConfigError before any run.
     """
+    if plans is None:
+        plans = default_sensitivity_plans(config.functions, config.reps)
     if not plans:
         raise ConfigError("need at least one sensitivity plan")
 
+    template = RunConfig(acquisition=config.acquisition, infill=config.infill,
+                         n_init=config.n_init, budget=config.n_init + config.iterations)
     groups = {}
-    shared: dict[str, tuple] = {}
+    repetitions: dict[str, int] = {}
     for plan in plans:
-        configs = {v.name: RunConfig(kernel=v.kernel, mean=v.mean,
-                                     acquisition=plan.acquisition, infill=plan.infill,
-                                     n_init=plan.n_init, budget=plan.n_init + plan.iterations)
+        configs = {v.name: replace(template, kernel=v.kernel, mean=v.mean)
                    for v in plan.variants}
-        settings = (plan.repetitions, plan.iterations, plan.n_init, plan.acquisition, plan.infill)
         for target in _resolve(plan.functions):
             if (plan.axis, target.name) in groups:
                 raise ConfigError(f"two plans vary {plan.axis} on {target.name}")
-            if shared.setdefault(target.name, settings) != settings:
-                raise ConfigError(f"plans on {target.name} differ in repetitions, "
-                                  "iterations, n_init, acquisition or infill")
+            if repetitions.setdefault(target.name, plan.repetitions) != plan.repetitions:
+                raise ConfigError(f"plans on {target.name} differ in repetitions")
             groups[(plan.axis, target.name)] = (target, configs, plan.repetitions)
-    traces, built = _run_grid(groups, master_seed, jobs)
+    traces, built = _run_grid(groups, config.seed, jobs)
 
     ads: dict[str, dict[str, float]] = {}
     mops: dict[tuple[str, str], MopMatrix] = {}

@@ -23,8 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
     CompareConfig,
     SensitivityConfig,
@@ -36,7 +34,7 @@ from .bench import (
     write_relative_ad_sums_csv,
     write_traces,
 )
-from .engine import BoRunError, RunConfig, TargetFunction, run, save_trace_csv, _write_json
+from .engine import BoRunError, RunConfig, TargetFunction, run, save_trace_csv, _fmt, _write_json
 from .errors import ConfigError, ProboError, check_keys, check_list
 from .functions import load_tabulated_target, registry_lookup, registry_names, _read_utf8
 
@@ -143,8 +141,7 @@ def cmd_run(args) -> int:
         raise
     save(trace)
 
-    best = trace.best_point()
-    print(f"argmin: {np.array2string(best, separator=', ')}")
+    print(f"argmin: [{', '.join(map(_fmt, trace.best_point()))}]")
     print(f"value:  {trace.best_value()!r}")
     print(f"trace:  {out / 'trace.csv'}")
     return EXIT_OK
@@ -171,7 +168,7 @@ def cmd_compare(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     config = SensitivityConfig.from_dict(_settings(args, functions=args.functions))
-    result = run_sensitivity_experiment(config.plans(), master_seed=config.seed, jobs=args.jobs)
+    result = run_sensitivity_experiment(config, jobs=args.jobs)
 
     out = Path(args.out)
     write_ad_summary_csv(result, out / "ad_summary.csv")

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -146,21 +147,21 @@ def test_function_missing_an_axis_excluded_with_warning(order):
 # ------------------------------------------------------------------- plans
 
 def test_default_plans_cover_all_axes():
-    plans = default_sensitivity_plans(["sphere-1d"], repetitions=2, iterations=2)
+    plans = default_sensitivity_plans(["sphere-1d"], repetitions=2)
     assert [p.axis for p in plans] == list(AXES)
-    for plan in plans:
-        assert len(plan.variants) >= 2
-    # settings left out take the SensitivityPlan defaults
-    plan = default_sensitivity_plans(["sphere-1d"])[0]
-    assert (plan.repetitions, plan.iterations, plan.n_init) == (40, 20, 10)
-    assert plan.acquisition == AcquisitionSpec(kind="ei")
-    assert plan.infill == FocusSearchConfig()
+    assert [len(p.variants) for p in plans] == [4, 5, 3, 5]
+    assert {(p.functions, p.repetitions) for p in plans} == {(("sphere-1d",), 2)}
+    # every other run setting is the config's, and settings left out take its defaults
+    config = SensitivityConfig()
+    assert (config.reps, config.iterations, config.n_init, config.seed) == (40, 20, 10, 0)
+    assert config.acquisition == AcquisitionSpec(kind="ei")
+    assert config.infill == FocusSearchConfig()
 
 
 def test_plan_requires_two_variants():
     v = PriorVariant(name="only")
     with pytest.raises(ConfigError, match="two variants"):
-        SensitivityPlan(axis="mean-parameters", variants=(v,), functions=("sphere-1d",))
+        SensitivityPlan(axis="mean-parameters", variants=(v,), functions=("sphere-1d",), repetitions=2)
 
 
 def test_plan_rejects_duplicate_variant_names():
@@ -169,33 +170,33 @@ def test_plan_rejects_duplicate_variant_names():
     a2 = PriorVariant(name="a", kernel=se(2.0))
     with pytest.raises(ConfigError, match="distinct"):
         SensitivityPlan(axis="kernel-parameters", variants=(a1, a2),
-                        functions=("sphere-1d",))
+                        functions=("sphere-1d",), repetitions=2)
 
 
 def test_plan_rejects_unknown_axis():
     v = PriorVariant(name="a")
     w = PriorVariant(name="b", kernel=se(2.0))
     with pytest.raises(ConfigError, match="axis"):
-        SensitivityPlan(axis="noise", variants=(v, w), functions=("sphere-1d",))
+        SensitivityPlan(axis="noise", variants=(v, w), functions=("sphere-1d",), repetitions=2)
 
 
 def test_plan_requires_a_function():
     v = PriorVariant(name="a")
     w = PriorVariant(name="b", kernel=se(2.0))
     with pytest.raises(ConfigError, match="needs at least one function"):
-        SensitivityPlan(axis="kernel-parameters", variants=(v, w), functions=())
+        SensitivityPlan(axis="kernel-parameters", variants=(v, w), functions=(), repetitions=2)
 
 
-@pytest.mark.parametrize("field", ["repetitions", "iterations", "n_init"])
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
-def test_plan_counts_must_be_integers(field, value):
+def test_plan_counts_must_be_integers(value):
+    # repetitions is a plan's one count; iterations and n_init are the config's
     v = PriorVariant(name="a")
     w = PriorVariant(name="b", kernel=se(2.0))
-    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+    with pytest.raises(ConfigError, match="repetitions must be an integer"):
         SensitivityPlan(axis="kernel-parameters", variants=(v, w),
-                        functions=("sphere-1d",), **{field: value})
-    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
-        default_sensitivity_plans(["sphere-1d"], **{field: value})
+                        functions=("sphere-1d",), repetitions=value)
+    with pytest.raises(ConfigError, match="repetitions must be an integer"):
+        default_sensitivity_plans(["sphere-1d"], repetitions=value)
 
 
 def test_variant_broadcasts_to_dimension():
@@ -219,24 +220,25 @@ def test_variant_must_be_written_for_one_dimension(runs, spec):
     # on a one-dimensional function; the plan names the axis and the function
     plan = micro_plan((PriorVariant(name="narrow"), PriorVariant(name="wide", **spec)))
     with pytest.raises(ConfigError, match="^kernel-parameters/sphere-1d/wide: target 'sphere-1d'"):
-        run_sensitivity_experiment([plan])
+        run_sensitivity_experiment(MICRO, [plan])
     assert runs == []
 
 
 # ------------------------------------------------------------- sensitivity
 
-def micro_plan(variants, reps=2, iters=3):
+MICRO = SensitivityConfig(reps=2, iterations=3, n_init=4,
+                          acquisition=AcquisitionSpec(kind="lcb", tau=1.0), infill=FAST_INFILL)
+
+
+def micro_plan(variants, reps=2):
     return SensitivityPlan(axis="kernel-parameters", variants=variants,
-                           functions=("sphere-1d",), repetitions=reps,
-                           iterations=iters, n_init=4,
-                           acquisition=AcquisitionSpec(kind="lcb", tau=1.0),
-                           infill=FAST_INFILL)
+                           functions=("sphere-1d",), repetitions=reps)
 
 
 def test_identical_variants_give_exactly_zero_ad():
     twins = (PriorVariant(name="a"), PriorVariant(name="b"))
     with pytest.warns(UserWarning, match="'sphere-1d' has all-zero ADs"):
-        result = run_sensitivity_experiment([micro_plan(twins)], master_seed=5)
+        result = run_sensitivity_experiment(replace(MICRO, seed=5), [micro_plan(twins)])
     assert result.ads["sphere-1d"]["kernel-parameters"] == 0.0
     mop = result.mops[("sphere-1d", "kernel-parameters")]
     assert np.array_equal(mop.values[:, 0], mop.values[:, 1])
@@ -247,7 +249,8 @@ def test_sensitivity_matches_hand_assembled_runs():
                 PriorVariant(name="wide", kernel=se(2.0),
                              mean=MeanSpec("linear-fixed", (0.0, 0.1))))
     plan = replace(micro_plan(variants), functions=("sphere-2d",))
-    result = run_sensitivity_experiment([plan], master_seed=9)
+    config = replace(MICRO, seed=9)
+    result = run_sensitivity_experiment(config, [plan])
 
     target = registry_lookup("sphere-2d")
     columns = []
@@ -255,8 +258,8 @@ def test_sensitivity_matches_hand_assembled_runs():
         paths = []
         for rep in range(plan.repetitions):
             cfg = RunConfig(kernel=variant.kernel.broadcast(2), mean=variant.mean.broadcast(2),
-                            acquisition=plan.acquisition, infill=plan.infill,
-                            n_init=plan.n_init, budget=plan.n_init + plan.iterations,
+                            acquisition=config.acquisition, infill=config.infill,
+                            n_init=config.n_init, budget=config.n_init + config.iterations,
                             seed=derive_seed(9, target.name, rep))
             paths.append(run(cfg, target).incumbent_path())
         columns.append(np.mean(paths, axis=0))
@@ -270,8 +273,8 @@ def test_sensitivity_matches_hand_assembled_runs():
 def test_sensitivity_deterministic_under_master_seed():
     variants = (PriorVariant(name="a", kernel=se(0.7)),
                 PriorVariant(name="b", kernel=se(1.4)))
-    r1 = run_sensitivity_experiment([micro_plan(variants)], master_seed=3)
-    r2 = run_sensitivity_experiment([micro_plan(variants)], master_seed=3)
+    r1 = run_sensitivity_experiment(replace(MICRO, seed=3), [micro_plan(variants)])
+    r2 = run_sensitivity_experiment(replace(MICRO, seed=3), [micro_plan(variants)])
     assert r1.ads == r2.ads
 
 
@@ -294,7 +297,7 @@ def test_function_whose_runs_fail_on_one_axis_is_excluded(failing_first):
              replace(plan, axis="mean-parameters", functions=with_flaky(unavailable))]
     with pytest.warns(UserWarning, match="runs failed for mean-parameters/flaky"), \
             pytest.warns(UserWarning, match="'flaky' has no AD on mean-parameters"):
-        result = run_sensitivity_experiment(plans, master_seed=4)
+        result = run_sensitivity_experiment(replace(MICRO, seed=4), plans)
     assert set(result.ads["flaky"]) == {"kernel-parameters"}
     assert result.excluded == ["flaky"]
     assert list(result.relative) == ["sphere-1d"]
@@ -305,11 +308,11 @@ def test_paired_initial_designs_across_variants():
     variants = (PriorVariant(name="a", kernel=se(0.7)),
                 PriorVariant(name="b", kernel=se(1.4)))
     plan = micro_plan(variants)
-    result = run_sensitivity_experiment([plan], master_seed=7)
+    result = run_sensitivity_experiment(replace(MICRO, seed=7), [plan])
     for rep in range(plan.repetitions):
         a = result.traces[("kernel-parameters", "sphere-1d", "a", rep)]
         b = result.traces[("kernel-parameters", "sphere-1d", "b", rep)]
-        for ra, rb in zip(a.records[:plan.n_init], b.records[:plan.n_init]):
+        for ra, rb in zip(a.records[:MICRO.n_init], b.records[:MICRO.n_init]):
             assert np.array_equal(ra.point, rb.point)
 
 
@@ -333,22 +336,24 @@ def test_comparison_defaults_follow_the_protocol():
     assert (config.mean, config.infill) == (MeanSpec(), FocusSearchConfig())
 
 
-def test_sensitivity_config_builds_the_default_plans():
-    config = SensitivityConfig(functions=["sphere-1d"], reps=2, iterations=3, n_init=4,
-                               acquisition=AcquisitionSpec(kind="lcb"), infill=FAST_INFILL)
-    assert config.plans() == default_sensitivity_plans(
-        ["sphere-1d"], repetitions=2, iterations=3, n_init=4,
-        acquisition=AcquisitionSpec(kind="lcb"), infill=FAST_INFILL)
-    # settings left out take the SensitivityPlan defaults
-    assert SensitivityConfig(functions=["sphere-1d"]).plans() == default_sensitivity_plans(
-        ["sphere-1d"])
+def test_sensitivity_config_runs_the_default_plans():
+    config = replace(MICRO, functions=("sphere-1d",), reps=1, iterations=2, n_init=3, seed=6)
+    given = run_sensitivity_experiment(
+        config, default_sensitivity_plans(config.functions, config.reps))
+    default = run_sensitivity_experiment(config)
+    assert list(default.traces) == list(given.traces)
+    assert len(given.traces) == 17
+    for key, trace in default.traces.items():
+        assert trace.config == given.traces[key].config
+        assert [(r.point.tolist(), r.psi) for r in trace.records] == [
+            (r.point.tolist(), r.psi) for r in given.traces[key].records]
 
 
 @pytest.mark.parametrize("make, named", [
     (lambda: CompareConfig(functions="sphere-1d", acquisitions=["ei", "lcb"]), "functions"),
     (lambda: CompareConfig(functions=["sphere-1d"], acquisitions="ei"), "acquisitions"),
     (lambda: SensitivityConfig(functions="sphere-1d"), "functions"),
-    (lambda: default_sensitivity_plans("sphere-1d"), "functions"),
+    (lambda: default_sensitivity_plans("sphere-1d", 2), "functions"),
 ])
 def test_a_string_for_a_list_is_rejected(make, named):
     # a bare string would otherwise be read as a list of its characters
@@ -421,8 +426,9 @@ def run_protocol(protocol, functions=("sphere-1d",), jobs=1, master_seed=0, **kw
             reps=1, budget=6, n_init=4, seed=master_seed, infill=FAST_INFILL, **kw)
         return run_acquisition_comparison(config, jobs=jobs)
     variants = (PriorVariant(name="a"), PriorVariant(name="b", kernel=se(2.0)))
-    return run_sensitivity_experiment([replace(micro_plan(variants), functions=functions)],
-                                      master_seed=master_seed, jobs=jobs)
+    return run_sensitivity_experiment(replace(MICRO, seed=master_seed),
+                                      [replace(micro_plan(variants), functions=functions)],
+                                      jobs=jobs)
 
 
 @pytest.fixture
@@ -445,33 +451,43 @@ def test_repeated_functions_are_rejected_before_any_run(runs, protocol):
                                          ("master_seed", True), ("jobs", 1.5),
                                          ("master_seed", -1), ("master_seed", 2**63)])
 def test_seed_and_jobs_must_be_integers_before_any_run(runs, protocol, name, value):
-    # a seed must also lie in [0, 2**63); compare's error names its config key
+    # a seed must also lie in [0, 2**63); the error names the config key
     problem = "must lie in" if value in (-1, 2**63) else "must be an integer"
-    key = "seed" if (protocol, name) == ("compare", "master_seed") else name
+    key = "seed" if name == "master_seed" else name
     with pytest.raises(ConfigError, match=f"(?<!_){key} {problem}"):
         run_protocol(protocol, **{name: value})
     assert runs == []
 
 
-def test_plans_on_one_function_must_share_their_run_settings(runs):
+def two_plans_on_sphere_1d():
+    """Two plans on sphere-1d, of 2 and 3 repetitions."""
     first = micro_plan((PriorVariant(name="a"), PriorVariant(name="b", kernel=se(2.0))))
-    second = replace(micro_plan((PriorVariant(name="c"),
-                                 PriorVariant(name="d", mean=MeanSpec("constant-fixed", (1.0,))))),
-                     axis="mean-parameters", repetitions=5, iterations=12, n_init=8,
-                     acquisition=AcquisitionSpec(kind="lcb", tau=3.0))
-    with pytest.raises(ConfigError, match="plans on sphere-1d differ"):
-        run_sensitivity_experiment([first, second])
+    second = SensitivityPlan(axis="mean-parameters", functions=("sphere-1d",), repetitions=3,
+                             variants=(PriorVariant(name="c"), PriorVariant(
+                                 name="d", mean=MeanSpec("constant-fixed", (1.0,)))))
+    return first, second
+
+
+def test_plans_on_one_function_must_share_their_repetitions(runs):
+    # a function's repetitions pair its runs across the axes
+    with pytest.raises(ConfigError, match="^plans on sphere-1d differ in repetitions$"):
+        run_sensitivity_experiment(MICRO, two_plans_on_sphere_1d())
     assert runs == []
-    # one differing setting is enough
-    with pytest.raises(ConfigError, match="plans on sphere-1d differ"):
-        run_sensitivity_experiment([first, replace(second, repetitions=2, iterations=3,
-                                                   n_init=4, acquisition=first.acquisition,
-                                                   infill=FocusSearchConfig())])
-    assert runs == []
+
+
+def test_plans_on_two_functions_may_differ_in_repetitions():
+    first, second = two_plans_on_sphere_1d()
+    plans = [first, replace(second, functions=("sphere-2d",))]
+    # each function has an AD on one axis only, so neither is normalized
+    with pytest.warns(UserWarning, match="has no AD on"):
+        result = run_sensitivity_experiment(MICRO, plans)
+    assert result.excluded == ["sphere-1d", "sphere-2d"]
+    assert Counter(key[:2] for key in result.traces) == {
+        ("kernel-parameters", "sphere-1d"): 2 * 2, ("mean-parameters", "sphere-2d"): 2 * 3}
 
 
 def test_a_comparison_with_no_adaptive_iteration_is_rejected_before_any_run():
-    # its config cannot be built; a sensitivity plan's iterations are at least 1
+    # its config cannot be built; a sensitivity config's iterations are at least 1
     for budget in (3, 4):
         with pytest.raises(ConfigError, match=rf"^budget \({budget}\) must exceed n_init "
                                               r"\(4\): a comparison needs at least one"):
@@ -485,7 +501,7 @@ def test_two_plans_that_vary_one_axis_on_one_function_are_rejected(runs):
     second = micro_plan((PriorVariant(name="c", kernel=se(0.5)),
                          PriorVariant(name="d", kernel=se(3.0))))
     with pytest.raises(ConfigError, match="two plans vary kernel-parameters on sphere-1d"):
-        run_sensitivity_experiment([first, second])
+        run_sensitivity_experiment(MICRO, [first, second])
     assert runs == []
 
 
@@ -493,7 +509,10 @@ def test_protocols_need_a_function_and_a_plan(runs):
     with pytest.raises(ConfigError, match="need at least one function"):
         run_protocol("compare", functions=())
     with pytest.raises(ConfigError, match="need at least one sensitivity plan"):
-        run_sensitivity_experiment([])
+        run_sensitivity_experiment(MICRO, [])
+    # the default plans need the config's functions
+    with pytest.raises(ConfigError, match="plan needs at least one function"):
+        run_sensitivity_experiment(MICRO)
     assert runs == []
 
 

@@ -6,6 +6,7 @@ import importlib
 from dataclasses import replace
 from pathlib import Path
 
+import probo.bench
 from probo.optimizer import FocusSearchConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,3 +52,16 @@ def test_tiny_hyperfit_workload_runs_traced(monkeypatch, tmp_path):
     config = workload.config(0)
     adaptive = units * (config.budget - config.n_init)
     assert metrics["gp.fit_hyperparameters.calls"] == adaptive
+
+
+def test_sensitivity_workload_counts_its_runs_from_the_default_plans(monkeypatch):
+    # the workload reads default_sensitivity_plans(functions=..., repetitions=...)
+    # and each plan's variants, functions and repetitions
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    # the workload replaces bench's registry lookup; monkeypatch puts it back
+    monkeypatch.setattr(probo.bench, "registry_lookup", probo.bench.registry_lookup)
+    workload = workloads.SensitivityProtocol(seed=0)
+    assert len(workloads.PROTOCOL_FUNCTIONS) == 5
+    assert workload.runs_per_unit == 17 * 5 * workloads.PROTOCOL_REPS
