@@ -185,7 +185,7 @@ class BaseKernelMatrix:
 
 
 def _as_points(X, dim: int, what: str) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+    X = np.atleast_1d(np.asarray(X, dtype=float))  # a scalar is one coordinate
     if X.ndim == 1:
         X = X.reshape(-1, dim) if dim == 1 else X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != dim:

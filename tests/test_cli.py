@@ -122,6 +122,18 @@ def test_run_prints_best_value_as_a_plain_float(tmp_path, capsys):
     assert float(value.split(":", 1)[1]) >= 0.0
 
 
+def test_run_prints_its_argmin_in_full(tmp_path, capsys):
+    # each coordinate reads back as the x_j of the trace row whose psi is value
+    assert main(["run", "--override", "target=ackley-2d", "--override", "budget=12",
+                 "--override", "n_init=6", *FAST, "--out", str(tmp_path / "a")]) == 0
+    printed = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+    argmin = [float(v) for v in printed["argmin"].strip().strip("[]").split(",")]
+    rows = [row for row in read_csv(tmp_path / "a" / "trace.csv")
+            if [float(row["x_1"]), float(row["x_2"])] == argmin]
+    assert len(rows) == 1
+    assert float(rows[0]["psi"]) == float(printed["value"])
+
+
 @pytest.fixture
 def evaluated(monkeypatch):
     """The points at which the CLI evaluates registry targets."""

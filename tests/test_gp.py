@@ -122,6 +122,33 @@ def test_wrong_dimension_rejected():
             predict_batch(model, P)
 
 
+def test_fit_gp_takes_a_scalar_as_one_point_of_one_dimension():
+    one = fit_gp(spec_for("squared-exponential"), MeanSpec(), 0.5, [1.0])
+    assert one.X.tolist() == [[0.5]]
+    listed = fit_gp(one.kernel, MeanSpec(), [[0.5]], [1.0])
+    assert np.array_equal(one.K.cholesky, listed.K.cholesky) and one.alpha == listed.alpha
+    with pytest.raises(DimensionMismatchError):
+        fit_gp(spec_for("squared-exponential", (1.0, 1.0)), MeanSpec(), 0.5, [1.0])
+
+
+def test_fit_hyperparameters_takes_a_scalar_as_one_point_of_one_dimension():
+    template = spec_for("matern-5/2")
+    assert (fit_hyperparameters(template, MeanSpec(), 0.5, [1.0], 3)
+            == fit_hyperparameters(template, MeanSpec(), [[0.5]], [1.0], 3))
+    with pytest.raises(DimensionMismatchError):
+        fit_hyperparameters(spec_for("matern-5/2", (1.0, 1.0)), MeanSpec(), 0.5, [1.0], 3)
+
+
+def test_predict_batch_takes_a_scalar_as_one_point_of_one_dimension():
+    model = fit_gp(spec_for("squared-exponential"), MeanSpec(), [[0.0], [1.0]], [0.0, 1.0])
+    for got, want in zip(predict_batch(model, 0.5), predict_batch(model, [[0.5]])):
+        assert got.shape == (1,) and np.array_equal(got, want)
+    wide = fit_gp(spec_for("squared-exponential", (1.0, 1.0)), MeanSpec(),
+                  [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
+    with pytest.raises(DimensionMismatchError):
+        predict_batch(wide, 0.5)
+
+
 def test_a_dimension_mismatch_and_a_non_finite_point_are_both_value_errors():
     spec = spec_for("squared-exponential", (1.0, 1.0))
     for X in ([[0.0], [1.0]], [[0.0, 0.0], [1.0, math.inf]]):

@@ -239,3 +239,12 @@ def test_wrong_dimension_rejected():
     for P in ([[0.0]], np.zeros((3, 3))):
         with pytest.raises(DimensionMismatchError):
             mean_width_batch(igp, P)
+
+
+def test_a_scalar_is_one_point_of_one_dimension():
+    igp = ImpreciseGpSpec(c=1.0, model=random_model(np.random.default_rng(33), n=4)[0])
+    width = mean_width_batch(igp, 0.5)
+    assert width.shape == (1,) and np.array_equal(width, mean_width_batch(igp, [[0.5]]))
+    wide = random_model(np.random.default_rng(34), dim=2, n=4)[0]
+    with pytest.raises(DimensionMismatchError):
+        mean_width_batch(ImpreciseGpSpec(c=1.0, model=wide), 0.5)

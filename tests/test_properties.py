@@ -12,6 +12,9 @@ formulas, with its floor rule; the extreme pair of two 1-D batches gives
 their largest squared distance; and the guard that takes that distance from
 its caller keeps the bits and the decisions of a pass over the batch, as
 does a kernel whose lengthscales are all 1, which skips the division.
+
+ei_values matches a 50-digit mpmath expected improvement, and predict_batch
+the dense conditioning oracle of tests/oracles.py.
 """
 
 import math
@@ -25,9 +28,12 @@ from hypothesis import strategies as st
 
 from probo import (AcquisitionSpec, FocusSearchConfig, KernelSpec, MeanSpec, ProboError,
                    RunConfig, kernels, registry_lookup, registry_names, run)
-from probo.gp import MEAN_FORMS
+from probo.acquisition import ei_values
+from probo.gp import MEAN_FORMS, fit_gp, predict_batch
 from probo.kernels import (_FLOOR, _GUARD_LIMIT, FAMILIES, _correlation, _extreme_sqdist,
                            _sqdist, kernel_matrix)
+
+from oracles import oracle_predict
 
 TARGETS = [name for name in registry_names() if registry_lookup(name).dimension <= 4]
 
@@ -275,3 +281,77 @@ def test_unit_lengthscales_skip_a_division_that_keeps_every_bit(data, family, di
         want, parent_guarded = parent_kernel_matrix(spec, A, B)
     assert same_bits(got, want)
     assert guarded == parent_guarded
+
+
+# ----------------------------------------------------- scores and posterior
+
+#: z = (psi - mu) / sd across ei_values' erf band, at its edges (|z| just
+#: under and over sqrt(2) * 5.9216) and far past them
+EI_Z = st.floats(-40.0, 40.0) | st.sampled_from([0.0, 8.374, -8.374, 8.3745, -8.3745,
+                                                  1e160, -1e160])
+
+
+@st.composite
+def ei_batches(draw):
+    """One batch of mu and var and the incumbent psi; each mu is drawn freely
+    or placed at a drawn z from psi."""
+    psi = draw(st.floats(-1e6, 1e6))
+    var = draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-300]) | st.floats(0.0, 1e8),
+                        min_size=1, max_size=8))
+    mu = [draw(st.floats(-1e6, 1e6)) if draw(st.booleans()) else psi - draw(EI_Z) * math.sqrt(v)
+          for v in var]
+    return np.array(mu), np.array(var), psi
+
+
+def mp_ei(mu, var, psi):
+    """Expected improvement below psi, in 50-digit arithmetic, and its scale
+    |psi - mu| + sd."""
+    improve = mpmath.mpf(psi) - mpmath.mpf(mu)
+    sd = mpmath.sqrt(mpmath.mpf(var))
+    if sd == 0:
+        return max(improve, 0), abs(improve)
+    z = improve / sd
+    # past |z| = 1e3 the tail, below exp(-5e5) relative, is far under 50
+    # digits; mpmath's erfc overflows on the largest z
+    if abs(z) > 1e3:
+        return max(improve, 0), abs(improve) + sd
+    return improve * mpmath.ncdf(z) + sd * mpmath.npdf(z), abs(improve) + sd
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(drawn=ei_batches())
+def test_ei_matches_a_50_digit_reference(drawn):
+    mu, var, psi = drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ei_values(mu, var, psi)
+    assert got.shape == mu.shape
+    with mpmath.workdps(50):
+        for score, m, v in zip(got, mu, var):
+            want, scale = mp_ei(m, v, psi)
+            assert abs(-mpmath.mpf(score) - want) <= 1e-12 * scale, (m, v, psi, score)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data(), family=st.sampled_from(FAMILIES), form=st.sampled_from(MEAN_FORMS),
+       dim=st.integers(1, 3), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_predict_batch_matches_the_conditioning_oracle(data, family, form, dim, n, seed):
+    # criterion 1's setting and tolerance: lengthscales 0.4-1.2, sv 0.5-1.5,
+    # and training points apart in their first coordinate by a stratified
+    # draw, so that the oracle's dense inverse is accurate
+    power = data.draw(st.floats(0.5, 2.0)) if family == "power-exponential" else None
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec(family=family, lengthscales=tuple(rng.uniform(0.4, 1.2, dim)),
+                      signal_variance=rng.uniform(0.5, 1.5), power=power)
+    # a mean written for one dimension, repeated to dim as a run does
+    mean = MeanSpec(form, tuple(rng.uniform(-2.0, 2.0, MEAN_FORMS.index(form)))).broadcast(dim)
+    X = rng.uniform(-3.0, 3.0, size=(n, dim))
+    X[:, 0] = rng.permutation(-3.0 + (np.arange(n) + rng.uniform(0.2, 0.8, n)) * 6.0 / n)
+    y = rng.normal(size=n)
+    P = rng.uniform(-3.0, 3.0, size=(4, dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu, var = predict_batch(fit_gp(spec, mean, X, y), P)
+    for i, x in enumerate(P):
+        mu_o, var_o = oracle_predict(spec, mean, X, y, x)
+        assert abs(mu[i] - mu_o) <= 1e-8 and abs(var[i] - var_o) <= 1e-8, (i, mu[i], mu_o)
