@@ -161,7 +161,8 @@ def test_default_plans_cover_all_axes():
 def test_plan_requires_two_variants():
     v = PriorVariant(name="only")
     with pytest.raises(ConfigError, match="two variants"):
-        SensitivityPlan(axis="mean-parameters", variants=(v,), functions=("sphere-1d",), repetitions=2)
+        SensitivityPlan(axis="mean-parameters", variants=(v,), functions=("sphere-1d",),
+                        repetitions=2)
 
 
 def test_plan_rejects_duplicate_variant_names():
@@ -230,9 +231,9 @@ MICRO = SensitivityConfig(reps=2, iterations=3, n_init=4,
                           acquisition=AcquisitionSpec(kind="lcb", tau=1.0), infill=FAST_INFILL)
 
 
-def micro_plan(variants, reps=2):
+def micro_plan(variants):
     return SensitivityPlan(axis="kernel-parameters", variants=variants,
-                           functions=("sphere-1d",), repetitions=reps)
+                           functions=("sphere-1d",), repetitions=2)
 
 
 def test_identical_variants_give_exactly_zero_ad():
